@@ -4,10 +4,11 @@ Every invocation produces a single report document, rendered either as a
 human-readable table (default) or as one line of JSON, so batch runs can
 concatenate documents line by line.  Dimensions, ranks and other values
 that can outgrow 64 bits are serialized as decimal strings; everything is
-exact, no floats anywhere.
+exact; the only floats are the per-check timings of ``verify``.
 
 Exit codes: 0 success, 1 usage or input error, 2 a verification check
-found a counterexample.
+found a counterexample, 3 an internal error (a broken invariant the
+library detected, reported in one line on stderr).
 """
 from __future__ import annotations
 
@@ -206,6 +207,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", default="1729")
     p.add_argument("--subadd-pairs", default="1000", dest="subadd_pairs")
     p.add_argument("--pair-samples", default="200", dest="pair_samples")
+    p.add_argument("--jobs", default=None, help="worker processes; default: every available CPU")
 
     return parser
 
@@ -272,9 +274,15 @@ def parse_args(argv: list[str]) -> CliRequest:
                 raise UsageError(
                     f"--checks: unknown {', '.join(unknown)}; available: {', '.join(verify_mod.CHECKS)}"
                 )
+        jobs = None
+        if ns.jobs is not None:
+            jobs = _int_value(ns.jobs, "--jobs")
+            if jobs < 1:
+                raise UsageError(f"--jobs must be >= 1, got {jobs}")
         params = {
             "config": verify_mod.VerifyConfig(box=(lo_hi[0], lo_hi[1]), seed=seed, **counts),
             "names": names,
+            "jobs": jobs,
         }
         return CliRequest(command, ns.format, params)
 
@@ -348,7 +356,7 @@ def run(request: CliRequest) -> tuple[ReportDocument, int]:
     code = 0
 
     if command == "verify":
-        results = verify_mod.run_checks(params["config"], params["names"])
+        results = verify_mod.run_checks(params["config"], params["names"], params["jobs"])
         ok = all(res.ok for res in results)
         config = params["config"]
         result = {
@@ -537,10 +545,16 @@ def render_table(doc: ReportDocument) -> str:
         elif key == "checks":
             lines.append("checks:")
             rows = [
-                [c["name"], str(c["instances"]), str(c["failures"]), "ok" if c["failures"] == 0 else "FAIL"]
+                [
+                    c["name"],
+                    str(c["instances"]),
+                    str(c["failures"]),
+                    f"{c['elapsed_s']:.3f}",
+                    "ok" if c["failures"] == 0 else "FAIL",
+                ]
                 for c in value
             ]
-            lines.extend(_table_rows(rows, ["check", "instances", "failures", "status"]))
+            lines.extend(_table_rows(rows, ["check", "instances", "failures", "seconds", "status"]))
             bad = next((c for c in value if c["counterexample"]), None)
             if bad is not None:
                 lines.append(f"counterexample ({bad['name']}): {json.dumps(bad['counterexample'], sort_keys=True)}")
@@ -564,6 +578,10 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"svreg: error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        message = " ".join(str(exc).split())
+        print(f"svreg: internal error: {message}", file=sys.stderr)
+        return 3
     print(doc.to_json() if request.format == "json" else render_table(doc))
     return code
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cohomology import MultiDegree, SegreVeronese, product_cohomology, twist
-from .regularity import SUBSET_CAP, _check_lengths, _subset_table, cm_regularity
+from .regularity import SUBSET_CAP, _check_lengths, cm_regularity
 
 
 @dataclass(frozen=True)
@@ -76,30 +76,11 @@ def p_plus(E: SegreVeronese, m: Sequence[int], subset_cap: int = SUBSET_CAP) -> 
 
 
 def p_minus(E: SegreVeronese, m: Sequence[int], subset_cap: int = SUBSET_CAP) -> int:
-    """Largest column index down to which the resolution is pure H^n.
-
-    Computed as -reg of the dual twist, and independently through the
-    direct form -max over nonempty J of min over k in J of
-    (ceil((m_k+1)/d_k) - l_{J^c}).  The two must agree; a mismatch means a
-    floor/ceil sign bug and raises.
-    """
-    via_dual = -cm_regularity(E, dual_twist(E, m), subset_cap)
-    l = E.l
-    d = E.d
-    n = E.n
-    best = None
-    for members, lJ in _subset_table(l):
-        complement = n - lJ
-        v = min(-((-(m[k] + 1)) // d[k]) - complement for k in members)
-        if best is None or v > best:
-            best = v
-    via_ceiling = -best
-    if via_ceiling != via_dual:
-        raise RuntimeError(
-            f"p_minus presentations disagree on l={l}, d={d}, m={tuple(m)}: "
-            f"dual route {via_dual}, ceiling route {via_ceiling}"
-        )
-    return via_dual
+    """Largest column index down to which the resolution is pure H^n:
+    -reg of the dual twist.  ``svreg verify`` replays it against the direct
+    form -max over nonempty J of min over k in J of
+    (ceil((m_k+1)/d_k) - l_{J^c})."""
+    return -cm_regularity(E, dual_twist(E, m), subset_cap)
 
 
 def tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> TateTerm:

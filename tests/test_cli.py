@@ -54,6 +54,13 @@ class TestParseArgs:
         with pytest.raises(cli.UsageError, match="--caps"):
             cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", "0,0", "--caps", "nope=1"])
 
+    def test_verify_jobs(self):
+        assert cli.parse_args(["verify"]).params["jobs"] is None
+        # above the CPU count is accepted here and clamped when verify runs
+        assert cli.parse_args(["verify", "--jobs", "100000"]).params["jobs"] == 100000
+        with pytest.raises(cli.UsageError, match="--jobs"):
+            cli.parse_args(["verify", "--jobs", "0"])
+
     def test_negative_entries_with_equals_form(self):
         request = cli.parse_args(["member", "--l=1,1", "--d=1,1", "--m=-2,3", "--p=-1,-1"])
         assert request.params["m"] == (-2, 3)
@@ -250,3 +257,35 @@ class TestMain:
             "formula": True,
             "oracle": False,
         }
+
+    def test_verify_output_independent_of_jobs(self, capsys):
+        argv = ["verify", "--lmax=1", "--dmax=2", "--box=-2,2", "--r3-samples=20", "--format=json"]
+        documents = []
+        for extra in ([], ["--jobs=1"]):
+            code, out, _ = run_cli(argv + extra, capsys)
+            assert code == 0
+            document = json.loads(out)
+            for check in document["result"]["checks"]:
+                assert check.pop("elapsed_s") >= 0
+            documents.append(document)
+        assert documents[0] == documents[1]
+
+    def test_internal_error_exit_three(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("routes disagree\non two lines")
+
+        monkeypatch.setattr(cli, "p_minus", broken)
+        code, out, err = run_cli(["endpoints", "--l=1,1", "--d=1,1", "--m=0,2"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "svreg: internal error: routes disagree on two lines\n"
+
+    def test_internal_error_in_worker_exit_three(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("planted invariant failure")
+
+        monkeypatch.setattr(regularity, "is_regular_formula", broken)
+        code, _, err = run_cli(
+            ["verify", "--checks=formula-vs-oracle", "--lmax=1", "--dmax=1", "--box=-1,1", "--jobs=2"], capsys
+        )
+        assert code == 3
+        assert err == "svreg: internal error: planted invariant failure\n"

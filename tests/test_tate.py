@@ -1,5 +1,7 @@
 """Unit tests for Tate resolution columns, window endpoints and the
 balanced closed form."""
+import itertools
+
 import pytest
 
 from svreg.cohomology import SegreVeronese
@@ -13,6 +15,7 @@ from svreg.tate import (
     tate_term,
     tate_window,
 )
+from svreg.verify import _p_minus_ceiling
 
 P1P1 = SegreVeronese((1, 1), (1, 1))
 
@@ -63,6 +66,12 @@ class TestEndpoints:
         E = SegreVeronese((2, 1), (1, 2))
         for m in ((0, 0), (3, -2), (-4, 5)):
             assert p_minus(E, m) == -p_plus(E, dual_twist(E, m))
+
+    def test_ceiling_route_agrees(self):
+        # the direct form that verify replays p_minus against
+        for E in (P1P1, SegreVeronese((2, 1), (1, 2)), SegreVeronese((1, 2, 3), (3, 1, 2))):
+            for m in itertools.product(range(-5, 6), repeat=E.r):
+                assert _p_minus_ceiling(E, m) == p_minus(E, m)
 
 
 class TestTateTerm:
