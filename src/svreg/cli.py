@@ -207,7 +207,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", default="1729")
     p.add_argument("--subadd-pairs", default="1000", dest="subadd_pairs")
     p.add_argument("--pair-samples", default="200", dest="pair_samples")
-    p.add_argument("--jobs", default=None, help="worker processes; default: every available CPU")
 
     return parser
 
@@ -274,15 +273,9 @@ def parse_args(argv: list[str]) -> CliRequest:
                 raise UsageError(
                     f"--checks: unknown {', '.join(unknown)}; available: {', '.join(verify_mod.CHECKS)}"
                 )
-        jobs = None
-        if ns.jobs is not None:
-            jobs = _int_value(ns.jobs, "--jobs")
-            if jobs < 1:
-                raise UsageError(f"--jobs must be >= 1, got {jobs}")
         params = {
             "config": verify_mod.VerifyConfig(box=(lo_hi[0], lo_hi[1]), seed=seed, **counts),
             "names": names,
-            "jobs": jobs,
         }
         return CliRequest(command, ns.format, params)
 
@@ -356,7 +349,7 @@ def run(request: CliRequest) -> tuple[ReportDocument, int]:
     code = 0
 
     if command == "verify":
-        results = verify_mod.run_checks(params["config"], params["names"], params["jobs"])
+        results = verify_mod.run_checks(params["config"], params["names"])
         ok = all(res.ok for res in results)
         config = params["config"]
         result = {

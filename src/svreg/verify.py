@@ -415,28 +415,31 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int | None, shards: int) -> int:
-    """Processes to run ``shards`` shards on: ``jobs`` (default: every
-    available CPU), clamped to the available CPUs and to the shard count."""
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cpus = _available_cpus()
-    return max(1, min(jobs or cpus, cpus, shards))
+def _worker_count(shards: int) -> int:
+    """Processes to run ``shards`` shards on: one per available CPU, at
+    most one per shard."""
+    return max(1, min(_available_cpus(), shards))
 
 
-def _sharded(name: str, config: VerifyConfig, jobs: int | None) -> CheckResult:
+def _sharded(name: str, config: VerifyConfig) -> CheckResult:
     """Run every shard of a check and merge them in shard order."""
     tasks = [(name, index, config) for index in range(len(_SHARDS[name][0](config)))]
-    workers = _worker_count(jobs, len(tasks))
+    workers = _worker_count(len(tasks))
     if workers == 1:
         parts = list(map(_run_shard, tasks))
     else:
-        import multiprocessing  # deferred: one-shot CLI calls never need it
+        # deferred: one-shot CLI calls never need them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         # fork, not spawn: workers must run the caller's modules as they
-        # are now, patched functions included, without importing anew
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_run_shard, tasks, chunksize=1)
+        # are now, patched functions included, without importing anew.  A
+        # worker that dies raises BrokenProcessPool, a RuntimeError.
+        executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            parts = list(executor.map(_run_shard, tasks))
+        finally:
+            executor.shutdown(cancel_futures=True)
     merged = CheckResult(name, 0, 0)
     for part in parts:
         merged.instances += part.instances
@@ -447,64 +450,69 @@ def _sharded(name: str, config: VerifyConfig, jobs: int | None) -> CheckResult:
     return merged
 
 
-def check_formula_vs_oracle(config: VerifyConfig, jobs: int | None = None) -> CheckResult:
+# The checks are named module functions rather than partials of _sharded,
+# so that each is an entry point of its own for callers and for profilers
+# that wrap module functions.
+
+
+def check_formula_vs_oracle(config: VerifyConfig) -> CheckResult:
     """The closed-form regularity test must agree with the cohomology scan
     on every grid point."""
-    return _sharded("formula-vs-oracle", config, jobs)
+    return _sharded("formula-vs-oracle", config)
 
 
-def check_corner_membership(config: VerifyConfig, jobs: int | None = None) -> CheckResult:
+def check_corner_membership(config: VerifyConfig) -> CheckResult:
     """Corner domination must agree with the closed-form test everywhere."""
-    return _sharded("corner-membership", config, jobs)
+    return _sharded("corner-membership", config)
 
 
-def check_minimal_twist(config: VerifyConfig, jobs: int | None = None) -> CheckResult:
+def check_minimal_twist(config: VerifyConfig) -> CheckResult:
     """cm_regularity must equal the least q with q*d in the regularity set."""
-    return _sharded("minimal-twist", config, jobs)
+    return _sharded("minimal-twist", config)
 
 
-def check_cohomology_consistency(config: VerifyConfig, jobs: int | None = None) -> CheckResult:
+def check_cohomology_consistency(config: VerifyConfig) -> CheckResult:
     """Concentration, Serre duality and the Euler characteristic, replayed
     against a full Kunneth convolution, exhaustively for r up to 3."""
-    return _sharded("cohomology", config, jobs)
+    return _sharded("cohomology", config)
 
 
-def check_segre_closed_form(config: VerifyConfig, jobs: int | None = None) -> CheckResult:
+def check_segre_closed_form(config: VerifyConfig) -> CheckResult:
     """The two-factor Segre closed form must match cm_regularity."""
-    return _sharded("segre-r2", config, jobs)
+    return _sharded("segre-r2", config)
 
 
-def check_ideal_sheaf_bound(config: VerifyConfig, jobs: int | None = None) -> CheckResult:
+def check_ideal_sheaf_bound(config: VerifyConfig) -> CheckResult:
     """lambda - 1 must bound reg of the structure sheaf of the image from
     above, strictly so at l=(1,2), d=(1,1)."""
-    return _sharded("ideal-bound", config, jobs)
+    return _sharded("ideal-bound", config)
 
 
-def check_subadditivity_random(config: VerifyConfig, jobs: int | None = None) -> CheckResult:
+def check_subadditivity_random(config: VerifyConfig) -> CheckResult:
     """reg(m) + reg(m2) >= reg(m + m2) on seeded random pairs."""
-    return _sharded("subadditivity", config, jobs)
+    return _sharded("subadditivity", config)
 
 
-def check_pair_subadditivity_random(config: VerifyConfig, jobs: int | None = None) -> CheckResult:
+def check_pair_subadditivity_random(config: VerifyConfig) -> CheckResult:
     """For seeded random pairs satisfying the hypotheses (built from corner
     points, so regularity is guaranteed), the sum pair must be regular."""
-    return _sharded("pair-subadditivity", config, jobs)
+    return _sharded("pair-subadditivity", config)
 
 
-def check_tate_endpoints(config: VerifyConfig, jobs: int | None = None) -> CheckResult:
+def check_tate_endpoints(config: VerifyConfig) -> CheckResult:
     """Window length closed forms, the balanced special case, and the
     duality p_minus(m) = -p_plus(dual twist of m), replayed against the
     direct ceiling form of p_minus."""
-    return _sharded("tate-endpoints", config, jobs)
+    return _sharded("tate-endpoints", config)
 
 
-def check_window_structure(config: VerifyConfig, jobs: int | None = None) -> CheckResult:
+def check_window_structure(config: VerifyConfig) -> CheckResult:
     """Column purity must characterize both endpoints exactly: pure H^0 iff
     p >= p_plus, pure H^n iff p <= p_minus, across a padded window."""
-    return _sharded("tate-window", config, jobs)
+    return _sharded("tate-window", config)
 
 
-CHECKS: dict[str, Callable[..., CheckResult]] = {
+CHECKS: dict[str, Callable[[VerifyConfig], CheckResult]] = {
     "cohomology": check_cohomology_consistency,
     "formula-vs-oracle": check_formula_vs_oracle,
     "corner-membership": check_corner_membership,
@@ -518,14 +526,11 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {
 }
 
 
-def run_checks(
-    config: VerifyConfig, names: Sequence[str] | None = None, jobs: int | None = None
-) -> list[CheckResult]:
+def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list[CheckResult]:
     """Run the named checks (all of them by default) in registry order.
 
-    Each check runs on ``jobs`` worker processes (default: one per
-    available CPU), at most one per CPU and per shard; ``jobs=1`` runs it
-    in this process."""
+    Each check runs on one worker process per available CPU, at most one
+    per shard; with a single CPU it runs in this process."""
     if names is None:
         selected = list(CHECKS)
     else:
@@ -535,4 +540,4 @@ def run_checks(
                 f"unknown checks: {', '.join(unknown)}; available: {', '.join(CHECKS)}"
             )
         selected = list(names)
-    return [CHECKS[name](config, jobs=jobs) for name in selected]
+    return [CHECKS[name](config) for name in selected]

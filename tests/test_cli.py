@@ -4,7 +4,7 @@ import json
 import pytest
 
 from svreg import cli
-from svreg import regularity
+from svreg import regularity, verify
 
 
 def run_cli(argv, capsys):
@@ -53,13 +53,6 @@ class TestParseArgs:
     def test_caps_rejects_unknown_key(self):
         with pytest.raises(cli.UsageError, match="--caps"):
             cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", "0,0", "--caps", "nope=1"])
-
-    def test_verify_jobs(self):
-        assert cli.parse_args(["verify"]).params["jobs"] is None
-        # above the CPU count is accepted here and clamped when verify runs
-        assert cli.parse_args(["verify", "--jobs", "100000"]).params["jobs"] == 100000
-        with pytest.raises(cli.UsageError, match="--jobs"):
-            cli.parse_args(["verify", "--jobs", "0"])
 
     def test_negative_entries_with_equals_form(self):
         request = cli.parse_args(["member", "--l=1,1", "--d=1,1", "--m=-2,3", "--p=-1,-1"])
@@ -258,11 +251,12 @@ class TestMain:
             "oracle": False,
         }
 
-    def test_verify_output_independent_of_jobs(self, capsys):
+    def test_verify_output_independent_of_workers(self, capsys, monkeypatch):
         argv = ["verify", "--lmax=1", "--dmax=2", "--box=-2,2", "--r3-samples=20", "--format=json"]
         documents = []
-        for extra in ([], ["--jobs=1"]):
-            code, out, _ = run_cli(argv + extra, capsys)
+        for cpus in (1, 2):  # in-process, then two forked workers
+            monkeypatch.setattr(verify, "_available_cpus", lambda cpus=cpus: cpus)
+            code, out, _ = run_cli(argv, capsys)
             assert code == 0
             document = json.loads(out)
             for check in document["result"]["checks"]:
@@ -284,8 +278,7 @@ class TestMain:
             raise RuntimeError("planted invariant failure")
 
         monkeypatch.setattr(regularity, "is_regular_formula", broken)
-        code, _, err = run_cli(
-            ["verify", "--checks=formula-vs-oracle", "--lmax=1", "--dmax=1", "--box=-1,1", "--jobs=2"], capsys
-        )
+        monkeypatch.setattr(verify, "_available_cpus", lambda: 2)
+        code, _, err = run_cli(["verify", "--checks=formula-vs-oracle", "--lmax=1", "--dmax=1", "--box=-1,1"], capsys)
         assert code == 3
         assert err == "svreg: internal error: planted invariant failure\n"

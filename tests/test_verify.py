@@ -1,5 +1,6 @@
 """Sharded verification: the merge must not depend on the worker count."""
 import itertools
+import os
 
 import pytest
 
@@ -13,10 +14,17 @@ def summary(results):
     return [(r.name, r.instances, r.failures, r.counterexample) for r in results]
 
 
-def test_parallel_matches_serial():
-    serial = verify.run_checks(SMALL, jobs=1)
+def run_on(cpus, monkeypatch, *args):
+    """run_checks as it runs with ``cpus`` available CPUs: in-process for
+    one, on that many forked workers otherwise, whatever this machine has."""
+    monkeypatch.setattr(verify, "_available_cpus", lambda: cpus)
+    return verify.run_checks(*args)
+
+
+def test_parallel_matches_serial(monkeypatch):
+    serial = run_on(1, monkeypatch, SMALL)
     assert all(r.ok for r in serial)
-    assert summary(verify.run_checks(SMALL, jobs=2)) == summary(serial)
+    assert summary(run_on(2, monkeypatch, SMALL)) == summary(serial)
 
 
 def test_first_counterexample_in_iteration_order(monkeypatch):
@@ -30,7 +38,7 @@ def test_first_counterexample_in_iteration_order(monkeypatch):
         return not value if (E.l, E.d, tuple(m), tuple(p)) in targets else value
 
     monkeypatch.setattr(regularity, "is_regular_formula", broken)
-    serial = verify.run_checks(SMALL, ["formula-vs-oracle", "corner-membership"], jobs=1)
+    serial = run_on(1, monkeypatch, SMALL, ["formula-vs-oracle", "corner-membership"])
     for result in serial:
         assert result.failures == 2
         assert (result.counterexample["l"], result.counterexample["m"], result.counterexample["p"]) == (
@@ -39,7 +47,7 @@ def test_first_counterexample_in_iteration_order(monkeypatch):
             [-3],
         )
     assert serial[0].counterexample["formula"] != serial[0].counterexample["oracle"]
-    parallel = verify.run_checks(SMALL, ["formula-vs-oracle", "corner-membership"], jobs=2)
+    parallel = run_on(2, monkeypatch, SMALL, ["formula-vs-oracle", "corner-membership"])
     assert summary(parallel) == summary(serial)
 
 
@@ -57,19 +65,18 @@ def test_shards_partition_the_serial_stream():
 
 
 def test_elapsed_is_reported():
-    result = verify.check_segre_closed_form(SMALL, jobs=1)
+    (result,) = verify.run_checks(SMALL, ["segre-r2"])
     assert result.elapsed_s > 0
     assert result.as_dict()["elapsed_s"] == round(result.elapsed_s, 3)
 
 
-def test_worker_count_clamps_without_starting_processes():
-    cpus = verify._available_cpus()
-    assert verify._worker_count(None, 1000) == min(cpus, 1000)
-    assert verify._worker_count(10**9, 1000) == min(cpus, 1000)
-    assert verify._worker_count(10**9, 1) == 1
-    assert verify._worker_count(1, 1000) == 1
-    with pytest.raises(ValueError, match="jobs"):
-        verify._worker_count(0, 10)
+def test_worker_count_is_bounded_by_cpus_and_shards(monkeypatch):
+    # computed without starting any process
+    monkeypatch.setattr(verify, "_available_cpus", lambda: 2)
+    assert verify._worker_count(1000) == 2
+    assert verify._worker_count(1) == 1
+    monkeypatch.setattr(verify, "_available_cpus", lambda: 1)
+    assert verify._worker_count(1000) == 1
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
@@ -78,7 +85,20 @@ def test_worker_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(regularity, "is_regular_formula", broken)
     with pytest.raises(RuntimeError, match="planted invariant failure"):
-        verify.check_formula_vs_oracle(SMALL, jobs=2)
+        run_on(2, monkeypatch, SMALL, ["formula-vs-oracle"])
+
+
+def test_dead_worker_is_an_error(monkeypatch):
+    parent = os.getpid()
+
+    def dies(E, m, p, subset_cap=regularity.SUBSET_CAP):
+        if os.getpid() == parent:  # never end the test process itself
+            raise AssertionError("shard ran in-process")
+        os._exit(1)
+
+    monkeypatch.setattr(regularity, "is_regular_formula", dies)
+    with pytest.raises(RuntimeError, match="terminated abruptly"):
+        run_on(2, monkeypatch, SMALL, ["formula-vs-oracle"])
 
 
 def test_p_minus_disagreement_is_a_counterexample(monkeypatch):
