@@ -46,9 +46,23 @@ from .tate import (
     tate_term,
     tate_window,
 )
-from .verify import CHECKS, CheckResult, VerifyConfig, run_checks
 
 __version__ = "0.1.0"
+
+# svreg.verify is loaded on first use: only ``svreg verify`` needs it, and
+# every one-shot CLI call would otherwise pay for importing it.
+_VERIFY_NAMES = frozenset({"verify", "CHECKS", "CheckResult", "VerifyConfig", "run_checks"})
+
+
+def __getattr__(name: str):
+    if name not in _VERIFY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    # import_module, not ``from . import verify``: the latter looks the
+    # name up on this package first, which calls back into __getattr__
+    verify = importlib.import_module(".verify", __name__)
+    return verify if name == "verify" else getattr(verify, name)
 
 __all__ = [
     "CHECKS",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import __version__
-from . import verify as verify_mod
 from .cohomology import SegreVeronese, euler_characteristic, product_cohomology
 from .regularity import (
     PERMUTATION_CAP,
@@ -123,7 +122,17 @@ def _parse_caps(text: str) -> dict[str, int]:
     return caps
 
 
-def _build_parser() -> _Parser:
+class _NoFlags:
+    """Stands in for a subcommand parser that was not invoked."""
+
+    def add_argument(self, *args, **kwargs) -> None:
+        pass
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """The parser, with flags only for ``command``: every subcommand is
+    registered with its help, for ``--help`` and the invalid-choice error,
+    but building the others' flags would be wasted on a one-shot call."""
     parser = _Parser(
         prog="svreg",
         description=(
@@ -134,16 +143,20 @@ def _build_parser() -> _Parser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"svreg {__version__}")
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("table", "json"), default="table")
-    caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--caps", default=None, metavar="subsets=<n>,perms=<n>")
-
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    def add(name: str, help_text: str, caps: bool = False):
+        p = sub.add_parser(name, help=help_text)
+        if name != command:
+            return _NoFlags()
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        if caps:
+            p.add_argument("--caps", default=None, metavar="subsets=<n>,perms=<n>")
+        return p
 
     # operation vectors are validated by hand after the embedding so that
     # an l/d length mismatch is reported before anything else
-    p = sub.add_parser("cohomology", parents=[fmt], help="cohomology profile of O(a)")
+    p = add("cohomology", "cohomology profile of O(a)")
     p.add_argument("--l", required=True)
     p.add_argument("--d", default=None, help="defaults to 1,...,1; irrelevant to cohomology")
     p.add_argument("--a", default=None)
@@ -153,33 +166,33 @@ def _build_parser() -> _Parser:
         ("oracle", "brute-force cohomology test that O(m) is O(p)-regular"),
         ("member", "regularity-set membership of p via corner domination"),
     ):
-        p = sub.add_parser(name, parents=[fmt, caps], help=help_text)
+        p = add(name, help_text, caps=True)
         p.add_argument("--l", required=True)
         p.add_argument("--d", required=True)
         p.add_argument("--m", default=None)
         p.add_argument("--p", default=None)
 
-    p = sub.add_parser("regset", parents=[fmt, caps], help="corners of the regularity set of O(m)")
+    p = add("regset", "corners of the regularity set of O(m)", caps=True)
     p.add_argument("--l", required=True)
     p.add_argument("--d", required=True)
     p.add_argument("--m", default=None)
     p.add_argument("--antichain", action="store_true")
 
-    p = sub.add_parser("reg", parents=[fmt, caps], help="Castelnuovo-Mumford regularity of the pushforward of O(m)")
+    p = add("reg", "Castelnuovo-Mumford regularity of the pushforward of O(m)", caps=True)
     p.add_argument("--l", required=True)
     p.add_argument("--d", required=True)
     p.add_argument("--m", default=None)
     p.add_argument("--explain", action="store_true", help="print one row per subset J")
 
-    p = sub.add_parser("segre2", parents=[fmt], help="two-factor Segre regularity closed form")
+    p = add("segre2", "two-factor Segre regularity closed form")
     p.add_argument("--dims", required=True, help="a,b: the two factor dimensions")
     p.add_argument("--twist", required=True, help="k,l: the two twist entries")
 
-    p = sub.add_parser("lambda", parents=[fmt], help="regularity bound for the ideal sheaf of the image")
+    p = add("lambda", "regularity bound for the ideal sheaf of the image")
     p.add_argument("--l", required=True)
     p.add_argument("--d", required=True)
 
-    p = sub.add_parser("subadd", parents=[fmt, caps], help="subadditivity check; add --p/--p2 for the pair-level form")
+    p = add("subadd", "subadditivity check; add --p/--p2 for the pair-level form", caps=True)
     p.add_argument("--l", required=True)
     p.add_argument("--d", required=True)
     p.add_argument("--m", default=None)
@@ -187,18 +200,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", default=None)
     p.add_argument("--p2", default=None)
 
-    p = sub.add_parser("tate", parents=[fmt, caps], help="Tate resolution columns around the interesting window")
+    p = add("tate", "Tate resolution columns around the interesting window", caps=True)
     p.add_argument("--l", required=True)
     p.add_argument("--d", required=True)
     p.add_argument("--m", default=None)
     p.add_argument("--pad", default="2")
 
-    p = sub.add_parser("endpoints", parents=[fmt, caps], help="window endpoints p+ and p-")
+    p = add("endpoints", "window endpoints p+ and p-", caps=True)
     p.add_argument("--l", required=True)
     p.add_argument("--d", required=True)
     p.add_argument("--m", default=None)
 
-    p = sub.add_parser("verify", parents=[fmt], help="replay the closed forms against the cohomology oracle")
+    p = add("verify", "replay the closed forms against the cohomology oracle")
     p.add_argument("--checks", default=None, help="comma list; default: all")
     p.add_argument("--lmax", default="3")
     p.add_argument("--dmax", default="3")
@@ -239,11 +252,15 @@ def _vector(ns: argparse.Namespace, name: str, r: int) -> tuple[int, ...]:
 def parse_args(argv: list[str]) -> CliRequest:
     """Validate argv into a CliRequest; raises UsageError naming the
     offending flag before any computation happens."""
-    ns = _build_parser().parse_args(argv)
+    # the top-level parser has no option that takes a value, so its first
+    # positional argument is the subcommand
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    ns = _build_parser(command).parse_args(argv)
     params: dict[str, Any] = {}
-    command = ns.command
 
     if command == "verify":
+        from . import verify as verify_mod  # loaded for this subcommand only
+
         lo_hi = _int_list(ns.box, "--box")
         if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
             raise UsageError(f"--box expects lo,hi with lo <= hi, got {ns.box!r}")
@@ -349,6 +366,8 @@ def run(request: CliRequest) -> tuple[ReportDocument, int]:
     code = 0
 
     if command == "verify":
+        from . import verify as verify_mod
+
         results = verify_mod.run_checks(params["config"], params["names"])
         ok = all(res.ok for res in results)
         config = params["config"]

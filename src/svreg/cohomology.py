@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 MultiDegree = tuple[int, ...]
 
@@ -126,15 +126,25 @@ def product_cohomology(E: SegreVeronese, a: Sequence[int]) -> CohomologyProfile:
     resulting degree equals l_J for J = {k : a_k <= -l_k - 1}.
     """
     _require_length(E, a, "a")
+    found = _kunneth(E.l, a)
+    return CohomologyProfile.zero() if found is None else CohomologyProfile(*found)
+
+
+def _kunneth(l: Iterable[int], a: Iterable[int]) -> tuple[int, int] | None:
+    """(degree, dimension) of O(a) on P^{l_1} x ... x P^{l_r}, or None when
+    it has no cohomology: the factor rules of ``factor_cohomology`` applied
+    in place, without building a profile per factor."""
     degree = 0
     dimension = 1
-    for lk, ak in zip(E.l, a):
-        p = factor_cohomology(lk, ak)
-        if p.vanishes:
-            return CohomologyProfile.zero()
-        degree += p.degree
-        dimension *= p.dimension
-    return CohomologyProfile(degree, dimension)
+    for lk, ak in zip(l, a):
+        if ak >= 0:
+            dimension *= comb(ak + lk, lk)
+        elif ak <= -lk - 1:
+            degree += lk
+            dimension *= comb(-ak - 1, lk)
+        else:
+            return None
+    return degree, dimension
 
 
 def twist(E: SegreVeronese, a: Sequence[int], steps: int) -> MultiDegree:
