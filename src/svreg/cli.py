@@ -16,7 +16,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .cohomology import SegreVeronese, euler_characteristic, product_cohomology
@@ -38,6 +39,7 @@ from .tate import balanced_endpoints, dual_twist, p_minus, p_plus, tate_window
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+_TATE_MAX_COLUMNS = 100_000  # a column costs about 1 KB of memory
 
 
 class UsageError(Exception):
@@ -65,17 +67,10 @@ class ReportDocument:
     note: str
     version: str
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "note": self.note,
-            "version": self.version,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        # vars, not dataclasses.asdict: asdict deep-copies the payload, which
+        # takes longer than computing a long Tate window
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,147 +91,70 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _int_value(text: str, flag: str) -> int:
+def _integer(text: str, flag: str) -> int:
     try:
-        v = int(text)
+        return int(text)
     except ValueError:
         raise UsageError(f"{flag} expects an integer, got {text!r}") from None
+
+
+def _bounded(text: str, flag: str, minimum: int) -> int:
+    v = _integer(text, flag)
     if not INT64_MIN <= v <= INT64_MAX:
         raise UsageError(f"{flag} value {v} is outside the signed 64-bit range")
+    if v < minimum:
+        raise UsageError(f"{flag} must be >= {minimum}, got {v}")
     return v
 
 
-def _parse_caps(text: str) -> dict[str, int]:
+def _seed(text: str, flag: str) -> int:
+    seed = _integer(text, flag)
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"{flag} expects an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def _box(text: str, flag: str) -> tuple[int, ...]:
+    lo_hi = _int_list(text, flag)
+    if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
+        raise UsageError(f"{flag} expects lo,hi with lo <= hi, got {text!r}")
+    return lo_hi
+
+
+def _check_names(text: str, flag: str) -> list[str]:
+    from . import verify  # loaded for ``svreg verify`` only
+
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    unknown = [n for n in names if n not in verify.CHECKS]
+    if unknown:
+        available = ", ".join(verify.CHECKS)
+        raise UsageError(f"{flag}: unknown {', '.join(unknown)}; available: {available}")
+    return names
+
+
+def _parse_caps(text: str | None) -> dict[str, int]:
     caps = {"subsets": SUBSET_CAP, "perms": PERMUTATION_CAP}
-    for part in text.split(","):
+    for part in text.split(",") if text else ():
         key, sep, value = part.partition("=")
         if not sep or key not in caps:
             raise UsageError(f"--caps expects subsets=<n>,perms=<n>, got {part!r}")
-        try:
-            v = int(value)
-        except ValueError:
-            raise UsageError(f"--caps {key} expects an integer, got {value!r}") from None
+        v = _integer(value, f"--caps {key}")
         if v < 1:
             raise UsageError(f"--caps {key} must be positive, got {v}")
         caps[key] = v
     return caps
 
 
-class _NoFlags:
-    """Stands in for a subcommand parser that was not invoked."""
-
-    def add_argument(self, *args, **kwargs) -> None:
-        pass
-
-
-def _build_parser(command: str | None) -> _Parser:
-    """The parser, with flags only for ``command``: every subcommand is
-    registered with its help, for ``--help`` and the invalid-choice error,
-    but building the others' flags would be wasted on a one-shot call."""
-    parser = _Parser(
-        prog="svreg",
-        description=(
-            "Exact regularity, cohomology and Tate-resolution windows for "
-            "line bundles on products of projective spaces under a "
-            "Segre-Veronese embedding.  Write negative lists in the "
-            "--flag=-1,2 form."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"svreg {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name: str, help_text: str, caps: bool = False):
-        p = sub.add_parser(name, help=help_text)
-        if name != command:
-            return _NoFlags()
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        if caps:
-            p.add_argument("--caps", default=None, metavar="subsets=<n>,perms=<n>")
-        return p
-
-    # operation vectors are validated by hand after the embedding so that
-    # an l/d length mismatch is reported before anything else
-    p = add("cohomology", "cohomology profile of O(a)")
-    p.add_argument("--l", required=True)
-    p.add_argument("--d", default=None, help="defaults to 1,...,1; irrelevant to cohomology")
-    p.add_argument("--a", default=None)
-
-    for name, help_text in (
-        ("regular", "closed-form test that O(m) is O(p)-regular"),
-        ("oracle", "brute-force cohomology test that O(m) is O(p)-regular"),
-        ("member", "regularity-set membership of p via corner domination"),
-    ):
-        p = add(name, help_text, caps=True)
-        p.add_argument("--l", required=True)
-        p.add_argument("--d", required=True)
-        p.add_argument("--m", default=None)
-        p.add_argument("--p", default=None)
-
-    p = add("regset", "corners of the regularity set of O(m)", caps=True)
-    p.add_argument("--l", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--m", default=None)
-    p.add_argument("--antichain", action="store_true")
-
-    p = add("reg", "Castelnuovo-Mumford regularity of the pushforward of O(m)", caps=True)
-    p.add_argument("--l", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--m", default=None)
-    p.add_argument("--explain", action="store_true", help="print one row per subset J")
-
-    p = add("segre2", "two-factor Segre regularity closed form")
-    p.add_argument("--dims", required=True, help="a,b: the two factor dimensions")
-    p.add_argument("--twist", required=True, help="k,l: the two twist entries")
-
-    p = add("lambda", "regularity bound for the ideal sheaf of the image")
-    p.add_argument("--l", required=True)
-    p.add_argument("--d", required=True)
-
-    p = add("subadd", "subadditivity check; add --p/--p2 for the pair-level form", caps=True)
-    p.add_argument("--l", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--m", default=None)
-    p.add_argument("--m2", default=None)
-    p.add_argument("--p", default=None)
-    p.add_argument("--p2", default=None)
-
-    p = add("tate", "Tate resolution columns around the interesting window", caps=True)
-    p.add_argument("--l", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--m", default=None)
-    p.add_argument("--pad", default="2")
-
-    p = add("endpoints", "window endpoints p+ and p-", caps=True)
-    p.add_argument("--l", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--m", default=None)
-
-    p = add("verify", "replay the closed forms against the cohomology oracle")
-    p.add_argument("--checks", default=None, help="comma list; default: all")
-    p.add_argument("--lmax", default="3")
-    p.add_argument("--dmax", default="3")
-    p.add_argument("--box", default="-8,8")
-    p.add_argument("--r3-samples", default="10000", dest="r3_samples")
-    p.add_argument("--seed", default="1729")
-    p.add_argument("--subadd-pairs", default="1000", dest="subadd_pairs")
-    p.add_argument("--pair-samples", default="200", dest="pair_samples")
-
-    return parser
-
-
-def _embedding(ns: argparse.Namespace, d_optional: bool = False) -> tuple[SegreVeronese, dict]:
+def _embedding(ns: argparse.Namespace) -> SegreVeronese:
     l = _int_list(ns.l, "--l")
-    if d_optional and ns.d is None:
-        d = (1,) * len(l)
-    else:
-        d = _int_list(ns.d, "--d")
+    d = (1,) * len(l) if ns.d is None else _int_list(ns.d, "--d")
     if len(l) != len(d):
         raise UsageError(f"--l has {len(l)} entries but --d has {len(d)}")
     if any(x < 1 for x in l):
         raise UsageError(f"--l entries must be >= 1, got {list(l)}")
     if any(x < 1 for x in d):
         raise UsageError(f"--d entries must be >= 1, got {list(d)}")
-    return SegreVeronese(l, d), {"l": list(l), "d": list(d)}
+    return SegreVeronese(l, d)
 
 
 def _vector(ns: argparse.Namespace, name: str, r: int) -> tuple[int, ...]:
@@ -249,107 +167,16 @@ def _vector(ns: argparse.Namespace, name: str, r: int) -> tuple[int, ...]:
     return value
 
 
-def parse_args(argv: list[str]) -> CliRequest:
-    """Validate argv into a CliRequest; raises UsageError naming the
-    offending flag before any computation happens."""
-    # the top-level parser has no option that takes a value, so its first
-    # positional argument is the subcommand
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    ns = _build_parser(command).parse_args(argv)
-    params: dict[str, Any] = {}
-
-    if command == "verify":
-        from . import verify as verify_mod  # loaded for this subcommand only
-
-        lo_hi = _int_list(ns.box, "--box")
-        if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
-            raise UsageError(f"--box expects lo,hi with lo <= hi, got {ns.box!r}")
-        counts = {}
-        for flag, attr, minimum in (
-            ("--lmax", "lmax", 1),
-            ("--dmax", "dmax", 1),
-            ("--r3-samples", "r3_samples", 0),
-            ("--subadd-pairs", "subadd_pairs", 0),
-            ("--pair-samples", "pair_samples", 0),
-        ):
-            v = _int_value(getattr(ns, attr), flag)
-            if v < minimum:
-                raise UsageError(f"{flag} must be >= {minimum}, got {v}")
-            counts[attr] = v
-        try:
-            seed = int(ns.seed)
-        except ValueError:
-            raise UsageError(f"--seed expects an integer, got {ns.seed!r}") from None
-        if not 0 <= seed < 2**64:
-            raise UsageError(f"--seed expects an unsigned 64-bit integer, got {seed}")
-        names = None
-        if ns.checks is not None:
-            names = [part.strip() for part in ns.checks.split(",") if part.strip()]
-            unknown = [n for n in names if n not in verify_mod.CHECKS]
-            if unknown:
-                raise UsageError(
-                    f"--checks: unknown {', '.join(unknown)}; available: {', '.join(verify_mod.CHECKS)}"
-                )
-        params = {
-            "config": verify_mod.VerifyConfig(box=(lo_hi[0], lo_hi[1]), seed=seed, **counts),
-            "names": names,
-        }
-        return CliRequest(command, ns.format, params)
-
-    if command == "segre2":
-        dims = _int_list(ns.dims, "--dims")
-        tw = _int_list(ns.twist, "--twist")
-        if len(dims) != 2:
-            raise UsageError(f"--dims expects exactly two entries, got {len(dims)}")
-        if len(tw) != 2:
-            raise UsageError(f"--twist expects exactly two entries, got {len(tw)}")
-        if dims[0] < 1 or dims[1] < 1:
-            raise UsageError(f"--dims entries must be >= 1, got {list(dims)}")
-        return CliRequest(command, ns.format, {"dims": dims, "twist": tw})
-
-    E, echo = _embedding(ns, d_optional=command == "cohomology")
-    params["E"] = E
-    params["echo"] = echo
-    if getattr(ns, "caps", None):
-        params["caps"] = _parse_caps(ns.caps)
-    else:
-        params["caps"] = {"subsets": SUBSET_CAP, "perms": PERMUTATION_CAP}
-
-    if command == "cohomology":
-        params["a"] = _vector(ns, "a", E.r)
-    elif command in ("regular", "oracle", "member"):
-        params["m"] = _vector(ns, "m", E.r)
-        params["p"] = _vector(ns, "p", E.r)
-    elif command == "regset":
-        params["m"] = _vector(ns, "m", E.r)
-        params["antichain"] = ns.antichain
-    elif command == "reg":
-        params["m"] = _vector(ns, "m", E.r)
-        params["explain"] = ns.explain
-    elif command == "lambda":
-        pass
-    elif command == "subadd":
-        params["m"] = _vector(ns, "m", E.r)
-        params["m2"] = _vector(ns, "m2", E.r)
-        if (ns.p is None) != (ns.p2 is None):
-            raise UsageError("--p and --p2 must be given together for the pair-level check")
-        if ns.p is not None:
-            params["p"] = _vector(ns, "p", E.r)
-            params["p2"] = _vector(ns, "p2", E.r)
-    elif command == "tate":
-        params["m"] = _vector(ns, "m", E.r)
-        pad = _int_value(ns.pad, "--pad")
-        if pad < 0:
-            raise UsageError(f"--pad must be >= 0, got {pad}")
-        params["pad"] = pad
-    elif command == "endpoints":
-        params["m"] = _vector(ns, "m", E.r)
-    return CliRequest(command, ns.format, params)
+# Payload builders: each takes the parsed params and the inputs echoed so far
+# (verify adds its grid) and returns (result, note).  They name library
+# functions through this module's globals when they run, so a function patched
+# here is the one called.
 
 
-def _profile_payload(E: SegreVeronese, a: tuple[int, ...]) -> dict[str, Any]:
+def _cohomology(params: dict, inputs: dict) -> tuple[dict, str]:
+    E, a = params["E"], params["a"]
     profile = product_cohomology(E, a)
-    return {
+    result = {
         "degree": profile.degree,
         "dimension": None if profile.dimension is None else str(profile.dimension),
         "table": [str(h) for h in profile.table(E.n)],
@@ -357,152 +184,273 @@ def _profile_payload(E: SegreVeronese, a: tuple[int, ...]) -> dict[str, Any]:
         "n": E.n,
         "ambient_dim": str(E.ambient_dim),
     }
+    return result, "Bott rules + Kunneth formula"
+
+
+def _regular(params: dict, inputs: dict) -> tuple[dict, str]:
+    regular = is_regular_formula(params["E"], params["m"], params["p"], params["caps"]["subsets"])
+    return {"regular": regular}, "Theorem theo_Lreg"
+
+
+def _oracle(params: dict, inputs: dict) -> tuple[dict, str]:
+    regular = is_regular_oracle(params["E"], params["m"], params["p"])
+    return {"regular": regular}, "Definition Lregular, checked degree by degree"
+
+
+def _member(params: dict, inputs: dict) -> tuple[dict, str]:
+    member = in_regularity_set(params["E"], params["m"], params["p"], params["caps"]["perms"])
+    return {"member": member}, "Proposition regset"
+
+
+def _regset(params: dict, inputs: dict) -> tuple[dict, str]:
+    E, m, perms = params["E"], params["m"], params["caps"]["perms"]
+    corners = regularity_corners(E, m, params["antichain"], perms)
+    return {"corners": [dict(vars(c)) for c in corners]}, "Proposition regset"
+
+
+def _reg(params: dict, inputs: dict) -> tuple[dict, str]:
+    E, m, subsets = params["E"], params["m"], params["caps"]["subsets"]
+    value = cm_regularity(E, m, subsets)
+    result = {"value": value}
+    if params["explain"]:
+        result["subsets"] = [
+            {"J": list(members), "l_J": lJ, "value": v, "max": v == value}
+            for members, lJ, v in cm_regularity_breakdown(E, m, subsets)
+        ]
+    return result, "Theorem theo_reg"
+
+
+def _segre2(params: dict, inputs: dict) -> tuple[dict, str]:
+    dims, twist = params["dims"], params["twist"]
+    for flag, value in (("--dims", dims), ("--twist", twist)):
+        if len(value) != 2:
+            raise UsageError(f"{flag} expects exactly two entries, got {len(value)}")
+    if min(dims) < 1:
+        raise UsageError(f"--dims entries must be >= 1, got {list(dims)}")
+    return {"value": segre_regularity(*dims, *twist)}, "Theorem theo_reg, r=2 Segre specialization"
+
+
+def _lambda(params: dict, inputs: dict) -> tuple[dict, str]:
+    E = params["E"]
+    result = dict(vars(ideal_sheaf_bound(E)), reg_zero=cm_regularity(E, (0,) * E.r))
+    return result, "ideal sheaf bound lambda = n + 1 - min floor(l_k/d_k)"
+
+
+def _subadd(params: dict, inputs: dict) -> tuple[dict, str]:
+    E, m, m2, subsets = params["E"], params["m"], params["m2"], params["caps"]["subsets"]
+    if "p" in params:
+        status = check_pair_subadditivity(E, m, params["p"], m2, params["p2"], subsets)
+        return {"status": status}, "Theorem Lregadd"
+    return dict(vars(check_subadditivity(E, m, m2, subsets))), "Theorem Fmreg"
+
+
+def _tate(params: dict, inputs: dict) -> tuple[dict, str]:
+    E, m, pad, subsets = params["E"], params["m"], params["pad"], params["caps"]["subsets"]
+    columns = p_plus(E, m, subsets) - p_minus(E, m, subsets) + 2 * pad + 1
+    if columns > _TATE_MAX_COLUMNS:
+        raise UsageError(f"the window has {columns} columns, over the limit of {_TATE_MAX_COLUMNS}")
+    window = tate_window(E, m, pad, subsets)
+    result = {
+        "p_minus": window.p_minus,
+        "p_plus": window.p_plus,
+        "length": window.p_plus - window.p_minus,
+        "terms": [
+            {"p": t.p, "entries": [{"i": e.i, "twist": e.twist, "rank": str(e.rank)}
+                                   for e in t.entries]}
+            for t in window.terms
+        ],
+    }
+    return result, "Tate term formula tate_form"
+
+
+def _endpoints(params: dict, inputs: dict) -> tuple[dict, str]:
+    E, m, subsets = params["E"], params["m"], params["caps"]["subsets"]
+    hi, lo = p_plus(E, m, subsets), p_minus(E, m, subsets)
+    result = {"p_plus": hi, "p_minus": lo, "length": hi - lo, "dual_twist": list(dual_twist(E, m))}
+    if len(set(E.l)) == 1 and set(E.d) == {1}:
+        bp, bm = balanced_endpoints(E.r, E.l[0], tuple(sorted(m)))
+        result["balanced"] = {"p_plus": bp, "p_minus": bm}
+    return result, "Tate endpoint theorem: p+ = reg(m), p- = -reg(dual twist)"
+
+
+def _verify(params: dict, inputs: dict) -> tuple[dict, str]:
+    from . import verify  # loaded for ``svreg verify`` only
+
+    names = params["checks"]
+    # flags left out keep VerifyConfig's defaults, the reference grid
+    fields = {k: v for k, v in params.items() if k != "checks" and v is not None}
+    config = verify.VerifyConfig(**fields)
+    results = verify.run_checks(config, names)
+    inputs.update(vars(config), checks=names or list(verify.CHECKS))
+    result = {
+        "ok": all(res.ok for res in results),
+        "checks": [res.as_dict() for res in results],
+        "total_instances": sum(res.instances for res in results),
+    }
+    return result, "closed forms replayed against the brute-force cohomology oracle"
+
+
+# NamedTuples, not dataclasses: each dataclass adds about 1 ms to the import
+class _Flag(NamedTuple):
+    """A subcommand flag other than --l, --d and the length-r vectors."""
+
+    name: str
+    convert: Callable[[str, str], Any] | None = None  # (text, flag) -> value
+    settings: dict[str, Any] = {}  # argparse keywords
+
+
+class _Command(NamedTuple):
+    """One subcommand, described once: the parser, parse_args and run loop over these."""
+
+    help: str
+    build: Callable[[dict, dict], tuple[dict, str]]
+    vectors: tuple[str, ...] = ()  # length-r vectors, read after --l/--d and echoed in order
+    pair: tuple[str, ...] = ()  # optional length-r vectors that must be given together
+    flags: tuple[_Flag, ...] = ()  # in --help order
+    order: tuple[str, ...] = ()  # the flags in validation order, where that differs
+    echo: tuple[str, ...] = ()  # the flags, by dest, echoed after the vectors
+    caps: bool = True
+    d: dict[str, Any] | None = {"required": True}  # argparse keywords of --d; None: no embedding
+
+
+_COMMANDS: dict[str, _Command] = {
+    "cohomology": _Command(
+        "cohomology profile of O(a)", _cohomology, ("a",), caps=False,
+        d=dict(help="defaults to 1,...,1; irrelevant to cohomology"),
+    ),
+    "regular": _Command("closed-form test that O(m) is O(p)-regular", _regular, ("m", "p")),
+    "oracle": _Command(
+        "brute-force cohomology test that O(m) is O(p)-regular", _oracle, ("m", "p")
+    ),
+    "member": _Command("regularity-set membership of p via corner domination", _member, ("m", "p")),
+    "regset": _Command(
+        "corners of the regularity set of O(m)", _regset, ("m",),
+        flags=(_Flag("--antichain", settings=dict(action="store_true")),), echo=("antichain",),
+    ),
+    "reg": _Command(
+        "Castelnuovo-Mumford regularity of the pushforward of O(m)", _reg, ("m",),
+        flags=(
+            _Flag("--explain", None, dict(action="store_true", help="print one row per subset J")),
+        ),
+    ),
+    "segre2": _Command(
+        "two-factor Segre regularity closed form", _segre2, caps=False, d=None,
+        flags=(
+            _Flag("--dims", _int_list, dict(required=True, help="a,b: the two factor dimensions")),
+            _Flag("--twist", _int_list, dict(required=True, help="k,l: the two twist entries")),
+        ),
+        echo=("dims", "twist"),
+    ),
+    "lambda": _Command("regularity bound for the ideal sheaf of the image", _lambda, caps=False),
+    "subadd": _Command(
+        "subadditivity check; add --p/--p2 for the pair-level form", _subadd, ("m", "m2"),
+        pair=("p", "p2"),
+    ),
+    "tate": _Command(
+        "Tate resolution columns around the interesting window", _tate, ("m",), echo=("pad",),
+        flags=(_Flag("--pad", partial(_bounded, minimum=0), dict(default="2")),),
+    ),
+    "endpoints": _Command("window endpoints p+ and p-", _endpoints, ("m",)),
+    "verify": _Command(
+        "replay the closed forms against the cohomology oracle", _verify, caps=False, d=None,
+        flags=(
+            _Flag("--checks", _check_names, dict(help="comma list; default: all")),
+            _Flag("--lmax", partial(_bounded, minimum=1)),
+            _Flag("--dmax", partial(_bounded, minimum=1)),
+            _Flag("--box", _box),
+            _Flag("--r3-samples", partial(_bounded, minimum=0)),
+            _Flag("--seed", _seed),
+            _Flag("--subadd-pairs", partial(_bounded, minimum=0)),
+            _Flag("--pair-samples", partial(_bounded, minimum=0)),
+        ),
+        order=("--box", "--lmax", "--dmax", "--r3-samples", "--subadd-pairs", "--pair-samples",
+               "--seed", "--checks"),
+    ),
+}
+
+
+def _build_parser(invoked: str | None, alone: bool) -> _Parser:
+    """The parser, with flags only for the ``invoked`` subcommand.  The
+    others are registered with their help, for the top-level ``--help`` and
+    the invalid-choice error, unless ``invoked`` is to be registered
+    ``alone``: building them would be wasted on a one-shot call."""
+    parser = _Parser(
+        prog="svreg",
+        description=(
+            "Exact regularity, cohomology and Tate-resolution windows for "
+            "line bundles on products of projective spaces under a "
+            "Segre-Veronese embedding.  Write negative lists in the "
+            "--flag=-1,2 form."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"svreg {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, command in _COMMANDS.items():
+        if name == invoked or not alone:
+            p = sub.add_parser(name, help=command.help)
+        if name != invoked:
+            continue
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        if command.caps:
+            p.add_argument("--caps", metavar="subsets=<n>,perms=<n>")
+        if command.d is not None:
+            # the vectors are validated by hand after the embedding, so that
+            # an l/d length mismatch is reported before anything else
+            p.add_argument("--l", required=True)
+            p.add_argument("--d", **command.d)
+            for vector in (*command.vectors, *command.pair):
+                p.add_argument(f"--{vector}")
+        for flag in command.flags:
+            p.add_argument(flag.name, **flag.settings)
+    return parser
+
+
+def parse_args(argv: list[str]) -> CliRequest:
+    """Validate argv into a CliRequest; raises UsageError naming the
+    offending flag.  The few checks that span two flags or need computing
+    are left to the payload builders, which run them first."""
+    # the top-level parser has no option that takes a value, so its first
+    # positional argument is the subcommand; an argv that starts with it can
+    # reach neither the top-level help nor the invalid-choice error
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
+    ns = _build_parser(invoked, argv[:1] == [invoked] and invoked in _COMMANDS).parse_args(argv)
+    command = _COMMANDS[ns.command]
+    params: dict[str, Any] = {}
+    if command.d is not None:
+        E = params["E"] = _embedding(ns)
+        params["caps"] = _parse_caps(getattr(ns, "caps", None))
+        for vector in command.vectors:
+            params[vector] = _vector(ns, vector, E.r)
+        given = [vector for vector in command.pair if getattr(ns, vector) is not None]
+        if given and len(given) < len(command.pair):
+            flags = " and ".join(f"--{vector}" for vector in command.pair)
+            raise UsageError(f"{flags} must be given together for the pair-level check")
+        for vector in given:
+            params[vector] = _vector(ns, vector, E.r)
+    by_name = {flag.name: flag for flag in command.flags}
+    for flag in [by_name[name] for name in command.order] or command.flags:
+        dest = flag.name[2:].replace("-", "_")
+        value = getattr(ns, dest)
+        if flag.convert is not None and value is not None:
+            value = flag.convert(value, flag.name)
+        params[dest] = value
+    return CliRequest(ns.command, ns.format, params)
 
 
 def run(request: CliRequest) -> tuple[ReportDocument, int]:
     """Execute a validated request; returns the report and the exit code."""
-    command = request.command
+    command = _COMMANDS[request.command]
     params = request.params
-    code = 0
-
-    if command == "verify":
-        from . import verify as verify_mod
-
-        results = verify_mod.run_checks(params["config"], params["names"])
-        ok = all(res.ok for res in results)
-        config = params["config"]
-        result = {
-            "ok": ok,
-            "checks": [res.as_dict() for res in results],
-            "total_instances": sum(res.instances for res in results),
-        }
-        inputs = {
-            "lmax": config.lmax,
-            "dmax": config.dmax,
-            "box": list(config.box),
-            "r3_samples": config.r3_samples,
-            "seed": config.seed,
-            "subadd_pairs": config.subadd_pairs,
-            "pair_samples": config.pair_samples,
-            "checks": params["names"] or list(verify_mod.CHECKS),
-        }
-        note = "closed forms replayed against the brute-force cohomology oracle"
-        return ReportDocument("verify", inputs, result, note, __version__), 0 if ok else 2
-
-    if command == "segre2":
-        a, b = params["dims"]
-        k, twist_l = params["twist"]
-        result = {"value": segre_regularity(a, b, k, twist_l)}
-        inputs = {"dims": [a, b], "twist": [k, twist_l]}
-        return ReportDocument(command, inputs, result, "Theorem theo_reg, r=2 Segre specialization", __version__), 0
-
-    E: SegreVeronese = params["E"]
-    inputs = dict(params["echo"])
-    caps = params["caps"]
-
-    if command == "cohomology":
-        inputs["a"] = list(params["a"])
-        result = _profile_payload(E, params["a"])
-        note = "Bott rules + Kunneth formula"
-    elif command == "regular":
-        inputs["m"] = list(params["m"])
-        inputs["p"] = list(params["p"])
-        result = {"regular": is_regular_formula(E, params["m"], params["p"], caps["subsets"])}
-        note = "Theorem theo_Lreg"
-    elif command == "oracle":
-        inputs["m"] = list(params["m"])
-        inputs["p"] = list(params["p"])
-        result = {"regular": is_regular_oracle(E, params["m"], params["p"])}
-        note = "Definition Lregular, checked degree by degree"
-    elif command == "member":
-        inputs["m"] = list(params["m"])
-        inputs["p"] = list(params["p"])
-        result = {"member": in_regularity_set(E, params["m"], params["p"], caps["perms"])}
-        note = "Proposition regset"
-    elif command == "regset":
-        inputs["m"] = list(params["m"])
-        inputs["antichain"] = params["antichain"]
-        corners = regularity_corners(E, params["m"], params["antichain"], caps["perms"])
-        result = {
-            "corners": [{"sigma": list(c.sigma), "corner": list(c.corner)} for c in corners]
-        }
-        note = "Proposition regset"
-    elif command == "reg":
-        inputs["m"] = list(params["m"])
-        value = cm_regularity(E, params["m"], caps["subsets"])
-        result = {"value": value}
-        if params["explain"]:
-            rows = cm_regularity_breakdown(E, params["m"], caps["subsets"])
-            result["subsets"] = [
-                {"J": list(members), "l_J": lJ, "value": v, "max": v == value}
-                for members, lJ, v in rows
-            ]
-        note = "Theorem theo_reg"
-    elif command == "lambda":
-        bound = ideal_sheaf_bound(E)
-        result = {
-            "value": bound.value,
-            "case_split_value": bound.case_split_value,
-            "reg_zero": cm_regularity(E, (0,) * E.r),
-        }
-        note = "ideal sheaf bound lambda = n + 1 - min floor(l_k/d_k)"
-    elif command == "subadd":
-        inputs["m"] = list(params["m"])
-        inputs["m2"] = list(params["m2"])
-        if "p" in params:
-            inputs["p"] = list(params["p"])
-            inputs["p2"] = list(params["p2"])
-            status = check_pair_subadditivity(
-                E, params["m"], params["p"], params["m2"], params["p2"], caps["subsets"]
-            )
-            result = {"status": status}
-            note = "Theorem Lregadd"
-        else:
-            report = check_subadditivity(E, params["m"], params["m2"], caps["subsets"])
-            result = {
-                "reg_m": report.reg_m,
-                "reg_m2": report.reg_m2,
-                "reg_sum": report.reg_sum,
-                "holds": report.holds,
-            }
-            note = "Theorem Fmreg"
-    elif command == "tate":
-        inputs["m"] = list(params["m"])
-        inputs["pad"] = params["pad"]
-        window = tate_window(E, params["m"], params["pad"], caps["subsets"])
-        result = {
-            "p_minus": window.p_minus,
-            "p_plus": window.p_plus,
-            "length": window.p_plus - window.p_minus,
-            "terms": [
-                {
-                    "p": t.p,
-                    "entries": [
-                        {"i": e.i, "twist": e.twist, "rank": str(e.rank)} for e in t.entries
-                    ],
-                }
-                for t in window.terms
-            ],
-        }
-        note = "Tate term formula tate_form"
-    elif command == "endpoints":
-        inputs["m"] = list(params["m"])
-        hi = p_plus(E, params["m"], caps["subsets"])
-        lo = p_minus(E, params["m"], caps["subsets"])
-        result = {
-            "p_plus": hi,
-            "p_minus": lo,
-            "length": hi - lo,
-            "dual_twist": list(dual_twist(E, params["m"])),
-        }
-        if len(set(E.l)) == 1 and set(E.d) == {1}:
-            bp, bm = balanced_endpoints(E.r, E.l[0], tuple(sorted(params["m"])))
-            result["balanced"] = {"p_plus": bp, "p_minus": bm}
-        note = "Tate endpoint theorem: p+ = reg(m), p- = -reg(dual twist)"
-    else:  # pragma: no cover - the parser rejects unknown commands first
-        raise UsageError(f"unknown subcommand {command!r}")
-
-    return ReportDocument(command, inputs, result, note, __version__), code
+    inputs: dict[str, Any] = {}
+    if command.d is not None:
+        inputs.update(l=list(params["E"].l), d=list(params["E"].d))
+    for key in (*command.vectors, *command.pair, *command.echo):
+        if key in params:
+            value = params[key]
+            inputs[key] = list(value) if isinstance(value, tuple) else value
+    result, note = command.build(params, inputs)
+    code = 2 if result.get("ok") is False else 0  # a verify check found a counterexample
+    return ReportDocument(request.command, inputs, result, note, __version__), code
 
 
 def _fmt_scalar(value: Any) -> str:

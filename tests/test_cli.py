@@ -5,6 +5,27 @@ import pytest
 
 from svreg import cli
 from svreg import regularity, verify
+from svreg.tate import TateWindow
+
+
+# a library function each subcommand calls, and an invocation that calls it
+LIBRARY_CALLS = [
+    ("product_cohomology", ["cohomology", "--l=1,1", "--a=0,0"]),
+    ("is_regular_formula", ["regular", "--l=1,1", "--d=1,1", "--m=0,0", "--p=0,0"]),
+    ("is_regular_oracle", ["oracle", "--l=1,1", "--d=1,1", "--m=0,0", "--p=0,0"]),
+    ("in_regularity_set", ["member", "--l=1,1", "--d=1,1", "--m=0,0", "--p=0,0"]),
+    ("regularity_corners", ["regset", "--l=1,1", "--d=1,1", "--m=0,0"]),
+    ("cm_regularity", ["reg", "--l=1,1", "--d=1,1", "--m=0,0"]),
+    ("segre_regularity", ["segre2", "--dims=2,3", "--twist=0,0"]),
+    ("ideal_sheaf_bound", ["lambda", "--l=1,1", "--d=1,1"]),
+    ("check_subadditivity", ["subadd", "--l=1,1", "--d=1,1", "--m=0,0", "--m2=0,0"]),
+    (
+        "check_pair_subadditivity",
+        ["subadd", "--l=1,1", "--d=1,1", "--m=0,0", "--m2=0,0", "--p=1,1", "--p2=0,1"],
+    ),
+    ("tate_window", ["tate", "--l=1,1", "--d=1,1", "--m=0,0"]),
+    ("p_minus", ["endpoints", "--l=1,1", "--d=1,1", "--m=0,2"]),
+]
 
 
 def run_cli(argv, capsys):
@@ -264,14 +285,49 @@ class TestMain:
             documents.append(document)
         assert documents[0] == documents[1]
 
-    def test_internal_error_exit_three(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("name, argv", LIBRARY_CALLS, ids=[name for name, _ in LIBRARY_CALLS])
+    def test_internal_error_exit_three(self, capsys, monkeypatch, name, argv):
+        # each subcommand calls its library function through the cli module
+        # when it runs, so the function patched there is the one that raises
         def broken(*args):
             raise RuntimeError("routes disagree\non two lines")
 
-        monkeypatch.setattr(cli, "p_minus", broken)
-        code, out, err = run_cli(["endpoints", "--l=1,1", "--d=1,1", "--m=0,2"], capsys)
+        monkeypatch.setattr(cli, name, broken)
+        code, out, err = run_cli(argv, capsys)
         assert (code, out) == (3, "")
         assert err == "svreg: internal error: routes disagree on two lines\n"
+
+    @pytest.mark.parametrize("flags", [[f"--m=0,{2**63 - 1}"], ["--m=0,0", f"--pad={2**63 - 1}"]])
+    def test_tate_window_over_limit_exit_one(self, capsys, flags):
+        code, out, err = run_cli(["tate", "--l=1,1", "--d=1,1", *flags], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("svreg: error: the window has ")
+        assert err.endswith(f" columns, over the limit of {cli._TATE_MAX_COLUMNS}\n")
+
+    def test_tate_window_limit_is_inclusive(self, monkeypatch):
+        # on P^1 x P^1, m = (0, M) has p+ - p- = M: M + 2 pad + 1 columns
+        built = []
+
+        def stub(E, m, pad, subset_cap):
+            built.append(m)
+            return TateWindow(0, 0, pad, ())
+
+        monkeypatch.setattr(cli, "tate_window", stub)
+        limit = cli._TATE_MAX_COLUMNS
+        cli.run(cli.parse_args(["tate", "--l=1,1", "--d=1,1", f"--m=0,{limit - 5}", "--pad=2"]))
+        assert built == [(0, limit - 5)]
+        request = cli.parse_args(["tate", "--l=1,1", "--d=1,1", f"--m=0,{limit - 4}", "--pad=2"])
+        with pytest.raises(cli.UsageError, match=f"has {limit + 1} columns"):
+            cli.run(request)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "flags, columns", [(["--m=0,4990", "--pad=4"], 4999), (["--m=4999,0", "--pad=0"], 5000)]
+    )
+    def test_long_windows_within_limit(self, capsys, flags, columns):
+        code, out, _ = run_cli(["tate", "--l=1,1", "--d=1,1", *flags, "--format=json"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["result"]["terms"]) == columns
 
     def test_internal_error_in_worker_exit_three(self, capsys, monkeypatch):
         def broken(*args):

@@ -29,7 +29,9 @@ SUBCOMMANDS = (
 )
 BIG = str(2**63)  # one past the signed 64-bit range
 E2 = ["--l=1,1", "--d=1,1"]
-SMALL_VERIFY = ["--lmax=1", "--dmax=1", "--box=-2,2", "--r3-samples=10", "--subadd-pairs=10", "--pair-samples=5"]
+SMALL_VERIFY = [
+    "--lmax=1", "--dmax=1", "--box=-2,2", "--r3-samples=10", "--subadd-pairs=10", "--pair-samples=5"
+]
 
 # one valid invocation per subcommand first: its flags are varied below
 VALID = [
@@ -95,6 +97,7 @@ def _single_errors():
         [],
         ["frobnicate"],
         ["--bogus"],
+        ["--bogus", "reg", *E2, "--m=0,0"],
         ["reg", *E2, "--m=0,0", "--bogus"],
         ["reg", *E2, "--m=0,0", "--format=xml"],
         ["lambda", *E2, "--caps", "subsets=5"],
@@ -116,7 +119,7 @@ def _single_errors():
         out += [_with(base, "--l", "1,x"), _with(base, "--l", BIG), _with(base, "--l", "1")]
         out += [_with(base, "--l", "0,1"), _with(base, "--d", "1,0"), _with(base, "--d", "1,1,1")]
         for flag in flags:
-            out += [_with(base, flag, None), _with(base, flag, "0,x"), _with(base, flag, "0"), _with(base, flag, f"0,{BIG}")]
+            out += [_with(base, flag, value) for value in (None, "0,x", "0", f"0,{BIG}")]
     reg = next(argv for argv in VALID if argv[0] == "reg")
     for caps in ("nope=1", "subsets", "subsets=x", "subsets=0", "perms=-1", "subsets=5,,perms=3"):
         out.append([*reg, "--caps", caps])
@@ -142,7 +145,8 @@ def _single_errors():
 
 
 def cases():
-    out = [["--help"], ["--version"]]
+    # top-level options before a subcommand: the help must still list them all
+    out = [["--help"], ["--version"], ["-h", "reg"], ["--version", "reg"]]
     out += [[name, "--help"] for name in SUBCOMMANDS]
     for argv in VALID:
         out += [argv, [*argv, "--format=json"]]
@@ -199,7 +203,8 @@ def test_outputs_match_golden(group):
 
 if __name__ == "__main__":
     with _contract_env():
-        records = [dict(zip(("argv", "code", "stdout", "stderr"), [argv, *capture(argv)])) for argv in cases()]
+        records = [dict(zip(("argv", "code", "stdout", "stderr"), [argv, *capture(argv)]))
+                   for argv in cases()]
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, ensure_ascii=False)
         fh.write("\n")
