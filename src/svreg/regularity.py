@@ -14,6 +14,7 @@ enumerations are capped because they grow like 2^r and r!.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Sequence
@@ -59,7 +60,7 @@ class IdealSheafBound:
     case_split_value: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _subset_table(l: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All nonempty subsets of factor indices, paired with l_J = sum l_k."""
     r = len(l)
@@ -114,16 +115,23 @@ def is_regular_oracle(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> b
 
     The check is finite and complete because each twist concentrates in a
     single degree, so H^i of the i-th twist is nonzero exactly when that
-    concentration degree equals i.  The factor windows are inlined here
-    rather than routed through CohomologyProfile; this function runs
-    millions of times during grid verification.
+    concentration degree equals i.  The scan depends on m and p only
+    through m + p, and is memoized on (l, d, m + p).
     """
     l = E.l
-    d = E.d
     r = len(l)
     if len(m) != r or len(p) != r:
         _check_lengths(E, m=m, p=p)
-    c = [m[k] + p[k] for k in range(r)]
+    return _oracle_scan(l, E.d, tuple(map(operator.add, m, p)))
+
+
+@lru_cache(maxsize=4096)
+def _oracle_scan(l: tuple[int, ...], d: tuple[int, ...], c: tuple[int, ...]) -> bool:
+    """The scan behind is_regular_oracle for the twist c = m + p.  The
+    factor windows are inlined here rather than routed through
+    CohomologyProfile; grid verification calls it millions of times, and
+    the pairs of one embedding share a few thousand sums c."""
+    r = len(l)
     n = sum(l)
     for i in range(1, n + 1):
         degree = 0
@@ -188,10 +196,13 @@ def _dominates(p: Sequence[int], corner: Sequence[int]) -> bool:
     return all(pk >= ck for pk, ck in zip(p, corner))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _corner_points(
-    E: SegreVeronese, m: tuple[int, ...], permutation_cap: int
+    l: tuple[int, ...], d: tuple[int, ...], m: tuple[int, ...], permutation_cap: int
 ) -> tuple[tuple[int, ...], ...]:
+    # keyed on plain tuples: hashing a SegreVeronese runs its Python-level
+    # __hash__ and __eq__ on every lookup
+    E = SegreVeronese(l, d)
     return tuple(c.corner for c in regularity_corners(E, m, permutation_cap=permutation_cap))
 
 
@@ -206,7 +217,7 @@ def in_regularity_set(
     r = len(E.l)
     if len(m) != r or len(p) != r:
         _check_lengths(E, m=m, p=p)
-    for corner in _corner_points(E, tuple(m), permutation_cap):
+    for corner in _corner_points(E.l, E.d, tuple(m), permutation_cap):
         for pk, ck in zip(p, corner):
             if pk < ck:
                 break

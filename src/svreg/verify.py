@@ -20,6 +20,7 @@ check is called, patched functions included.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import time
@@ -31,6 +32,7 @@ from . import cohomology, regularity, tate
 from .cohomology import SegreVeronese
 
 R3_SLICE = 1000  # seeded r=3 samples per shard
+MAX_INSTANCES = 10**8  # about 7x the 13,875,701 of the reference grid
 
 
 @dataclass(frozen=True)
@@ -528,11 +530,38 @@ CHECKS: dict[str, Callable[[VerifyConfig], CheckResult]] = {
 }
 
 
+def instance_counts(config: VerifyConfig) -> dict[str, int]:
+    """The number of instances each check runs on ``config``, in closed
+    form: nothing is enumerated, so a grid of any size is sized at once."""
+    lo, hi = config.box
+    box = hi - lo + 1
+    embeddings = {r: (config.lmax * config.dmax) ** r for r in (1, 2)}
+    n_embeddings = sum(embeddings.values())
+    pairs = sum(e * box ** (2 * r) for r, e in embeddings.items()) + config.r3_samples
+    points = sum(e * box**r for r, e in embeddings.items()) + config.r3_samples
+    # _tate_closed_forms, per l: 13 constant twists for each r in 1..3, the
+    # multisets of r entries in -6..6, and 9 values of M for r in (2, 3)
+    closed_forms = config.lmax * (3 * 13 + sum(math.comb(12 + r, r) for r in (1, 2, 3)) + 2 * 9)
+    return {
+        "cohomology": sum((config.lmax * box) ** r for r in (1, 2, 3)),
+        "formula-vs-oracle": pairs,
+        "corner-membership": pairs,
+        "minimal-twist": points,
+        "segre-r2": 3 * 3 * 11 * 11,
+        "ideal-bound": n_embeddings + 1,
+        "subadditivity": n_embeddings * config.subadd_pairs,
+        "pair-subadditivity": n_embeddings * config.pair_samples,
+        "tate-endpoints": closed_forms + points,
+        "tate-window": sum(e * 9**r for r, e in embeddings.items()),
+    }
+
+
 def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list[CheckResult]:
     """Run the named checks (all of them by default) in registry order.
 
     Each check runs on one worker process per available CPU, at most one
-    per shard; with a single CPU it runs in this process."""
+    per shard; with a single CPU it runs in this process.  A run of more
+    than ``MAX_INSTANCES`` instances is refused before any grid is built."""
     if names is None:
         selected = list(CHECKS)
     else:
@@ -542,4 +571,8 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
                 f"unknown checks: {', '.join(unknown)}; available: {', '.join(CHECKS)}"
             )
         selected = list(names)
+    counts = instance_counts(config)
+    total = sum(counts[name] for name in selected)
+    if total > MAX_INSTANCES:
+        raise ValueError(f"the run has {total} instances, over the limit of {MAX_INSTANCES}")
     return [CHECKS[name](config) for name in selected]

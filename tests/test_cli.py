@@ -329,6 +329,47 @@ class TestMain:
         assert code == 0
         assert len(json.loads(out)["result"]["terms"]) == columns
 
+    @pytest.mark.parametrize("checks", ["--checks=", "--checks=,"])
+    def test_verify_empty_check_list_exit_one(self, capsys, checks):
+        code, out, err = run_cli(["verify", checks, "--format=json"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "svreg: error: --checks needs at least one check name\n"
+
+    def test_verify_grid_over_limit_exit_one(self, capsys, monkeypatch):
+        def started(name, config):
+            raise AssertionError(f"{name} started")
+
+        monkeypatch.setattr(verify, "_sharded", started)
+        code, out, err = run_cli(["verify", f"--box={-2**63},0", "--checks=cohomology"], capsys)
+        count = verify.instance_counts(verify.VerifyConfig(box=(-2**63, 0)))["cohomology"]
+        assert (code, out) == (1, "")
+        assert err == f"svreg: error: the run has {count} instances, over the limit of {verify.MAX_INSTANCES}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--l=4611686018427387903", "--d=1", "--m=0", "--p=0"],
+            ["oracle", "--l=1000,1001", "--d=1,1", "--m=0,0", "--p=0,0"],
+            ["cohomology", "--l=3000000", "--a=5"],
+        ],
+    )
+    def test_dimension_over_limit_exit_one(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("svreg: error: --l sums to n=")
+        assert err.endswith(f", over the limit of {cli._MAX_DIMENSION}\n")
+
+    def test_dimension_limit_is_inclusive_and_checked_last(self, capsys):
+        n = cli._MAX_DIMENSION
+        at_limit = [
+            ["oracle", f"--l={n}", "--d=1", "--m=0", "--p=0"],
+            ["cohomology", f"--l={n // 2},{n - n // 2}", "--a=0,0"],
+        ]
+        for argv in at_limit:
+            assert run_cli(argv, capsys)[0] == 0
+        code, _, err = run_cli(["oracle", f"--l={n + 1}", "--d=1", "--m=0,0", "--p=0"], capsys)
+        assert (code, err) == (1, "svreg: error: --m has 2 entries, expected 1\n")
+
     def test_internal_error_in_worker_exit_three(self, capsys, monkeypatch):
         def broken(*args):
             raise RuntimeError("planted invariant failure")

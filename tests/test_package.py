@@ -37,3 +37,22 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError):
         svreg.no_such_name
     assert not hasattr(svreg, "no_such_name")
+
+
+def test_every_library_cache_is_bounded():
+    from svreg import cohomology, regularity, tate, verify
+
+    caches = {
+        f"{module.__name__}.{name}": value.cache_info().maxsize
+        for module in (cohomology, regularity, tate, verify)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    memos = {
+        "svreg.regularity._subset_table",
+        "svreg.regularity._corner_points",
+        "svreg.regularity._oracle_scan",
+        "svreg.verify._r3_samples",
+    }
+    assert memos <= set(caches)
+    assert [name for name, maxsize in caches.items() if maxsize is None] == []

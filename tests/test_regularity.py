@@ -1,6 +1,9 @@
 """Unit tests for the regularity tests, corners and subadditivity checks."""
+import itertools
+
 import pytest
 
+from svreg import regularity
 from svreg.cohomology import SegreVeronese
 from svreg.regularity import (
     RegularityCorner,
@@ -63,6 +66,29 @@ class TestRegularOracle:
         E = SegreVeronese((2,), (2,))
         assert is_regular_oracle(E, (1,), (1,))
         assert is_regular_formula(E, (1,), (1,))
+
+    def test_memo_agrees_through_evictions(self):
+        # more distinct (l, d, m + p) than the memo holds, walked forwards
+        # and back, so that entries are evicted and looked up again
+        from test_properties import definitional_regularity
+
+        scan = regularity._oracle_scan
+        cases = []
+        for l in itertools.product((1, 2), repeat=2):
+            for d in itertools.product((1, 2), repeat=2):
+                E = SegreVeronese(l, d)
+                for c in itertools.product(range(-8, 9), repeat=2):
+                    p = (c[0] % 3 - 1, -(c[1] % 2))
+                    cases.append((E, (c[0] - p[0], c[1] - p[1]), p, c))
+        assert len(cases) > scan.cache_info().maxsize
+        scan.cache_clear()
+        for E, m, p, c in cases + cases[::-1]:
+            want = definitional_regularity(E, m, p)
+            assert is_regular_oracle(E, m, p) == want
+            assert scan.__wrapped__(E.l, E.d, c) == want
+        info = scan.cache_info()
+        assert info.misses > info.maxsize and info.hits > 0
+        assert info.currsize == info.maxsize
 
 
 class TestRegularityCorners:

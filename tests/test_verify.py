@@ -24,7 +24,33 @@ def run_on(cpus, monkeypatch, *args):
 def test_parallel_matches_serial(monkeypatch):
     serial = run_on(1, monkeypatch, SMALL)
     assert all(r.ok for r in serial)
+    assert {r.name: r.instances for r in serial} == verify.instance_counts(SMALL)
     assert summary(run_on(2, monkeypatch, SMALL)) == summary(serial)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=3, subadd_pairs=2, pair_samples=1),
+        verify.VerifyConfig(lmax=2, dmax=1, box=(-1, 2), r3_samples=0, subadd_pairs=0, pair_samples=3),
+    ],
+)
+def test_instance_counts_match_the_runs(monkeypatch, config):
+    results = run_on(1, monkeypatch, config)
+    assert {r.name: r.instances for r in results} == verify.instance_counts(config)
+
+
+def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
+    def started(name, config):
+        raise AssertionError(f"{name} started")
+
+    monkeypatch.setattr(verify, "_sharded", started)
+    monkeypatch.setattr(verify, "MAX_INSTANCES", 1088)  # segre-r2 has 1089
+    with pytest.raises(ValueError, match="the run has 1089 instances, over the limit of 1088"):
+        verify.run_checks(SMALL, ["segre-r2"])
+    monkeypatch.setattr(verify, "MAX_INSTANCES", 1089)
+    with pytest.raises(AssertionError, match="segre-r2 started"):
+        verify.run_checks(SMALL, ["segre-r2"])
 
 
 def test_first_counterexample_in_iteration_order(monkeypatch):
@@ -49,6 +75,28 @@ def test_first_counterexample_in_iteration_order(monkeypatch):
     assert serial[0].counterexample["formula"] != serial[0].counterexample["oracle"]
     parallel = run_on(2, monkeypatch, SMALL, ["formula-vs-oracle", "corner-membership"])
     assert summary(parallel) == summary(serial)
+
+
+def test_patched_oracle_scan_reaches_forked_workers(monkeypatch):
+    # is_regular_oracle looks _oracle_scan up when it is called, so the
+    # workers run the patched scan, not the memoized one
+    real = regularity._oracle_scan
+    parent = os.getpid()
+    target = ((2,), (1,), (-2,))
+
+    def flipped(l, d, c):
+        if os.getpid() == parent:
+            raise AssertionError("shard ran in-process")
+        value = real(l, d, c)
+        return not value if (l, d, c) == target else value
+
+    monkeypatch.setattr(regularity, "_oracle_scan", flipped)
+    (result,) = run_on(2, monkeypatch, SMALL, ["formula-vs-oracle"])
+    # on the box [-3, 3], m + p = -2 for m in -3..1
+    assert result.failures == 5
+    ce = result.counterexample
+    assert (ce["l"], ce["d"], ce["m"], ce["p"]) == ([2], [1], [-3], [1])
+    assert ce["oracle"] != ce["formula"]
 
 
 def test_shards_partition_the_serial_stream():
