@@ -19,8 +19,6 @@ from .cohomology import (
     twist,
 )
 from .regularity import (
-    PERMUTATION_CAP,
-    SUBSET_CAP,
     IdealSheafBound,
     RegularityCorner,
     SubadditivityReport,
@@ -70,9 +68,7 @@ __all__ = [
     "CohomologyProfile",
     "IdealSheafBound",
     "MultiDegree",
-    "PERMUTATION_CAP",
     "RegularityCorner",
-    "SUBSET_CAP",
     "SegreVeronese",
     "SubadditivityReport",
     "TateEntry",

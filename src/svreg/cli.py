@@ -22,8 +22,6 @@ from typing import Any, Callable, NamedTuple
 from . import __version__
 from .cohomology import SegreVeronese, euler_characteristic, product_cohomology
 from .regularity import (
-    PERMUTATION_CAP,
-    SUBSET_CAP,
     check_pair_subadditivity,
     check_subadditivity,
     cm_regularity,
@@ -40,6 +38,9 @@ from .tate import balanced_endpoints, dual_twist, p_minus, p_plus, tate_window
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 _TATE_MAX_COLUMNS = 100_000  # a column costs about 1 KB of memory
+# columns * (n + 1) * r factor steps, 1.5 to 6 us each on one 2-vCPU Xeon
+# core: 100,000 columns on P^1 x P^1 are 600,000 steps and take about 1 s
+_TATE_MAX_WORK = 1_000_000
 # n = sum(l) for oracle and cohomology: the oracle scans up to n*r <= n^2
 # factor windows, about 0.4 s at n = r = 2,000 on one 2-vCPU Xeon core
 _MAX_DIMENSION = 2_000
@@ -137,19 +138,6 @@ def _check_names(text: str, flag: str) -> list[str]:
     return names
 
 
-def _parse_caps(text: str | None) -> dict[str, int]:
-    caps = {"subsets": SUBSET_CAP, "perms": PERMUTATION_CAP}
-    for part in text.split(",") if text else ():
-        key, sep, value = part.partition("=")
-        if not sep or key not in caps:
-            raise UsageError(f"--caps expects subsets=<n>,perms=<n>, got {part!r}")
-        v = _integer(value, f"--caps {key}")
-        if v < 1:
-            raise UsageError(f"--caps {key} must be positive, got {v}")
-        caps[key] = v
-    return caps
-
-
 def _embedding(ns: argparse.Namespace) -> SegreVeronese:
     l = _int_list(ns.l, "--l")
     d = (1,) * len(l) if ns.d is None else _int_list(ns.d, "--d")
@@ -200,7 +188,7 @@ def _cohomology(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _regular(params: dict, inputs: dict) -> tuple[dict, str]:
-    regular = is_regular_formula(params["E"], params["m"], params["p"], params["caps"]["subsets"])
+    regular = is_regular_formula(params["E"], params["m"], params["p"])
     return {"regular": regular}, "Theorem theo_Lreg"
 
 
@@ -211,24 +199,23 @@ def _oracle(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _member(params: dict, inputs: dict) -> tuple[dict, str]:
-    member = in_regularity_set(params["E"], params["m"], params["p"], params["caps"]["perms"])
+    member = in_regularity_set(params["E"], params["m"], params["p"])
     return {"member": member}, "Proposition regset"
 
 
 def _regset(params: dict, inputs: dict) -> tuple[dict, str]:
-    E, m, perms = params["E"], params["m"], params["caps"]["perms"]
-    corners = regularity_corners(E, m, params["antichain"], perms)
+    corners = regularity_corners(params["E"], params["m"], params["antichain"])
     return {"corners": [dict(vars(c)) for c in corners]}, "Proposition regset"
 
 
 def _reg(params: dict, inputs: dict) -> tuple[dict, str]:
-    E, m, subsets = params["E"], params["m"], params["caps"]["subsets"]
-    value = cm_regularity(E, m, subsets)
+    E, m = params["E"], params["m"]
+    value = cm_regularity(E, m)
     result = {"value": value}
     if params["explain"]:
         result["subsets"] = [
             {"J": list(members), "l_J": lJ, "value": v, "max": v == value}
-            for members, lJ, v in cm_regularity_breakdown(E, m, subsets)
+            for members, lJ, v in cm_regularity_breakdown(E, m)
         ]
     return result, "Theorem theo_reg"
 
@@ -250,19 +237,22 @@ def _lambda(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _subadd(params: dict, inputs: dict) -> tuple[dict, str]:
-    E, m, m2, subsets = params["E"], params["m"], params["m2"], params["caps"]["subsets"]
+    E, m, m2 = params["E"], params["m"], params["m2"]
     if "p" in params:
-        status = check_pair_subadditivity(E, m, params["p"], m2, params["p2"], subsets)
+        status = check_pair_subadditivity(E, m, params["p"], m2, params["p2"])
         return {"status": status}, "Theorem Lregadd"
-    return dict(vars(check_subadditivity(E, m, m2, subsets))), "Theorem Fmreg"
+    return dict(vars(check_subadditivity(E, m, m2))), "Theorem Fmreg"
 
 
 def _tate(params: dict, inputs: dict) -> tuple[dict, str]:
-    E, m, pad, subsets = params["E"], params["m"], params["pad"], params["caps"]["subsets"]
-    columns = p_plus(E, m, subsets) - p_minus(E, m, subsets) + 2 * pad + 1
+    E, m, pad = params["E"], params["m"], params["pad"]
+    columns = p_plus(E, m) - p_minus(E, m) + 2 * pad + 1
     if columns > _TATE_MAX_COLUMNS:
         raise UsageError(f"the window has {columns} columns, over the limit of {_TATE_MAX_COLUMNS}")
-    window = tate_window(E, m, pad, subsets)
+    steps = columns * (E.n + 1) * E.r
+    if steps > _TATE_MAX_WORK:
+        raise UsageError(f"the window takes {steps} factor steps, over the limit of {_TATE_MAX_WORK}")
+    window = tate_window(E, m, pad)
     result = {
         "p_minus": window.p_minus,
         "p_plus": window.p_plus,
@@ -277,8 +267,8 @@ def _tate(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _endpoints(params: dict, inputs: dict) -> tuple[dict, str]:
-    E, m, subsets = params["E"], params["m"], params["caps"]["subsets"]
-    hi, lo = p_plus(E, m, subsets), p_minus(E, m, subsets)
+    E, m = params["E"], params["m"]
+    hi, lo = p_plus(E, m), p_minus(E, m)
     result = {"p_plus": hi, "p_minus": lo, "length": hi - lo, "dual_twist": list(dual_twist(E, m))}
     if len(set(E.l)) == 1 and set(E.d) == {1}:
         bp, bm = balanced_endpoints(E.r, E.l[0], tuple(sorted(m)))
@@ -322,13 +312,12 @@ class _Command(NamedTuple):
     flags: tuple[_Flag, ...] = ()  # in --help order
     order: tuple[str, ...] = ()  # the flags in validation order, where that differs
     echo: tuple[str, ...] = ()  # the flags, by dest, echoed after the vectors
-    caps: bool = True
     d: dict[str, Any] | None = {"required": True}  # argparse keywords of --d; None: no embedding
 
 
 _COMMANDS: dict[str, _Command] = {
     "cohomology": _Command(
-        "cohomology profile of O(a)", _cohomology, ("a",), caps=False,
+        "cohomology profile of O(a)", _cohomology, ("a",),
         d=dict(help="defaults to 1,...,1; irrelevant to cohomology"),
     ),
     "regular": _Command("closed-form test that O(m) is O(p)-regular", _regular, ("m", "p")),
@@ -347,14 +336,14 @@ _COMMANDS: dict[str, _Command] = {
         ),
     ),
     "segre2": _Command(
-        "two-factor Segre regularity closed form", _segre2, caps=False, d=None,
+        "two-factor Segre regularity closed form", _segre2, d=None,
         flags=(
             _Flag("--dims", _int_list, dict(required=True, help="a,b: the two factor dimensions")),
             _Flag("--twist", _int_list, dict(required=True, help="k,l: the two twist entries")),
         ),
         echo=("dims", "twist"),
     ),
-    "lambda": _Command("regularity bound for the ideal sheaf of the image", _lambda, caps=False),
+    "lambda": _Command("regularity bound for the ideal sheaf of the image", _lambda),
     "subadd": _Command(
         "subadditivity check; add --p/--p2 for the pair-level form", _subadd, ("m", "m2"),
         pair=("p", "p2"),
@@ -365,7 +354,7 @@ _COMMANDS: dict[str, _Command] = {
     ),
     "endpoints": _Command("window endpoints p+ and p-", _endpoints, ("m",)),
     "verify": _Command(
-        "replay the closed forms against the cohomology oracle", _verify, caps=False, d=None,
+        "replay the closed forms against the cohomology oracle", _verify, d=None,
         flags=(
             _Flag("--checks", _check_names, dict(help="comma list; default: all")),
             _Flag("--lmax", partial(_bounded, minimum=1)),
@@ -404,8 +393,6 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
         if name != invoked:
             continue
         p.add_argument("--format", choices=("table", "json"), default="table")
-        if command.caps:
-            p.add_argument("--caps", metavar="subsets=<n>,perms=<n>")
         if command.d is not None:
             # the vectors are validated by hand after the embedding, so that
             # an l/d length mismatch is reported before anything else
@@ -431,7 +418,6 @@ def parse_args(argv: list[str]) -> CliRequest:
     params: dict[str, Any] = {}
     if command.d is not None:
         E = params["E"] = _embedding(ns)
-        params["caps"] = _parse_caps(getattr(ns, "caps", None))
         for vector in command.vectors:
             params[vector] = _vector(ns, vector, E.r)
         given = [vector for vector in command.pair if getattr(ns, vector) is not None]

@@ -2,14 +2,15 @@
 
 O(m) is called O(p)-regular (with respect to B = O(d)) when
 H^i(O(m + p - i*d)) = 0 for every i > 0.  Everything in this module hangs
-off two routes to that predicate: a closed-form max/min test over subsets
-of factors, and a brute-force scan of the finitely many cohomology groups
+off two routes to that predicate: a closed form, computed by one sort of
+the factors, and a brute-force scan of the finitely many cohomology groups
 involved.  The two must agree everywhere; ``svreg verify`` replays that
 agreement on exhaustive grids.
 
-Conventions: factor indices are 0-based, all floors are mathematical
-(toward -infinity, which is what Python's // does), and subset/permutation
-enumerations are capped because they grow like 2^r and r!.
+Conventions: factor indices are 0-based and all floors are mathematical
+(toward -infinity, which is what Python's // does).  Only the functions
+that list one row per subset or per permutation of the factors enumerate
+them, and they refuse more factors than a fixed limit.
 """
 from __future__ import annotations
 
@@ -21,8 +22,10 @@ from typing import Literal, Sequence
 
 from .cohomology import SegreVeronese
 
-SUBSET_CAP = 20
-PERMUTATION_CAP = 8
+# Output with one row per permutation or per subset of the factors grows
+# like r! or 2^r; these are the largest r for which it is listed.
+_MAX_CORNER_FACTORS = 8
+_MAX_BREAKDOWN_FACTORS = 20
 
 PairStatus = Literal["holds", "fails", "hypothesis-not-met"]
 
@@ -60,17 +63,6 @@ class IdealSheafBound:
     case_split_value: int
 
 
-@lru_cache(maxsize=256)
-def _subset_table(l: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All nonempty subsets of factor indices, paired with l_J = sum l_k."""
-    r = len(l)
-    out = []
-    for mask in range(1, 1 << r):
-        members = tuple(k for k in range(r) if mask >> k & 1)
-        out.append((members, sum(l[k] for k in members)))
-    return tuple(out)
-
-
 def _check_lengths(E: SegreVeronese, **vectors: Sequence[int]) -> None:
     r = len(E.l)
     for name, v in vectors.items():
@@ -78,35 +70,35 @@ def _check_lengths(E: SegreVeronese, **vectors: Sequence[int]) -> None:
             raise ValueError(f"{name} has {len(v)} entries, expected {r}")
 
 
-def _check_subset_cap(r: int, subset_cap: int) -> None:
-    if r > subset_cap:
-        raise ValueError(
-            f"r={r} needs {2 ** r - 1} subsets, above the cap {subset_cap}; raise the cap to proceed"
-        )
+@lru_cache(maxsize=4096)
+def _regularity(l: tuple[int, ...], d: tuple[int, ...], c: tuple[int, ...]) -> int:
+    """max over nonempty J of (l_J - max_{k in J} f_k), f_k = floor((c_k + l_k)/d_k),
+    in O(r log r) instead of over 2^r subsets.
+
+    Once the k of J with the largest f_k is fixed, l_J is largest when J
+    holds every j with f_j <= f_k, so the max runs over the prefixes of the
+    factors sorted by f.  A prefix that stops inside a run of equal f is
+    beaten by the one that ends the run, so every prefix may be read."""
+    best = None
+    total = 0
+    for fk, lk in sorted(zip(map(operator.floordiv, map(operator.add, c, l), d), l)):
+        total += lk
+        if best is None or total - fk > best:
+            best = total - fk
+    return best
 
 
-def is_regular_formula(
-    E: SegreVeronese,
-    m: Sequence[int],
-    p: Sequence[int],
-    subset_cap: int = SUBSET_CAP,
-) -> bool:
+def is_regular_formula(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> bool:
     """Closed-form regularity test: O(m) is O(p)-regular for B = O(d) iff
     every nonempty subset J of factors contains some k with
-    p_k + m_k + l_k - l_J * d_k >= 0."""
-    l = E.l
-    d = E.d
-    r = len(l)
+    p_k + m_k + l_k - l_J * d_k >= 0, that is, with
+    floor((m_k + p_k + l_k)/d_k) >= l_J.  That holds for every J iff
+    reg(m + p) <= 0, so the test is one evaluation of the sorted form
+    behind cm_regularity, memoized on (l, d, m + p)."""
+    r = len(E.l)
     if len(m) != r or len(p) != r:
         _check_lengths(E, m=m, p=p)
-    _check_subset_cap(r, subset_cap)
-    for members, lJ in _subset_table(l):
-        for k in members:
-            if p[k] + m[k] + l[k] - lJ * d[k] >= 0:
-                break
-        else:
-            return False
-    return True
+    return _regularity(E.l, E.d, tuple(map(operator.add, m, p))) <= 0
 
 
 def is_regular_oracle(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> bool:
@@ -149,28 +141,22 @@ def _oracle_scan(l: tuple[int, ...], d: tuple[int, ...], c: tuple[int, ...]) -> 
     return True
 
 
-def regularity_corners(
-    E: SegreVeronese,
-    m: Sequence[int],
-    antichain: bool = False,
-    permutation_cap: int = PERMUTATION_CAP,
-) -> list[RegularityCorner]:
+def regularity_corners(E: SegreVeronese, m: Sequence[int], antichain: bool = False) -> list[RegularityCorner]:
     """Corner points whose translated positive orthants union to the
     regularity set of O(m).
 
     One corner per permutation of the factors; corners produced by several
     permutations are listed once (first permutation in lexicographic order
     wins).  With ``antichain=True`` corners dominated componentwise by
-    another corner are dropped as well.
+    another corner are dropped as well.  Refuses more than
+    ``_MAX_CORNER_FACTORS`` factors.
     """
     _check_lengths(E, m=m)
     l = E.l
     d = E.d
     r = len(l)
-    if r > permutation_cap:
-        raise ValueError(
-            f"r={r} needs {r}! permutations, above the cap {permutation_cap}; raise the cap to proceed"
-        )
+    if r > _MAX_CORNER_FACTORS:
+        raise ValueError(f"r={r} has {r}! permutations of the factors, over the limit of r={_MAX_CORNER_FACTORS}")
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for sigma in itertools.permutations(range(r)):
         suffix = [0] * (r + 1)
@@ -196,65 +182,46 @@ def _dominates(p: Sequence[int], corner: Sequence[int]) -> bool:
     return all(pk >= ck for pk, ck in zip(p, corner))
 
 
-@lru_cache(maxsize=4096)
-def _corner_points(
-    l: tuple[int, ...], d: tuple[int, ...], m: tuple[int, ...], permutation_cap: int
-) -> tuple[tuple[int, ...], ...]:
-    # keyed on plain tuples: hashing a SegreVeronese runs its Python-level
-    # __hash__ and __eq__ on every lookup
-    E = SegreVeronese(l, d)
-    return tuple(c.corner for c in regularity_corners(E, m, permutation_cap=permutation_cap))
+def in_regularity_set(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> bool:
+    """Membership test for the regularity set of O(m), the union of the
+    orthants at the corners of ``regularity_corners``.  By Proposition
+    regset that set is where O(m) is O(p)-regular, so this is the closed
+    form; ``svreg verify`` replays it against corner domination."""
+    return is_regular_formula(E, m, p)
 
 
-def in_regularity_set(
-    E: SegreVeronese,
-    m: Sequence[int],
-    p: Sequence[int],
-    permutation_cap: int = PERMUTATION_CAP,
-) -> bool:
-    """Membership test for the regularity set of O(m): p belongs iff it
-    dominates some corner componentwise."""
-    r = len(E.l)
-    if len(m) != r or len(p) != r:
-        _check_lengths(E, m=m, p=p)
-    for corner in _corner_points(E.l, E.d, tuple(m), permutation_cap):
-        for pk, ck in zip(p, corner):
-            if pk < ck:
-                break
-        else:
-            return True
-    return False
-
-
-def cm_regularity(E: SegreVeronese, m: Sequence[int], subset_cap: int = SUBSET_CAP) -> int:
+def cm_regularity(E: SegreVeronese, m: Sequence[int]) -> int:
     """Castelnuovo-Mumford regularity of the pushforward of O(m) to the
     ambient projective space of the embedding:
 
-        max over nonempty J of min over k in J of (l_J - floor((m_k + l_k)/d_k)).
+        max over nonempty J of min over k in J of (l_J - floor((m_k + l_k)/d_k)),
+
+    evaluated by one sort of the factors and memoized on (l, d, m).
     """
     _check_lengths(E, m=m)
-    l = E.l
-    d = E.d
-    r = len(l)
-    _check_subset_cap(r, subset_cap)
-    f = [(m[k] + l[k]) // d[k] for k in range(r)]
-    best = None
-    for members, lJ in _subset_table(l):
-        v = lJ - max(f[k] for k in members)
-        if best is None or v > best:
-            best = v
-    return best
+    return _regularity(E.l, E.d, tuple(m))
 
 
-def cm_regularity_breakdown(
-    E: SegreVeronese, m: Sequence[int], subset_cap: int = SUBSET_CAP
-) -> list[tuple[tuple[int, ...], int, int]]:
+def _subsets(l: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Every nonempty subset J of the factors with its l_J, in the order of
+    J's bitmask."""
+    rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for k, lk in enumerate(l):
+        rows += [(J + (k,), lJ + lk) for J, lJ in rows]
+    return rows[1:]
+
+
+def cm_regularity_breakdown(E: SegreVeronese, m: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
     """Per-subset rows (J, l_J, min_k(l_J - floor((m_k+l_k)/d_k))) behind
-    cm_regularity; the regularity is the max of the row values."""
+    cm_regularity, in the order of J's bitmask; the regularity is the max
+    of the row values.  Refuses more than ``_MAX_BREAKDOWN_FACTORS``
+    factors."""
     _check_lengths(E, m=m)
-    _check_subset_cap(len(E.l), subset_cap)
+    r = E.r
+    if r > _MAX_BREAKDOWN_FACTORS:
+        raise ValueError(f"r={r} has 2^{r} - 1 subsets of the factors, over the limit of r={_MAX_BREAKDOWN_FACTORS}")
     f = [(mk + lk) // dk for mk, lk, dk in zip(m, E.l, E.d)]
-    return [(members, lJ, lJ - max(f[k] for k in members)) for members, lJ in _subset_table(E.l)]
+    return [(J, lJ, lJ - max(f[k] for k in J)) for J, lJ in _subsets(E.l)]
 
 
 def segre_regularity(a: int, b: int, k: int, l: int) -> int:
@@ -290,22 +257,17 @@ def ideal_sheaf_bound(E: SegreVeronese) -> IdealSheafBound:
     return IdealSheafBound(simple, case_split)
 
 
-def check_subadditivity(
-    E: SegreVeronese,
-    m: Sequence[int],
-    m2: Sequence[int],
-    subset_cap: int = SUBSET_CAP,
-) -> SubadditivityReport:
+def check_subadditivity(E: SegreVeronese, m: Sequence[int], m2: Sequence[int]) -> SubadditivityReport:
     """Evaluate reg(m) + reg(m2) >= reg(m + m2).
 
     A report with holds=False would contradict subadditivity of regularity
     for these pushforward sheaves and therefore signals a bug.
     """
     _check_lengths(E, m=m, m2=m2)
-    reg_m = cm_regularity(E, m, subset_cap)
-    reg_m2 = cm_regularity(E, m2, subset_cap)
+    reg_m = cm_regularity(E, m)
+    reg_m2 = cm_regularity(E, m2)
     total = tuple(a + b for a, b in zip(m, m2))
-    reg_sum = cm_regularity(E, total, subset_cap)
+    reg_sum = cm_regularity(E, total)
     return SubadditivityReport(reg_m, reg_m2, reg_sum, reg_m + reg_m2 >= reg_sum)
 
 
@@ -315,7 +277,6 @@ def check_pair_subadditivity(
     p: Sequence[int],
     m2: Sequence[int],
     p2: Sequence[int],
-    subset_cap: int = SUBSET_CAP,
 ) -> PairStatus:
     """If O(m) is O(p)-regular and O(m2) is O(p2)-regular, then O(m + m2)
     must be O(p + p2)-regular.
@@ -325,10 +286,10 @@ def check_pair_subadditivity(
     with a conclusion failure would make the check meaningless.
     """
     _check_lengths(E, m=m, p=p, m2=m2, p2=p2)
-    if not is_regular_formula(E, m, p, subset_cap):
+    if not is_regular_formula(E, m, p):
         return "hypothesis-not-met"
-    if not is_regular_formula(E, m2, p2, subset_cap):
+    if not is_regular_formula(E, m2, p2):
         return "hypothesis-not-met"
     m_sum = tuple(a + b for a, b in zip(m, m2))
     p_sum = tuple(a + b for a, b in zip(p, p2))
-    return "holds" if is_regular_formula(E, m_sum, p_sum, subset_cap) else "fails"
+    return "holds" if is_regular_formula(E, m_sum, p_sum) else "fails"

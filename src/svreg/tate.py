@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cohomology import MultiDegree, SegreVeronese, _kunneth
-from .regularity import SUBSET_CAP, _check_lengths, cm_regularity
+from .regularity import _check_lengths, cm_regularity
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,18 @@ def dual_twist(E: SegreVeronese, m: Sequence[int]) -> MultiDegree:
     return tuple(-mk + n * dk - lk - 1 for mk, lk, dk in zip(m, E.l, E.d))
 
 
-def p_plus(E: SegreVeronese, m: Sequence[int], subset_cap: int = SUBSET_CAP) -> int:
+def p_plus(E: SegreVeronese, m: Sequence[int]) -> int:
     """Smallest column index from which the resolution is pure H^0; equals
     the regularity of the pushforward of O(m)."""
-    return cm_regularity(E, m, subset_cap)
+    return cm_regularity(E, m)
 
 
-def p_minus(E: SegreVeronese, m: Sequence[int], subset_cap: int = SUBSET_CAP) -> int:
+def p_minus(E: SegreVeronese, m: Sequence[int]) -> int:
     """Largest column index down to which the resolution is pure H^n:
     -reg of the dual twist.  ``svreg verify`` replays it against the direct
     form -max over nonempty J of min over k in J of
     (ceil((m_k+1)/d_k) - l_{J^c})."""
-    return -cm_regularity(E, dual_twist(E, m), subset_cap)
+    return -cm_regularity(E, dual_twist(E, m))
 
 
 def tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> TateTerm:
@@ -95,12 +95,7 @@ def tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> TateTerm:
     return TateTerm(p, tuple(entries))
 
 
-def tate_window(
-    E: SegreVeronese,
-    m: Sequence[int],
-    pad: int = 2,
-    subset_cap: int = SUBSET_CAP,
-) -> TateWindow:
+def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     """Columns for p in [p_minus - pad, p_plus + pad].
 
     Columns at or above p_plus are pure H^0 and columns at or below p_minus
@@ -110,8 +105,8 @@ def tate_window(
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
     _check_lengths(E, m=m)
-    lo = p_minus(E, m, subset_cap)
-    hi = p_plus(E, m, subset_cap)
+    lo = p_minus(E, m)
+    hi = p_plus(E, m)
     terms = tuple(tate_term(E, m, p) for p in range(lo - pad, hi + pad + 1))
     return TateWindow(lo, hi, pad, terms)
 

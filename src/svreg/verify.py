@@ -32,7 +32,9 @@ from . import cohomology, regularity, tate
 from .cohomology import SegreVeronese
 
 R3_SLICE = 1000  # seeded r=3 samples per shard
-MAX_INSTANCES = 10**8  # about 7x the 13,875,701 of the reference grid
+SUBSET_R = range(4, 13)  # factor counts of the sorted-vs-subsets samples
+SUBSET_SAMPLES = 20  # sorted-vs-subsets samples per factor count
+MAX_INSTANCES = 10**8  # about 6x the 15,453,295 of the reference grid, weighted as in run_checks
 
 
 @dataclass(frozen=True)
@@ -151,10 +153,52 @@ def _formula_vs_oracle(config: VerifyConfig, unit: SegreVeronese | slice) -> Ite
     )
 
 
+@lru_cache(maxsize=4096)
+def _corners(l: tuple[int, ...], d: tuple[int, ...], m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # keyed on plain tuples: hashing a SegreVeronese runs its Python-level
+    # __hash__ and __eq__ on every lookup
+    return tuple(c.corner for c in regularity.regularity_corners(SegreVeronese(l, d), m))
+
+
+def _dominates_a_corner(E: SegreVeronese, m: tuple[int, ...], p: tuple[int, ...]) -> bool:
+    """Membership in the regularity set of O(m) straight from its corners.
+    Explicit loops: nested generators cost about a third more verify time."""
+    for corner in _corners(E.l, E.d, m):
+        for pk, ck in zip(p, corner):
+            if pk < ck:
+                break
+        else:
+            return True
+    return False
+
+
 def _corner_membership(config: VerifyConfig, unit: SegreVeronese | slice) -> Iterator[dict | None]:
-    return _compare(
-        _pairs(config, unit), regularity.in_regularity_set, regularity.is_regular_formula, "member", "formula"
-    )
+    return _compare(_pairs(config, unit), regularity.is_regular_formula, _dominates_a_corner, "formula", "corners")
+
+
+def _subset_failure(E: SegreVeronese, m: tuple[int, ...], p: tuple[int, ...]) -> dict | None:
+    """cm_regularity and is_regular_formula against their definitions as a
+    max, and a test, over every nonempty subset J of the factors."""
+    rows = regularity.cm_regularity_breakdown(E, m)
+    reg = max(v for _, _, v in rows)
+    regular = all(any(p[k] + m[k] + E.l[k] - lJ * E.d[k] >= 0 for k in J) for J, lJ, _ in rows)
+    got_reg = regularity.cm_regularity(E, m)
+    got_regular = regularity.is_regular_formula(E, m, p)
+    if got_reg == reg and got_regular == regular:
+        return None
+    return _instance(E, m=m, p=p, cm_regularity=got_reg, subsets_reg=reg, formula=got_regular, subsets=regular)
+
+
+def _sorted_vs_subsets(config: VerifyConfig, r: int) -> Iterator[dict | None]:
+    lo, hi = config.box
+    rng = random.Random(f"{config.seed}|subsets|{r}")
+    for _ in range(SUBSET_SAMPLES):
+        E = SegreVeronese(
+            [rng.randint(1, config.lmax) for _ in range(r)], [rng.randint(1, config.dmax) for _ in range(r)]
+        )
+        m = tuple(rng.randint(lo, hi) for _ in range(r))
+        p = tuple(rng.randint(lo, hi) for _ in range(r))
+        yield _subset_failure(E, m, p)
 
 
 def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
@@ -291,11 +335,12 @@ def _pair_subadditivity(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict
 
 def _p_minus_ceiling(E: SegreVeronese, m: Sequence[int]) -> int:
     """p_minus through its direct form, independent of the dual twist:
-    -max over nonempty J of min over k in J of (ceil((m_k+1)/d_k) - l_{J^c})."""
+    -max over nonempty J of min over k in J of (ceil((m_k+1)/d_k) - l_{J^c}).
+    The subsets J come from the rows of cm_regularity_breakdown."""
     n = E.n
     return -max(
-        min(-(-(m[k] + 1) // E.d[k]) - (n - lJ) for k in members)
-        for members, lJ in regularity._subset_table(E.l)
+        min(-(-(m[k] + 1) // E.d[k]) - (n - lJ) for k in J)
+        for J, lJ, _ in regularity.cm_regularity_breakdown(E, m)
     )
 
 
@@ -386,6 +431,7 @@ _SHARDS: dict[str, tuple[Callable[[VerifyConfig], list], Callable[[VerifyConfig,
     "cohomology": (_cohomology_units, _cohomology),
     "formula-vs-oracle": (_grid, _formula_vs_oracle),
     "corner-membership": (_grid, _corner_membership),
+    "sorted-vs-subsets": (lambda config: list(SUBSET_R), _sorted_vs_subsets),
     "minimal-twist": (_grid, _minimal_twist),
     "segre-r2": (_one, _segre_closed_form),
     "ideal-bound": (_one, _ideal_sheaf_bound),
@@ -466,8 +512,15 @@ def check_formula_vs_oracle(config: VerifyConfig) -> CheckResult:
 
 
 def check_corner_membership(config: VerifyConfig) -> CheckResult:
-    """Corner domination must agree with the closed-form test everywhere."""
+    """Domination of a corner of ``regularity_corners`` must agree with the
+    closed-form test everywhere."""
     return _sharded("corner-membership", config)
+
+
+def check_sorted_vs_subsets(config: VerifyConfig) -> CheckResult:
+    """cm_regularity and is_regular_formula must agree with the max and the
+    test over all 2^r - 1 subsets, on seeded samples with r from 4 to 12."""
+    return _sharded("sorted-vs-subsets", config)
 
 
 def check_minimal_twist(config: VerifyConfig) -> CheckResult:
@@ -520,6 +573,7 @@ CHECKS: dict[str, Callable[[VerifyConfig], CheckResult]] = {
     "cohomology": check_cohomology_consistency,
     "formula-vs-oracle": check_formula_vs_oracle,
     "corner-membership": check_corner_membership,
+    "sorted-vs-subsets": check_sorted_vs_subsets,
     "minimal-twist": check_minimal_twist,
     "segre-r2": check_segre_closed_form,
     "ideal-bound": check_ideal_sheaf_bound,
@@ -546,6 +600,7 @@ def instance_counts(config: VerifyConfig) -> dict[str, int]:
         "cohomology": sum((config.lmax * box) ** r for r in (1, 2, 3)),
         "formula-vs-oracle": pairs,
         "corner-membership": pairs,
+        "sorted-vs-subsets": len(SUBSET_R) * SUBSET_SAMPLES,
         "minimal-twist": points,
         "segre-r2": 3 * 3 * 11 * 11,
         "ideal-bound": n_embeddings + 1,
@@ -561,7 +616,10 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
 
     Each check runs on one worker process per available CPU, at most one
     per shard; with a single CPU it runs in this process.  A run of more
-    than ``MAX_INSTANCES`` instances is refused before any grid is built."""
+    than ``MAX_INSTANCES`` instances is refused before any grid is built;
+    there a minimal-twist point counts as the 2 * bound + 4 oracle calls its
+    scan may make, bound = n + max(|m_k| + l_k) + 2 at most
+    4 * lmax + max(|lo|, |hi|) + 2 since n <= 3 * lmax."""
     if names is None:
         selected = list(CHECKS)
     else:
@@ -572,6 +630,8 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
             )
         selected = list(names)
     counts = instance_counts(config)
+    lo, hi = config.box
+    counts["minimal-twist"] *= 2 * (4 * config.lmax + max(abs(lo), abs(hi)) + 2) + 4
     total = sum(counts[name] for name in selected)
     if total > MAX_INSTANCES:
         raise ValueError(f"the run has {total} instances, over the limit of {MAX_INSTANCES}")

@@ -1,5 +1,7 @@
 """CLI tests: parsing, exit codes, document shape and output stability."""
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,15 +67,9 @@ class TestParseArgs:
         with pytest.raises(cli.UsageError):
             cli.parse_args(["frobnicate"])
 
-    def test_caps_parsing(self):
-        request = cli.parse_args(
-            ["reg", "--l", "1,1", "--d", "1,1", "--m", "0,0", "--caps", "subsets=5,perms=3"]
-        )
-        assert request.params["caps"] == {"subsets": 5, "perms": 3}
-
-    def test_caps_rejects_unknown_key(self):
-        with pytest.raises(cli.UsageError, match="--caps"):
-            cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", "0,0", "--caps", "nope=1"])
+    def test_caps_flag_is_gone(self):
+        with pytest.raises(cli.UsageError, match="unrecognized arguments: --caps subsets=5"):
+            cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", "0,0", "--caps", "subsets=5"])
 
     def test_negative_entries_with_equals_form(self):
         request = cli.parse_args(["member", "--l=1,1", "--d=1,1", "--m=-2,3", "--p=-1,-1"])
@@ -150,12 +146,20 @@ class TestRun:
         doc, _ = cli.run(cli.parse_args(["endpoints", "--l=1,2", "--d=1,1", "--m=0,0"]))
         assert "balanced" not in doc.result
 
-    def test_caps_too_small_is_input_error(self, capsys):
-        code, _, err = run_cli(
-            ["reg", "--l=1,1", "--d=1,1", "--m=0,0", "--caps", "subsets=1"], capsys
-        )
-        assert code == 1
-        assert "cap" in err
+    @pytest.mark.parametrize(
+        "command, vectors",
+        [("reg", ("m",)), ("regular", ("m", "p")), ("member", ("m", "p")), ("endpoints", ("m",)),
+         ("subadd", ("m", "m2")), ("subadd", ("m", "m2", "p", "p2"))],
+    )
+    def test_wide_r_answers_at_once(self, capsys, command, vectors):
+        # 2^26 - 1 subsets and 26! permutations; the sorted form reads 26 prefixes
+        ones = ",".join(["1"] * 26)
+        argv = [command, f"--l={ones}", f"--d={ones}", *(f"--{v}={ones}" for v in vectors), "--format=json"]
+        started = time.perf_counter()
+        code, out, _ = run_cli(argv, capsys)
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert json.loads(out)["result"]
 
 
 class TestMain:
@@ -241,10 +245,10 @@ class TestMain:
         real = regularity.is_regular_formula
         target = ((1,), (1,), (-2,), (-2,))
 
-        def broken(E, m, p, subset_cap=regularity.SUBSET_CAP):
+        def broken(E, m, p):
             if (E.l, E.d, tuple(m), tuple(p)) == target:
-                return not real(E, m, p, subset_cap)
-            return real(E, m, p, subset_cap)
+                return not real(E, m, p)
+            return real(E, m, p)
 
         monkeypatch.setattr(regularity, "is_regular_formula", broken)
         code, out, _ = run_cli(
@@ -308,7 +312,7 @@ class TestMain:
         # on P^1 x P^1, m = (0, M) has p+ - p- = M: M + 2 pad + 1 columns
         built = []
 
-        def stub(E, m, pad, subset_cap):
+        def stub(E, m, pad):
             built.append(m)
             return TateWindow(0, 0, pad, ())
 
@@ -320,6 +324,75 @@ class TestMain:
         with pytest.raises(cli.UsageError, match=f"has {limit + 1} columns"):
             cli.run(request)
         assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tate", "--l=1000000000", "--d=1", "--m=0", "--pad=0"],
+            ["tate", f"--l={','.join(['1'] * 2000)}", f"--d={','.join(['1'] * 2000)}", f"--m={','.join(['0'] * 2000)}"],
+        ],
+    )
+    def test_tate_work_over_limit_exit_one(self, capsys, argv):
+        started = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("svreg: error: the window takes ")
+        assert err.endswith(f" factor steps, over the limit of {cli._TATE_MAX_WORK}\n")
+
+    def test_tate_work_limit_is_inclusive(self, monkeypatch):
+        # on P^19, m = 0 has p+ - p- = 1: 2 + 2 pad columns of 20 steps each
+        built = []
+
+        def stub(E, m, pad):
+            built.append(pad)
+            return TateWindow(0, 0, pad, ())
+
+        monkeypatch.setattr(cli, "tate_window", stub)
+        pad = cli._TATE_MAX_WORK // 40 - 1
+        cli.run(cli.parse_args(["tate", "--l=19", "--d=1", "--m=0", f"--pad={pad}"]))
+        assert built == [pad]
+        request = cli.parse_args(["tate", "--l=19", "--d=1", "--m=0", f"--pad={pad + 1}"])
+        with pytest.raises(cli.UsageError, match=f"takes {cli._TATE_MAX_WORK + 40} factor steps"):
+            cli.run(request)
+        assert len(built) == 1
+
+    def test_regset_corner_limit_is_inclusive(self, capsys, monkeypatch):
+        # stubbed: at the limit regularity_corners walks 8! permutations
+        walked = []
+
+        def one_permutation(factors):
+            walked.append(len(factors))
+            return iter([tuple(factors)])
+
+        monkeypatch.setattr(regularity, "itertools", SimpleNamespace(permutations=one_permutation))
+        limit = regularity._MAX_CORNER_FACTORS
+        for r in (limit, limit + 1):
+            ones = ",".join(["1"] * r)
+            code, out, err = run_cli(["regset", f"--l={ones}", f"--d={ones}", f"--m={ones}", "--format=json"], capsys)
+            if r == limit:
+                assert (code, walked, len(json.loads(out)["result"]["corners"])) == (0, [limit], 1)
+        assert (code, out, walked) == (1, "", [limit])
+        assert err == f"svreg: error: r={limit + 1} has {limit + 1}! permutations of the factors, over the limit of r={limit}\n"
+
+    def test_explain_subset_limit_is_inclusive(self, capsys, monkeypatch):
+        # stubbed: at the limit cm_regularity_breakdown lists 2^20 - 1 rows
+        listed = []
+
+        def one_subset(l):
+            listed.append(len(l))
+            return [((0,), l[0])]
+
+        monkeypatch.setattr(regularity, "_subsets", one_subset)
+        limit = regularity._MAX_BREAKDOWN_FACTORS
+        for r in (limit, limit + 1):
+            ones = ",".join(["1"] * r)
+            code, out, err = run_cli(["reg", f"--l={ones}", f"--d={ones}", f"--m={ones}", "--explain"], capsys)
+            if r == limit:
+                assert (code, listed) == (0, [limit])
+                assert "subsets:" in out
+        assert (code, out, listed) == (1, "", [limit])
+        assert err == f"svreg: error: r={limit + 1} has 2^{limit + 1} - 1 subsets of the factors, over the limit of r={limit}\n"
 
     @pytest.mark.parametrize(
         "flags, columns", [(["--m=0,4990", "--pad=4"], 4999), (["--m=4999,0", "--pad=0"], 5000)]
@@ -344,6 +417,17 @@ class TestMain:
         count = verify.instance_counts(verify.VerifyConfig(box=(-2**63, 0)))["cohomology"]
         assert (code, out) == (1, "")
         assert err == f"svreg: error: the run has {count} instances, over the limit of {verify.MAX_INSTANCES}\n"
+
+    def test_verify_minimal_twist_scan_over_limit_exit_one(self, capsys):
+        # two points, each scanning about 2^64 twists
+        started = time.perf_counter()
+        argv = ["verify", f"--box={-2**63},{-2**63}", "--checks=minimal-twist", "--lmax=1", "--dmax=1",
+                "--r3-samples=0"]
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("svreg: error: the run has ")
+        assert err.endswith(f" instances, over the limit of {verify.MAX_INSTANCES}\n")
 
     @pytest.mark.parametrize(
         "argv",

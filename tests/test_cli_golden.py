@@ -39,7 +39,7 @@ VALID = [
     ["cohomology", "--l=3", "--a=100"],
     ["cohomology", "--l=1,1", "--d=2,3", "--a=0,-1"],
     ["regular", *E2, "--m=0,0", "--p=1,1"],
-    ["regular", "--l=2,1", "--d=1,2", "--m=-2,3", "--p=1,-1", "--caps", "subsets=5,perms=3"],
+    ["regular", "--l=2,1", "--d=1,2", "--m=-2,3", "--p=1,-1"],
     ["oracle", *E2, "--m=0,0", "--p=0,0"],
     ["oracle", "--l=2,1", "--d=1,2", "--m=-2,3", "--p=1,-1"],
     ["member", *E2, "--m=5,5", "--p=-4,-5"],
@@ -120,9 +120,6 @@ def _single_errors():
         out += [_with(base, "--l", "0,1"), _with(base, "--d", "1,0"), _with(base, "--d", "1,1,1")]
         for flag in flags:
             out += [_with(base, flag, value) for value in (None, "0,x", "0", f"0,{BIG}")]
-    reg = next(argv for argv in VALID if argv[0] == "reg")
-    for caps in ("nope=1", "subsets", "subsets=x", "subsets=0", "perms=-1", "subsets=5,,perms=3"):
-        out.append([*reg, "--caps", caps])
     tate = next(argv for argv in VALID if argv[0] == "tate")
     out += [_with(tate, "--pad", value) for value in ("x", "-1", BIG)]
     segre2 = ["segre2", "--dims=2,3", "--twist=0,0"]

@@ -49,9 +49,9 @@ def test_every_library_cache_is_bounded():
         if hasattr(value, "cache_info")
     }
     memos = {
-        "svreg.regularity._subset_table",
-        "svreg.regularity._corner_points",
+        "svreg.regularity._regularity",
         "svreg.regularity._oracle_scan",
+        "svreg.verify._corners",
         "svreg.verify._r3_samples",
     }
     assert memos <= set(caches)

@@ -37,12 +37,12 @@ class TestRegularFormula:
         with pytest.raises(ValueError):
             is_regular_formula(P1P1, (0,), (0, 0))
 
-    def test_subset_cap(self):
-        E = SegreVeronese((1,) * 21, (1,) * 21)
-        with pytest.raises(ValueError):
-            is_regular_formula(E, (0,) * 21, (0,) * 21)
-        with pytest.raises(ValueError):
-            cm_regularity(E, (0,) * 21)
+    def test_wide_r_needs_no_subsets(self):
+        # 2^26 - 1 subsets; the sorted form reads 26 prefixes
+        E = SegreVeronese((1,) * 26, (1,) * 26)
+        assert cm_regularity(E, (0,) * 26) == 25
+        assert not is_regular_formula(E, (0,) * 26, (24,) * 26)
+        assert is_regular_formula(E, (0,) * 26, (25,) * 26)
 
 
 class TestRegularOracle:
@@ -121,9 +121,9 @@ class TestRegularityCorners:
         assert plain == reduced
         assert len(plain) == 6
 
-    def test_permutation_cap(self):
+    def test_corner_limit(self):
         E = SegreVeronese((1,) * 9, (1,) * 9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"r=9 has 9! permutations of the factors, over the limit of r=8"):
             regularity_corners(E, (0,) * 9)
 
 
@@ -163,6 +163,12 @@ class TestCmRegularity:
         rows = cm_regularity_breakdown(P1P1, (0, 0))
         assert rows == [((0,), 1, 0), ((1,), 1, 0), ((0, 1), 2, 1)]
         assert max(v for _, _, v in rows) == cm_regularity(P1P1, (0, 0))
+
+    def test_ties_in_the_sorted_form(self):
+        # f = (0, 0, 0, 2): the best J is the whole run of equal f, l_J = 6
+        E = SegreVeronese((1, 2, 3, 1), (1, 1, 1, 1))
+        assert cm_regularity(E, (-1, -2, -3, 1)) == 6
+        assert max(v for _, _, v in cm_regularity_breakdown(E, (-1, -2, -3, 1))) == 6
 
 
 class TestSegreRegularity:

@@ -59,8 +59,8 @@ def test_first_counterexample_in_iteration_order(monkeypatch):
     real = regularity.is_regular_formula
     targets = {((2,), (1,), (1,), (-3,)), ((1, 2), (2, 1), (0, 0), (3, -1))}
 
-    def broken(E, m, p, subset_cap=regularity.SUBSET_CAP):
-        value = real(E, m, p, subset_cap)
+    def broken(E, m, p):
+        value = real(E, m, p)
         return not value if (E.l, E.d, tuple(m), tuple(p)) in targets else value
 
     monkeypatch.setattr(regularity, "is_regular_formula", broken)
@@ -75,6 +75,21 @@ def test_first_counterexample_in_iteration_order(monkeypatch):
     assert serial[0].counterexample["formula"] != serial[0].counterexample["oracle"]
     parallel = run_on(2, monkeypatch, SMALL, ["formula-vs-oracle", "corner-membership"])
     assert summary(parallel) == summary(serial)
+
+
+def test_sorted_vs_subsets_catches_planted_faults(monkeypatch):
+    real_reg, real_formula = regularity.cm_regularity, regularity.is_regular_formula
+    monkeypatch.setattr(regularity, "cm_regularity", lambda E, m: real_reg(E, m) + (E.r == 7))
+    (result,) = run_on(2, monkeypatch, SMALL, ["sorted-vs-subsets"])
+    assert result.failures == verify.SUBSET_SAMPLES
+    ce = result.counterexample
+    assert len(ce["l"]) == 7 and ce["cm_regularity"] == ce["subsets_reg"] + 1
+    assert ce["formula"] == ce["subsets"]
+    monkeypatch.setattr(regularity, "cm_regularity", real_reg)
+    monkeypatch.setattr(regularity, "is_regular_formula", lambda E, m, p: not real_formula(E, m, p))
+    (result,) = run_on(1, monkeypatch, SMALL, ["sorted-vs-subsets"])
+    assert result.failures == result.instances == len(verify.SUBSET_R) * verify.SUBSET_SAMPLES
+    assert result.counterexample["formula"] != result.counterexample["subsets"]
 
 
 def test_patched_oracle_scan_reaches_forked_workers(monkeypatch):
@@ -128,7 +143,7 @@ def test_worker_count_is_bounded_by_cpus_and_shards(monkeypatch):
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
-    def broken(E, m, p, subset_cap=regularity.SUBSET_CAP):
+    def broken(E, m, p):
         raise RuntimeError("planted invariant failure")
 
     monkeypatch.setattr(regularity, "is_regular_formula", broken)
@@ -139,7 +154,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
 def test_dead_worker_is_an_error(monkeypatch):
     parent = os.getpid()
 
-    def dies(E, m, p, subset_cap=regularity.SUBSET_CAP):
+    def dies(E, m, p):
         if os.getpid() == parent:  # never end the test process itself
             raise AssertionError("shard ran in-process")
         os._exit(1)
