@@ -309,8 +309,7 @@ class _Command(NamedTuple):
     build: Callable[[dict, dict], tuple[dict, str]]
     vectors: tuple[str, ...] = ()  # length-r vectors, read after --l/--d and echoed in order
     pair: tuple[str, ...] = ()  # optional length-r vectors that must be given together
-    flags: tuple[_Flag, ...] = ()  # in --help order
-    order: tuple[str, ...] = ()  # the flags in validation order, where that differs
+    flags: tuple[_Flag, ...] = ()  # in --help and validation order
     echo: tuple[str, ...] = ()  # the flags, by dest, echoed after the vectors
     d: dict[str, Any] | None = {"required": True}  # argparse keywords of --d; None: no embedding
 
@@ -324,7 +323,7 @@ _COMMANDS: dict[str, _Command] = {
     "oracle": _Command(
         "brute-force cohomology test that O(m) is O(p)-regular", _oracle, ("m", "p")
     ),
-    "member": _Command("regularity-set membership of p via corner domination", _member, ("m", "p")),
+    "member": _Command("regularity-set membership of p by the closed form", _member, ("m", "p")),
     "regset": _Command(
         "corners of the regularity set of O(m)", _regset, ("m",),
         flags=(_Flag("--antichain", settings=dict(action="store_true")),), echo=("antichain",),
@@ -356,17 +355,15 @@ _COMMANDS: dict[str, _Command] = {
     "verify": _Command(
         "replay the closed forms against the cohomology oracle", _verify, d=None,
         flags=(
-            _Flag("--checks", _check_names, dict(help="comma list; default: all")),
+            _Flag("--box", _box),
             _Flag("--lmax", partial(_bounded, minimum=1)),
             _Flag("--dmax", partial(_bounded, minimum=1)),
-            _Flag("--box", _box),
             _Flag("--r3-samples", partial(_bounded, minimum=0)),
-            _Flag("--seed", _seed),
             _Flag("--subadd-pairs", partial(_bounded, minimum=0)),
             _Flag("--pair-samples", partial(_bounded, minimum=0)),
+            _Flag("--seed", _seed),
+            _Flag("--checks", _check_names, dict(help="comma list; default: all")),
         ),
-        order=("--box", "--lmax", "--dmax", "--r3-samples", "--subadd-pairs", "--pair-samples",
-               "--seed", "--checks"),
     ),
 }
 
@@ -426,8 +423,7 @@ def parse_args(argv: list[str]) -> CliRequest:
             raise UsageError(f"{flags} must be given together for the pair-level check")
         for vector in given:
             params[vector] = _vector(ns, vector, E.r)
-    by_name = {flag.name: flag for flag in command.flags}
-    for flag in [by_name[name] for name in command.order] or command.flags:
+    for flag in command.flags:
         dest = flag.name[2:].replace("-", "_")
         value = getattr(ns, dest)
         if flag.convert is not None and value is not None:

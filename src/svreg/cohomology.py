@@ -40,6 +40,13 @@ class SegreVeronese:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "d", d)
 
+    def __reduce__(self):
+        # unpickle through the constructor: restoring __dict__ directly, as
+        # pickle does by default, leaves an instance whose attribute loads
+        # CPython 3.11 cannot specialize, which slowed every verify shard
+        # that receives its embedding from the parent process
+        return SegreVeronese, (self.l, self.d)
+
     @property
     def r(self) -> int:
         """Number of factors."""

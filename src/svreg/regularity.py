@@ -168,18 +168,15 @@ def regularity_corners(E: SegreVeronese, m: Sequence[int], antichain: bool = Fal
         key = tuple(corner)
         if key not in seen:
             seen[key] = sigma
-    corners = [RegularityCorner(sigma, corner) for corner, sigma in seen.items()]
     if antichain:
-        corners = [
-            c
-            for c in corners
-            if not any(o.corner != c.corner and _dominates(c.corner, o.corner) for o in corners)
-        ]
-    return corners
-
-
-def _dominates(p: Sequence[int], corner: Sequence[int]) -> bool:
-    return all(pk >= ck for pk, ck in zip(p, corner))
+        # the regularity set is upward closed, so another corner lies below
+        # c exactly when some c - e_k is in it, that is, has reg(m + c - e_k) <= 0
+        seen = {
+            corner: sigma
+            for corner, sigma in seen.items()
+            if all(_regularity(l, d, tuple(m[j] + corner[j] - (j == k) for j in range(r))) > 0 for k in range(r))
+        }
+    return [RegularityCorner(sigma, corner) for corner, sigma in seen.items()]
 
 
 def in_regularity_set(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> bool:

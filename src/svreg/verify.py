@@ -9,13 +9,16 @@ configuration, so reruns are reproducible.
 
 A check's grid is cut into shards that follow its iteration order: one per
 embedding for the pair and point grids, then contiguous slices of the
-seeded r=3 stream; one per (r, l) for cohomology; a single shard for the
-small checks.  The shards run on a pool of forked worker processes and are
-merged in shard order, so instance counts and the first counterexample do
-not depend on the number of workers.  The pool is forked anew for every
-check, and shards look the ``regularity`` and ``tate`` functions up
-through their modules, so workers run whatever those modules hold when the
-check is called, patched functions included.
+seeded r=3 stream; one per (r, l) for cohomology; one per factor count for
+sorted-vs-subsets; a single shard for the small checks.  Each check
+function lists its shard units in the calling process and hands every
+shard one unit with the routine that walks it.  The shards run on a pool
+of forked worker processes and are merged in shard order, so instance
+counts and the first counterexample do not depend on the number of
+workers.  The pool is forked anew for every check, and the routines look
+the ``regularity`` and ``tate`` functions up through their modules, so
+workers run whatever those modules hold when the check is called, patched
+functions included.
 """
 from __future__ import annotations
 
@@ -272,10 +275,6 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
     return None
 
 
-def _cohomology_units(config: VerifyConfig) -> list[tuple[int, ...]]:
-    return [l for r in (1, 2, 3) for l in itertools.product(range(1, config.lmax + 1), repeat=r)]
-
-
 def _cohomology(config: VerifyConfig, l: tuple[int, ...]) -> Iterator[dict | None]:
     E = SegreVeronese(l, (1,) * len(l))
     return (_cohomology_failure(E, a) for a in _box_points(config, E.r))
@@ -388,10 +387,6 @@ def _tate_closed_forms(config: VerifyConfig) -> Iterator[dict | None]:
                 yield None if length == expected else _instance(E, m=m, length=length, expected=expected)
 
 
-def _tate_endpoint_units(config: VerifyConfig) -> list[SegreVeronese | slice | None]:
-    return [None, *_grid(config)]
-
-
 def _tate_endpoints(config: VerifyConfig, unit: SegreVeronese | slice | None) -> Iterator[dict | None]:
     if unit is None:
         return _tate_closed_forms(config)
@@ -417,39 +412,15 @@ def _window_structure(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict |
     return (_window_failure(E, m) for m in itertools.product(range(-4, 5), repeat=E.r))
 
 
-def _one(config: VerifyConfig) -> list[None]:
-    return [None]
-
-
-def _embedding_units(config: VerifyConfig) -> list[SegreVeronese]:
-    return list(_embeddings(config))
-
-
-# check name -> (its shards in iteration order, the outcomes of one shard:
-# None for an instance that holds, a counterexample for one that fails)
-_SHARDS: dict[str, tuple[Callable[[VerifyConfig], list], Callable[[VerifyConfig, Any], Iterable]]] = {
-    "cohomology": (_cohomology_units, _cohomology),
-    "formula-vs-oracle": (_grid, _formula_vs_oracle),
-    "corner-membership": (_grid, _corner_membership),
-    "sorted-vs-subsets": (lambda config: list(SUBSET_R), _sorted_vs_subsets),
-    "minimal-twist": (_grid, _minimal_twist),
-    "segre-r2": (_one, _segre_closed_form),
-    "ideal-bound": (_one, _ideal_sheaf_bound),
-    "subadditivity": (_embedding_units, _subadditivity),
-    "pair-subadditivity": (_embedding_units, _pair_subadditivity),
-    "tate-endpoints": (_tate_endpoint_units, _tate_endpoints),
-    "tate-window": (_embedding_units, _window_structure),
-}
-
-
-def _run_shard(task: tuple[str, int, VerifyConfig]) -> CheckResult:
-    """Tally one shard; runs in a worker process or in-process."""
-    name, index, config = task
-    units, outcomes = _SHARDS[name]
+def _run_shard(task: tuple[str, Callable, Any, VerifyConfig]) -> CheckResult:
+    """Tally one shard: the outcomes of ``routine`` on one unit, None for an
+    instance that holds and a counterexample for one that fails.  Runs in a
+    worker process or in-process."""
+    name, routine, unit, config = task
     started = time.perf_counter()
     instances = failures = 0
     counterexample = None
-    for outcome in outcomes(config, units(config)[index]):
+    for outcome in routine(config, unit):
         instances += 1
         if outcome is not None:
             failures += 1
@@ -471,9 +442,10 @@ def _worker_count(shards: int) -> int:
     return max(1, min(_available_cpus(), shards))
 
 
-def _sharded(name: str, config: VerifyConfig) -> CheckResult:
-    """Run every shard of a check and merge them in shard order."""
-    tasks = [(name, index, config) for index in range(len(_SHARDS[name][0](config)))]
+def _sharded(name: str, config: VerifyConfig, routine: Callable, units: Iterable) -> CheckResult:
+    """Run ``routine`` on every unit, one shard each, and merge the shards
+    in unit order."""
+    tasks = [(name, routine, unit, config) for unit in units]
     workers = _worker_count(len(tasks))
     if workers == 1:
         parts = list(map(_run_shard, tasks))
@@ -508,65 +480,66 @@ def _sharded(name: str, config: VerifyConfig) -> CheckResult:
 def check_formula_vs_oracle(config: VerifyConfig) -> CheckResult:
     """The closed-form regularity test must agree with the cohomology scan
     on every grid point."""
-    return _sharded("formula-vs-oracle", config)
+    return _sharded("formula-vs-oracle", config, _formula_vs_oracle, _grid(config))
 
 
 def check_corner_membership(config: VerifyConfig) -> CheckResult:
     """Domination of a corner of ``regularity_corners`` must agree with the
     closed-form test everywhere."""
-    return _sharded("corner-membership", config)
+    return _sharded("corner-membership", config, _corner_membership, _grid(config))
 
 
 def check_sorted_vs_subsets(config: VerifyConfig) -> CheckResult:
     """cm_regularity and is_regular_formula must agree with the max and the
     test over all 2^r - 1 subsets, on seeded samples with r from 4 to 12."""
-    return _sharded("sorted-vs-subsets", config)
+    return _sharded("sorted-vs-subsets", config, _sorted_vs_subsets, SUBSET_R)
 
 
 def check_minimal_twist(config: VerifyConfig) -> CheckResult:
     """cm_regularity must equal the least q with q*d in the regularity set."""
-    return _sharded("minimal-twist", config)
+    return _sharded("minimal-twist", config, _minimal_twist, _grid(config))
 
 
 def check_cohomology_consistency(config: VerifyConfig) -> CheckResult:
     """Concentration, Serre duality and the Euler characteristic, replayed
     against a full Kunneth convolution, exhaustively for r up to 3."""
-    return _sharded("cohomology", config)
+    units = [l for r in (1, 2, 3) for l in itertools.product(range(1, config.lmax + 1), repeat=r)]
+    return _sharded("cohomology", config, _cohomology, units)
 
 
 def check_segre_closed_form(config: VerifyConfig) -> CheckResult:
     """The two-factor Segre closed form must match cm_regularity."""
-    return _sharded("segre-r2", config)
+    return _sharded("segre-r2", config, _segre_closed_form, [None])
 
 
 def check_ideal_sheaf_bound(config: VerifyConfig) -> CheckResult:
     """lambda - 1 must bound reg of the structure sheaf of the image from
     above, strictly so at l=(1,2), d=(1,1)."""
-    return _sharded("ideal-bound", config)
+    return _sharded("ideal-bound", config, _ideal_sheaf_bound, [None])
 
 
 def check_subadditivity_random(config: VerifyConfig) -> CheckResult:
     """reg(m) + reg(m2) >= reg(m + m2) on seeded random pairs."""
-    return _sharded("subadditivity", config)
+    return _sharded("subadditivity", config, _subadditivity, _embeddings(config))
 
 
 def check_pair_subadditivity_random(config: VerifyConfig) -> CheckResult:
     """For seeded random pairs satisfying the hypotheses (built from corner
     points, so regularity is guaranteed), the sum pair must be regular."""
-    return _sharded("pair-subadditivity", config)
+    return _sharded("pair-subadditivity", config, _pair_subadditivity, _embeddings(config))
 
 
 def check_tate_endpoints(config: VerifyConfig) -> CheckResult:
     """Window length closed forms, the balanced special case, and the
     duality p_minus(m) = -p_plus(dual twist of m), replayed against the
     direct ceiling form of p_minus."""
-    return _sharded("tate-endpoints", config)
+    return _sharded("tate-endpoints", config, _tate_endpoints, [None, *_grid(config)])
 
 
 def check_window_structure(config: VerifyConfig) -> CheckResult:
     """Column purity must characterize both endpoints exactly: pure H^0 iff
     p >= p_plus, pure H^n iff p <= p_minus, across a padded window."""
-    return _sharded("tate-window", config)
+    return _sharded("tate-window", config, _window_structure, _embeddings(config))
 
 
 CHECKS: dict[str, Callable[[VerifyConfig], CheckResult]] = {

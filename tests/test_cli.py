@@ -402,6 +402,13 @@ class TestMain:
         assert code == 0
         assert len(json.loads(out)["result"]["terms"]) == columns
 
+    def test_regset_antichain_at_seven_factors(self, capsys):
+        ones, zeros = ",".join(["1"] * 7), ",".join(["0"] * 7)
+        started = time.perf_counter()
+        code, out, _ = run_cli(["regset", f"--l={ones}", f"--d={ones}", f"--m={zeros}", "--antichain", "--format=json"], capsys)
+        assert time.perf_counter() - started < 5
+        assert (code, len(json.loads(out)["result"]["corners"])) == (0, 5040)
+
     @pytest.mark.parametrize("checks", ["--checks=", "--checks=,"])
     def test_verify_empty_check_list_exit_one(self, capsys, checks):
         code, out, err = run_cli(["verify", checks, "--format=json"], capsys)
@@ -409,7 +416,7 @@ class TestMain:
         assert err == "svreg: error: --checks needs at least one check name\n"
 
     def test_verify_grid_over_limit_exit_one(self, capsys, monkeypatch):
-        def started(name, config):
+        def started(name, config, *_):
             raise AssertionError(f"{name} started")
 
         monkeypatch.setattr(verify, "_sharded", started)

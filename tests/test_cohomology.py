@@ -1,5 +1,6 @@
 """Unit tests for the exact cohomology engine."""
 import math
+import pickle
 
 import pytest
 
@@ -190,3 +191,14 @@ class TestSegreVeronese:
     def test_rejects_bad_shapes(self, l, d):
         with pytest.raises(ValueError):
             SegreVeronese(l, d)
+
+    def test_unpickling_runs_the_constructor(self, monkeypatch):
+        # verify hands embeddings to forked workers by pickle; an instance
+        # built by the constructor keeps the attribute layout the hot loops
+        # rely on
+        E = SegreVeronese((1, 2), (3, 1))
+        built = []
+        real = SegreVeronese.__post_init__
+        monkeypatch.setattr(SegreVeronese, "__post_init__", lambda self: built.append(real(self)))
+        copy = pickle.loads(pickle.dumps(E))
+        assert (copy, hash(copy), len(built)) == (E, hash(E), 1)

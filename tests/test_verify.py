@@ -1,4 +1,5 @@
 """Sharded verification: the merge must not depend on the worker count."""
+import inspect
 import itertools
 import os
 
@@ -40,8 +41,18 @@ def test_instance_counts_match_the_runs(monkeypatch, config):
     assert {r.name: r.instances for r in results} == verify.instance_counts(config)
 
 
+def test_checks_are_public_module_functions():
+    # profilers wrap the public functions of svreg.verify to time each
+    # check, so a partial or a lambda here would go untimed
+    for fn in verify.CHECKS.values():
+        assert inspect.isfunction(fn) and not fn.__name__.startswith("_")
+        assert fn.__module__ == verify.__name__
+        assert getattr(verify, fn.__name__) is fn
+    assert list(verify.CHECKS) == list(verify.instance_counts(verify.VerifyConfig()))
+
+
 def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
-    def started(name, config):
+    def started(name, config, *_):
         raise AssertionError(f"{name} started")
 
     monkeypatch.setattr(verify, "_sharded", started)
