@@ -143,13 +143,15 @@ def _oracle_scan(l: tuple[int, ...], d: tuple[int, ...], c: tuple[int, ...]) -> 
 
 def regularity_corners(E: SegreVeronese, m: Sequence[int], antichain: bool = False) -> list[RegularityCorner]:
     """Corner points whose translated positive orthants union to the
-    regularity set of O(m).
+    regularity set of O(m), one per permutation of the factors in
+    lexicographic order.  Refuses more than ``_MAX_CORNER_FACTORS`` factors.
 
-    One corner per permutation of the factors; corners produced by several
-    permutations are listed once (first permutation in lexicographic order
-    wins).  With ``antichain=True`` corners dominated componentwise by
-    another corner are dropped as well.  Refuses more than
-    ``_MAX_CORNER_FACTORS`` factors.
+    The corners always form an antichain, so ``antichain=True`` returns
+    the same list.  Corner k of a permutation is -m_k - l_k + s_k d_k with
+    s_k the l-sum of k and the factors after it; if the corner of tau lies
+    below that of sigma, every s_k under tau is at most its value under
+    sigma, the first factor of tau has s = n under both, so it comes first
+    in sigma too, and by induction tau = sigma.
     """
     _check_lengths(E, m=m)
     l = E.l
@@ -157,7 +159,7 @@ def regularity_corners(E: SegreVeronese, m: Sequence[int], antichain: bool = Fal
     r = len(l)
     if r > _MAX_CORNER_FACTORS:
         raise ValueError(f"r={r} has {r}! permutations of the factors, over the limit of r={_MAX_CORNER_FACTORS}")
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    corners = []
     for sigma in itertools.permutations(range(r)):
         suffix = [0] * (r + 1)
         for i in range(r - 1, -1, -1):
@@ -165,18 +167,8 @@ def regularity_corners(E: SegreVeronese, m: Sequence[int], antichain: bool = Fal
         corner = [0] * r
         for i, k in enumerate(sigma):
             corner[k] = -m[k] - l[k] + suffix[i] * d[k]
-        key = tuple(corner)
-        if key not in seen:
-            seen[key] = sigma
-    if antichain:
-        # the regularity set is upward closed, so another corner lies below
-        # c exactly when some c - e_k is in it, that is, has reg(m + c - e_k) <= 0
-        seen = {
-            corner: sigma
-            for corner, sigma in seen.items()
-            if all(_regularity(l, d, tuple(m[j] + corner[j] - (j == k) for j in range(r))) > 0 for k in range(r))
-        }
-    return [RegularityCorner(sigma, corner) for corner, sigma in seen.items()]
+        corners.append(RegularityCorner(sigma, tuple(corner)))
+    return corners
 
 
 def in_regularity_set(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> bool:

@@ -1,5 +1,6 @@
 """Property tests: randomized instances of the invariants that the
 exhaustive acceptance grids also cover, plus a few structural laws."""
+import itertools
 import math
 
 import hypothesis.strategies as st
@@ -82,7 +83,7 @@ def test_regularity_set_is_upward_closed(data):
             assert is_regular_formula(E, m, bumped)
 
 
-@given(embedding_and_vectors())
+@given(embedding_and_vectors(max_r=5))
 @settings(max_examples=200)
 def test_corners_are_regular_and_form_an_antichain(data):
     E, m = data
@@ -90,6 +91,10 @@ def test_corners_are_regular_and_form_an_antichain(data):
     assert len(corners) == math.factorial(E.r)
     for c in corners:
         assert is_regular_formula(E, m, c.corner)
+    # no corner lies componentwise on or above another
+    for c, o in itertools.combinations(corners, 2):
+        assert not all(x >= y for x, y in zip(c.corner, o.corner))
+        assert not all(x <= y for x, y in zip(c.corner, o.corner))
     assert regularity_corners(E, m, antichain=True) == corners
 
 

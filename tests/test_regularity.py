@@ -1,6 +1,5 @@
 """Unit tests for the regularity tests, corners and subadditivity checks."""
 import itertools
-import random
 
 import pytest
 
@@ -121,22 +120,6 @@ class TestRegularityCorners:
         reduced = regularity_corners(E, (4, -1, 0), antichain=True)
         assert plain == reduced
         assert len(plain) == 6
-
-    def test_antichain_matches_the_pairwise_filter(self):
-        # the reference drops every corner that another corner dominates,
-        # comparing all pairs
-        rng = random.Random(1729)
-        for _ in range(300):
-            r = rng.randint(1, 5)
-            E = SegreVeronese([rng.randint(1, 3) for _ in range(r)], [rng.randint(1, 3) for _ in range(r)])
-            m = tuple(rng.randint(-8, 8) for _ in range(r))
-            corners = regularity_corners(E, m)
-            pairwise = [
-                c
-                for c in corners
-                if not any(o.corner != c.corner and all(x >= y for x, y in zip(c.corner, o.corner)) for o in corners)
-            ]
-            assert regularity_corners(E, m, antichain=True) == pairwise
 
     def test_corner_limit(self):
         E = SegreVeronese((1,) * 9, (1,) * 9)
