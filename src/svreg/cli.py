@@ -204,7 +204,7 @@ def _member(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _regset(params: dict, inputs: dict) -> tuple[dict, str]:
-    corners = regularity_corners(params["E"], params["m"], params["antichain"])
+    corners = regularity_corners(params["E"], params["m"])
     return {"corners": [dict(vars(c)) for c in corners]}, "Proposition regset"
 
 
@@ -326,7 +326,10 @@ _COMMANDS: dict[str, _Command] = {
     "member": _Command("regularity-set membership of p by the closed form", _member, ("m", "p")),
     "regset": _Command(
         "corners of the regularity set of O(m)", _regset, ("m",),
-        flags=(_Flag("--antichain", settings=dict(action="store_true")),), echo=("antichain",),
+        flags=(
+            _Flag("--antichain", None, dict(action="store_true", help="no effect: the corners always form an antichain")),
+        ),
+        echo=("antichain",),
     ),
     "reg": _Command(
         "Castelnuovo-Mumford regularity of the pushforward of O(m)", _reg, ("m",),
@@ -528,8 +531,14 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"svreg: error: {exc}", file=sys.stderr)
         return 1
+    # Exact values may be longer than CPython's 4,300-digit limit on
+    # int-to-str conversion (3.10.7 on); parsing above keeps the limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         doc, code = run(request)
+        text = doc.to_json() if request.format == "json" else render_table(doc)
     except (UsageError, ValueError) as exc:
         print(f"svreg: error: {exc}", file=sys.stderr)
         return 1
@@ -537,7 +546,10 @@ def main(argv: list[str] | None = None) -> int:
         message = " ".join(str(exc).split())
         print(f"svreg: internal error: {message}", file=sys.stderr)
         return 3
-    print(doc.to_json() if request.format == "json" else render_table(doc))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    print(text)
     return code
 
 

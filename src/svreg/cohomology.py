@@ -66,6 +66,13 @@ class SegreVeronese:
         return out - 1
 
 
+def _check_lengths(E: SegreVeronese, **vectors: Sequence[int]) -> None:
+    r = len(E.l)
+    for name, v in vectors.items():
+        if len(v) != r:
+            raise ValueError(f"{name} has {len(v)} entries, expected {r}")
+
+
 @dataclass(frozen=True)
 class CohomologyProfile:
     """Where a line bundle's cohomology lives: either nowhere (both fields
@@ -132,7 +139,7 @@ def product_cohomology(E: SegreVeronese, a: Sequence[int]) -> CohomologyProfile:
     the factor degrees add up and the factor dimensions multiply.  The
     resulting degree equals l_J for J = {k : a_k <= -l_k - 1}.
     """
-    _require_length(E, a, "a")
+    _check_lengths(E, a=a)
     found = _kunneth(E.l, a)
     return CohomologyProfile.zero() if found is None else CohomologyProfile(*found)
 
@@ -157,7 +164,7 @@ def _kunneth(l: Iterable[int], a: Iterable[int]) -> tuple[int, int] | None:
 def twist(E: SegreVeronese, a: Sequence[int], steps: int) -> MultiDegree:
     """Multidegree of O(a) twisted along the embedding bundle: a + steps*d
     componentwise."""
-    _require_length(E, a, "a")
+    _check_lengths(E, a=a)
     return tuple(ak + steps * dk for ak, dk in zip(a, E.d))
 
 
@@ -169,7 +176,7 @@ def euler_characteristic(E: SegreVeronese, a: Sequence[int]) -> int:
     clamped binom cannot be used here: negative arguments must keep their
     sign for the alternating-sum cross-check to mean anything.
     """
-    _require_length(E, a, "a")
+    _check_lengths(E, a=a)
     chi = 1
     for lk, ak in zip(E.l, a):
         num = 1
@@ -178,8 +185,3 @@ def euler_characteristic(E: SegreVeronese, a: Sequence[int]) -> int:
         # exact: a product of l_k consecutive integers is divisible by l_k!
         chi *= num // factorial(lk)
     return chi
-
-
-def _require_length(E: SegreVeronese, a: Sequence[int], name: str) -> None:
-    if len(a) != len(E.l):
-        raise ValueError(f"{name} has {len(a)} entries, expected {len(E.l)}")

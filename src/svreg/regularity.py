@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Sequence
 
-from .cohomology import SegreVeronese
+from .cohomology import SegreVeronese, _check_lengths
 
 # Output with one row per permutation or per subset of the factors grows
 # like r! or 2^r; these are the largest r for which it is listed.
 _MAX_CORNER_FACTORS = 8
-_MAX_BREAKDOWN_FACTORS = 20
+_MAX_BREAKDOWN_FACTORS = 16
 
 PairStatus = Literal["holds", "fails", "hypothesis-not-met"]
 
@@ -61,13 +61,6 @@ class IdealSheafBound:
 
     value: int
     case_split_value: int
-
-
-def _check_lengths(E: SegreVeronese, **vectors: Sequence[int]) -> None:
-    r = len(E.l)
-    for name, v in vectors.items():
-        if len(v) != r:
-            raise ValueError(f"{name} has {len(v)} entries, expected {r}")
 
 
 @lru_cache(maxsize=4096)
@@ -141,17 +134,16 @@ def _oracle_scan(l: tuple[int, ...], d: tuple[int, ...], c: tuple[int, ...]) -> 
     return True
 
 
-def regularity_corners(E: SegreVeronese, m: Sequence[int], antichain: bool = False) -> list[RegularityCorner]:
+def regularity_corners(E: SegreVeronese, m: Sequence[int]) -> list[RegularityCorner]:
     """Corner points whose translated positive orthants union to the
     regularity set of O(m), one per permutation of the factors in
     lexicographic order.  Refuses more than ``_MAX_CORNER_FACTORS`` factors.
 
-    The corners always form an antichain, so ``antichain=True`` returns
-    the same list.  Corner k of a permutation is -m_k - l_k + s_k d_k with
-    s_k the l-sum of k and the factors after it; if the corner of tau lies
-    below that of sigma, every s_k under tau is at most its value under
-    sigma, the first factor of tau has s = n under both, so it comes first
-    in sigma too, and by induction tau = sigma.
+    No corner lies below another.  Corner k of a permutation is
+    -m_k - l_k + s_k d_k with s_k the l-sum of k and the factors after it;
+    if the corner of tau lies below that of sigma, every s_k under tau is
+    at most its value under sigma, the first factor of tau has s = n under
+    both, so it comes first in sigma too, and by induction tau = sigma.
     """
     _check_lengths(E, m=m)
     l = E.l

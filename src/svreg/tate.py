@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cohomology import MultiDegree, SegreVeronese, _kunneth
-from .regularity import _check_lengths, cm_regularity
+from .cohomology import MultiDegree, SegreVeronese, _check_lengths, _kunneth
+from .regularity import cm_regularity
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,17 @@ Sampled instances come from ``random.Random`` seeded off the
 configuration, so reruns are reproducible.
 
 A check's grid is cut into shards that follow its iteration order: one per
-embedding for the pair and point grids, then contiguous slices of the
-seeded r=3 stream; one per (r, l) for cohomology; one per factor count for
-sorted-vs-subsets; a single shard for the small checks.  Each check
-function lists its shard units in the calling process and hands every
-shard one unit with the routine that walks it.  The shards run on a pool
-of forked worker processes and are merged in shard order, so instance
-counts and the first counterexample do not depend on the number of
-workers.  The pool is forked anew for every check, and the routines look
-the ``regularity`` and ``tate`` functions up through their modules, so
-workers run whatever those modules hold when the check is called, patched
-functions included.
+embedding for the pair and point grids, then slices of the r=3 samples,
+each drawn from a seed of its own; one per (r, l) for cohomology; one per
+factor count for sorted-vs-subsets; a single shard for the small checks.
+Each check function lists its shard units in the calling process and
+hands every shard one unit with the routine that walks it.  The shards
+run on a pool of forked worker processes and are merged in shard order,
+so instance counts and the first counterexample do not depend on the
+number of workers.  The pool is forked anew for every check, and the
+routines look the ``regularity`` and ``tate`` functions up through their
+modules, so workers run whatever those modules hold when the check is
+called, patched functions included.
 """
 from __future__ import annotations
 
@@ -78,8 +78,8 @@ class CheckResult:
         }
 
 
-def _embeddings(config: VerifyConfig, r_values: Sequence[int] = (1, 2)) -> Iterator[SegreVeronese]:
-    for r in r_values:
+def _embeddings(config: VerifyConfig) -> Iterator[SegreVeronese]:
+    for r in (1, 2):
         for l in itertools.product(range(1, config.lmax + 1), repeat=r):
             for d in itertools.product(range(1, config.dmax + 1), repeat=r):
                 yield SegreVeronese(l, d)
@@ -90,42 +90,38 @@ def _box_points(config: VerifyConfig, r: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(lo, hi + 1), repeat=r))
 
 
-@lru_cache(maxsize=1)
-def _r3_samples(config: VerifyConfig) -> tuple[tuple[tuple, tuple, tuple, tuple], ...]:
-    """Seeded (l, d, m, p) samples with r = 3; the same sequence for every
-    check that consumes it, whichever shard reads which slice."""
-    rng = random.Random(config.seed)
+def _samples(config: VerifyConfig, key: str, r: int, count: int) -> Iterator[tuple[SegreVeronese, tuple, tuple]]:
+    """``count`` seeded (E, m, p) with r factors, drawn from a generator
+    seeded by ``config.seed`` and ``key`` alone, so a shard draws its own."""
+    rng = random.Random(f"{config.seed}|{key}")
     lo, hi = config.box
-    out = []
-    for _ in range(config.r3_samples):
-        l = tuple(rng.randint(1, config.lmax) for _ in range(3))
-        d = tuple(rng.randint(1, config.dmax) for _ in range(3))
-        m = tuple(rng.randint(lo, hi) for _ in range(3))
-        p = tuple(rng.randint(lo, hi) for _ in range(3))
-        out.append((l, d, m, p))
-    return tuple(out)
+    for _ in range(count):
+        l = tuple(rng.randint(1, config.lmax) for _ in range(r))
+        d = tuple(rng.randint(1, config.dmax) for _ in range(r))
+        m = tuple(rng.randint(lo, hi) for _ in range(r))
+        p = tuple(rng.randint(lo, hi) for _ in range(r))
+        yield SegreVeronese(l, d), m, p
 
 
-def _grid(config: VerifyConfig) -> list[SegreVeronese | slice]:
+def _grid(config: VerifyConfig) -> list[SegreVeronese | range]:
     """Shards of the pair and point grids in iteration order: every
-    embedding with r in {1, 2}, then contiguous slices of the r=3 stream."""
+    embedding with r in {1, 2}, then consecutive ranges of the r=3 samples."""
     n = config.r3_samples
-    slices = [slice(start, min(start + R3_SLICE, n)) for start in range(0, n, R3_SLICE)]
-    return [*_embeddings(config), *slices]
+    return [*_embeddings(config), *(range(i, min(i + R3_SLICE, n)) for i in range(0, n, R3_SLICE))]
 
 
-def _pairs(config: VerifyConfig, unit: SegreVeronese | slice) -> Iterator[tuple[SegreVeronese, tuple, tuple]]:
+def _pairs(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[tuple[SegreVeronese, tuple, tuple]]:
     """(E, m, p) over one shard of the pair grid."""
-    if isinstance(unit, slice):
-        return ((SegreVeronese(l, d), m, p) for l, d, m, p in _r3_samples(config)[unit])
+    if isinstance(unit, range):
+        return _samples(config, f"r3|{unit.start}", 3, len(unit))
     pts = _box_points(config, unit.r)
     return itertools.product((unit,), pts, pts)
 
 
-def _points(config: VerifyConfig, unit: SegreVeronese | slice) -> Iterator[tuple[SegreVeronese, tuple]]:
+def _points(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[tuple[SegreVeronese, tuple]]:
     """(E, m) over one shard of the point grid; r=3 samples drop their p."""
-    if isinstance(unit, slice):
-        return ((SegreVeronese(l, d), m) for l, d, m, _ in _r3_samples(config)[unit])
+    if isinstance(unit, range):
+        return ((E, m) for E, m, _ in _pairs(config, unit))
     return itertools.product((unit,), _box_points(config, unit.r))
 
 
@@ -150,7 +146,7 @@ def _compare(
         yield None if a == b else _instance(E, m=m, p=p, **{f_key: a, g_key: b})
 
 
-def _formula_vs_oracle(config: VerifyConfig, unit: SegreVeronese | slice) -> Iterator[dict | None]:
+def _formula_vs_oracle(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[dict | None]:
     return _compare(
         _pairs(config, unit), regularity.is_regular_formula, regularity.is_regular_oracle, "formula", "oracle"
     )
@@ -175,7 +171,7 @@ def _dominates_a_corner(E: SegreVeronese, m: tuple[int, ...], p: tuple[int, ...]
     return False
 
 
-def _corner_membership(config: VerifyConfig, unit: SegreVeronese | slice) -> Iterator[dict | None]:
+def _corner_membership(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[dict | None]:
     return _compare(_pairs(config, unit), regularity.is_regular_formula, _dominates_a_corner, "formula", "corners")
 
 
@@ -193,15 +189,7 @@ def _subset_failure(E: SegreVeronese, m: tuple[int, ...], p: tuple[int, ...]) ->
 
 
 def _sorted_vs_subsets(config: VerifyConfig, r: int) -> Iterator[dict | None]:
-    lo, hi = config.box
-    rng = random.Random(f"{config.seed}|subsets|{r}")
-    for _ in range(SUBSET_SAMPLES):
-        E = SegreVeronese(
-            [rng.randint(1, config.lmax) for _ in range(r)], [rng.randint(1, config.dmax) for _ in range(r)]
-        )
-        m = tuple(rng.randint(lo, hi) for _ in range(r))
-        p = tuple(rng.randint(lo, hi) for _ in range(r))
-        yield _subset_failure(E, m, p)
+    return (_subset_failure(E, m, p) for E, m, p in _samples(config, f"subsets|{r}", r, SUBSET_SAMPLES))
 
 
 def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
@@ -227,7 +215,7 @@ def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
     return None
 
 
-def _minimal_twist(config: VerifyConfig, unit: SegreVeronese | slice) -> Iterator[dict | None]:
+def _minimal_twist(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[dict | None]:
     return (_minimal_twist_failure(E, m) for E, m in _points(config, unit))
 
 
@@ -387,7 +375,7 @@ def _tate_closed_forms(config: VerifyConfig) -> Iterator[dict | None]:
                 yield None if length == expected else _instance(E, m=m, length=length, expected=expected)
 
 
-def _tate_endpoints(config: VerifyConfig, unit: SegreVeronese | slice | None) -> Iterator[dict | None]:
+def _tate_endpoints(config: VerifyConfig, unit: SegreVeronese | range | None) -> Iterator[dict | None]:
     if unit is None:
         return _tate_closed_forms(config)
     return (_duality_failure(E, m) for E, m in _points(config, unit))

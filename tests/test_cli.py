@@ -1,5 +1,7 @@
 """CLI tests: parsing, exit codes, document shape and output stability."""
 import json
+import math
+import sys
 import time
 from types import SimpleNamespace
 
@@ -376,7 +378,7 @@ class TestMain:
         assert err == f"svreg: error: r={limit + 1} has {limit + 1}! permutations of the factors, over the limit of r={limit}\n"
 
     def test_explain_subset_limit_is_inclusive(self, capsys, monkeypatch):
-        # stubbed: at the limit cm_regularity_breakdown lists 2^20 - 1 rows
+        # stubbed: at the limit cm_regularity_breakdown lists 2^16 - 1 rows
         listed = []
 
         def one_subset(l):
@@ -460,6 +462,19 @@ class TestMain:
             assert run_cli(argv, capsys)[0] == 0
         code, _, err = run_cli(["oracle", f"--l={n + 1}", "--d=1", "--m=0,0", "--p=0"], capsys)
         assert (code, err) == (1, "svreg: error: --m has 2 entries, expected 1\n")
+
+    def test_exact_values_print_at_any_length(self, capsys):
+        # a dimension of 32,195 digits, past CPython's 4,300-digit limit on
+        # int-to-str conversion, which the CLI lifts for its output only
+        a = 2**63 - 1
+        code, out, _ = run_cli(["cohomology", "--l=2000", f"--a={a}", "--format=json"], capsys)
+        assert code == 0
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(json.loads(out)["result"]["dimension"]) == math.comb(a + 2000, 2000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_internal_error_in_worker_exit_three(self, capsys, monkeypatch):
         def broken(*args):

@@ -52,7 +52,6 @@ def test_every_library_cache_is_bounded():
         "svreg.regularity._regularity",
         "svreg.regularity._oracle_scan",
         "svreg.verify._corners",
-        "svreg.verify._r3_samples",
     }
     assert memos <= set(caches)
     assert [name for name, maxsize in caches.items() if maxsize is None] == []

@@ -125,17 +125,27 @@ def test_patched_oracle_scan_reaches_forked_workers(monkeypatch):
     assert ce["oracle"] != ce["formula"]
 
 
-def test_shards_partition_the_serial_stream():
-    # enough r=3 samples to cut the stream into several slices
+def test_r3_slices_draw_their_own_samples():
+    # enough r=3 samples for several slices, the last one short
     config = verify.VerifyConfig(lmax=1, dmax=2, box=(-1, 1), r3_samples=2 * verify.R3_SLICE + 7)
-    sharded = [case for unit in verify._grid(config) for case in verify._pairs(config, unit)]
-    serial = []
-    for E in verify._embeddings(config):
+    grid = verify._grid(config)
+    slices = grid[6:]
+    assert grid[:6] == list(verify._embeddings(config))
+    for E in grid[:6]:
         pts = list(itertools.product(range(-1, 2), repeat=E.r))
-        serial += [(E, m, p) for m in pts for p in pts]
-    serial += [(SegreVeronese(l, d), m, p) for l, d, m, p in verify._r3_samples(config)]
-    assert len(verify._grid(config)) == 6 + 3
-    assert sharded == serial
+        assert list(verify._pairs(config, E)) == [(E, m, p) for m in pts for p in pts]
+    # the slices cover the samples in order, with no gap and no overlap
+    assert [i for unit in slices for i in unit] == list(range(config.r3_samples))
+    drawn = [list(verify._pairs(config, unit)) for unit in slices]
+    for unit, pairs in zip(slices, drawn):
+        assert len(pairs) == len(unit)
+        assert all(E.r == len(m) == len(p) == 3 for E, m, p in pairs)
+        # all four grid checks see the same (E, m) for a slice
+        assert list(verify._points(config, unit)) == [(E, m) for E, m, _ in pairs]
+    # each slice draws from a seed of its own, and its samples do not
+    # depend on which slices were drawn before it
+    assert drawn[0] != drawn[1]
+    assert [list(verify._pairs(config, unit)) for unit in reversed(slices)] == drawn[::-1]
 
 
 def test_elapsed_is_reported():
