@@ -34,7 +34,6 @@ from .regularity import (
     segre_regularity,
 )
 from .tate import (
-    TateEntry,
     TateTerm,
     TateWindow,
     balanced_endpoints,
@@ -71,7 +70,6 @@ __all__ = [
     "RegularityCorner",
     "SegreVeronese",
     "SubadditivityReport",
-    "TateEntry",
     "TateTerm",
     "TateWindow",
     "VerifyConfig",

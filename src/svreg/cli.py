@@ -37,7 +37,7 @@ from .tate import balanced_endpoints, dual_twist, p_minus, p_plus, tate_window
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-_TATE_MAX_COLUMNS = 100_000  # a column costs about 1 KB of memory
+_TATE_MAX_COLUMNS = 100_000  # a column peaks at about 0.8 KB of memory in JSON, 1 KB as a table
 # columns * (n + 1) * r factor steps, 1.5 to 6 us each on one 2-vCPU Xeon
 # core: 100,000 columns on P^1 x P^1 are 600,000 steps and take about 1 s
 _TATE_MAX_WORK = 1_000_000
@@ -135,6 +135,9 @@ def _check_names(text: str, flag: str) -> list[str]:
     if unknown:
         available = ", ".join(verify.CHECKS)
         raise UsageError(f"{flag}: unknown {', '.join(unknown)}; available: {available}")
+    repeated = sorted({n for n in names if names.count(n) > 1}, key=names.index)
+    if repeated:
+        raise UsageError(f"{flag}: {', '.join(repeated)} named more than once")
     return names
 
 
@@ -258,8 +261,7 @@ def _tate(params: dict, inputs: dict) -> tuple[dict, str]:
         "p_plus": window.p_plus,
         "length": window.p_plus - window.p_minus,
         "terms": [
-            {"p": t.p, "entries": [{"i": e.i, "twist": e.twist, "rank": str(e.rank)}
-                                   for e in t.entries]}
+            {"p": t.p, "entries": [{"i": i, "twist": i - t.p, "rank": str(rank)} for i, rank in t.entries]}
             for t in window.terms
         ],
     }

@@ -2,10 +2,11 @@
 
 Column p of the Tate resolution collects, for every cohomological degree
 i, the group H^i of the (p-i)-th twist, placed in generator twist i - p.
-Only ranks and twists are computed here; the differentials are not
-represented.  The interesting part of the resolution sits between the
-endpoints p_minus and p_plus: at or above p_plus a column is pure H^0, at
-or below p_minus it is pure H^n.
+A summand is therefore fixed by i and its rank: a column stores the pairs
+(i, rank), and the twist i - p is derived where it is shown.  The
+differentials are not represented.  The interesting part of the
+resolution sits between the endpoints p_minus and p_plus: at or above
+p_plus a column is pure H^0, at or below p_minus it is pure H^n.
 """
 from __future__ import annotations
 
@@ -17,34 +18,13 @@ from .regularity import cm_regularity
 
 
 @dataclass(frozen=True)
-class TateEntry:
-    """One summand of a column: rank many generators in exterior twist
-    ``twist = i - p``, coming from H^i of the (p-i)-th twist of the sheaf."""
-
-    i: int
-    twist: int
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.i < 0:
-            raise ValueError(f"cohomological degree must be >= 0, got {self.i}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-
-
-@dataclass(frozen=True)
 class TateTerm:
-    """Column p of a Tate resolution: its nonzero summands, sorted by i."""
+    """Column p of a Tate resolution: its nonzero summands as (i, rank)
+    pairs sorted by i, rank many generators in exterior twist i - p from
+    H^i of the (p-i)-th twist of the sheaf."""
 
     p: int
-    entries: tuple[TateEntry, ...]
-
-    def __post_init__(self) -> None:
-        for e in self.entries:
-            if e.twist != e.i - self.p:
-                raise ValueError(
-                    f"entry twist {e.twist} breaks the twist law i - p = {e.i - self.p}"
-                )
+    entries: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -91,7 +71,7 @@ def tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> TateTerm:
     for i in range(E.n + 1):
         found = _kunneth(E.l, (mk + (p - i) * dk for mk, dk in zip(m, E.d)))
         if found is not None and found[0] == i:
-            entries.append(TateEntry(i, i - p, found[1]))
+            entries.append((i, found[1]))
     return TateTerm(p, tuple(entries))
 
 

@@ -38,6 +38,10 @@ R3_SLICE = 1000  # seeded r=3 samples per shard
 SUBSET_R = range(4, 13)  # factor counts of the sorted-vs-subsets samples
 SUBSET_SAMPLES = 20  # sorted-vs-subsets samples per factor count
 MAX_INSTANCES = 10**8  # about 6x the 15,453,295 of the reference grid, weighted as in run_checks
+# largest lmax and dmax, which set the cost of one instance: the reference
+# grid uses 3; the slowest tate-window instance took 1.1 ms at 8 and 24 ms
+# at 32 on one 2-vCPU Xeon core
+MAX_FACTOR_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -383,7 +387,7 @@ def _tate_endpoints(config: VerifyConfig, unit: SegreVeronese | range | None) ->
 
 def _pure(term: tate.TateTerm, degree: int) -> bool:
     """True when every summand of the column sits in the given degree."""
-    return all(e.i == degree for e in term.entries)
+    return all(i == degree for i, _ in term.entries)
 
 
 def _window_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
@@ -576,9 +580,11 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     """Run the named checks (all of them by default) in registry order.
 
     Each check runs on one worker process per available CPU, at most one
-    per shard; with a single CPU it runs in this process.  A run of more
-    than ``MAX_INSTANCES`` instances is refused before any grid is built;
-    there a minimal-twist point counts as the 2 * bound + 4 oracle calls its
+    per shard; with a single CPU it runs in this process.  Before any grid
+    is built, a repeated check name is refused, and so is a config with
+    lmax or dmax outside 1..MAX_FACTOR_BOUND, an inverted box or a negative
+    sample count, and a run of more than ``MAX_INSTANCES`` instances.
+    There a minimal-twist point counts as the 2 * bound + 4 oracle calls its
     scan may make, bound = n + max(|m_k| + l_k) + 2 at most
     4 * lmax + max(|lo|, |hi|) + 2 since n <= 3 * lmax."""
     if names is None:
@@ -589,9 +595,21 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
             raise ValueError(
                 f"unknown checks: {', '.join(unknown)}; available: {', '.join(CHECKS)}"
             )
+        repeated = sorted({n for n in names if names.count(n) > 1}, key=names.index)
+        if repeated:
+            raise ValueError(f"checks named more than once: {', '.join(repeated)}")
         selected = list(names)
-    counts = instance_counts(config)
+    for field in ("lmax", "dmax"):
+        value = getattr(config, field)
+        if not 1 <= value <= MAX_FACTOR_BOUND:
+            raise ValueError(f"{field} must be between 1 and {MAX_FACTOR_BOUND}, got {value}")
     lo, hi = config.box
+    if lo > hi:
+        raise ValueError(f"box needs lo <= hi, got {lo},{hi}")
+    for field in ("r3_samples", "subadd_pairs", "pair_samples"):
+        if getattr(config, field) < 0:
+            raise ValueError(f"{field} must be >= 0, got {getattr(config, field)}")
+    counts = instance_counts(config)
     counts["minimal-twist"] *= 2 * (4 * config.lmax + max(abs(lo), abs(hi)) + 2) + 4
     total = sum(counts[name] for name in selected)
     if total > MAX_INSTANCES:

@@ -6,9 +6,11 @@ no tolerances anywhere in this suite.  Each test prints a PASS line with
 its instance count and runtime (visible with pytest -s).
 
 Reference grids: exhaustive r in {1,2} with l_k, d_k <= 3 and entries in
-[-8, 8], plus 10,000 seeded random r=3 instances, 1,000 seeded random
+[-8, 8], plus 10,000 seeded random r=3 instances, 20 seeded samples for
+each r from 4 to 12 against the subset definition, 1,000 seeded random
 twist pairs per embedding for subadditivity, and exhaustive r <= 3
-closed-form windows.
+closed-form windows.  Every check must see exactly the instance count
+``verify.instance_counts`` gives for the reference grid.
 """
 import time
 
@@ -27,6 +29,7 @@ def run_check(name):
         f"FAIL {name}: {result.failures} of {result.instances} instances, "
         f"first counterexample: {result.counterexample}"
     )
+    assert result.instances == verify.instance_counts(CONFIG)[name]
     print(f"PASS {name}: {result.instances} instances, 0 failures ({elapsed:.1f}s)")
     return result
 
@@ -38,6 +41,10 @@ def test_oracle_equivalence():
 
 def test_corner_decomposition():
     run_check("corner-membership")
+
+
+def test_sorted_closed_forms():
+    run_check("sorted-vs-subsets")
 
 
 def test_regularity_closed_form():

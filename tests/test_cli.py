@@ -427,6 +427,48 @@ class TestMain:
         assert (code, out) == (1, "")
         assert err == f"svreg: error: the run has {count} instances, over the limit of {verify.MAX_INSTANCES}\n"
 
+    @pytest.mark.parametrize("flag", ["--lmax", "--dmax"])
+    def test_verify_factor_bound_over_limit_exit_one(self, capsys, monkeypatch, flag):
+        def started(name, config, *_):
+            raise AssertionError(f"{name} started")
+
+        monkeypatch.setattr(verify, "_sharded", started)
+        code, out, err = run_cli(["verify", f"{flag}=9", "--box=0,0", "--checks=cohomology"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"svreg: error: {flag[2:]} must be between 1 and 8, got 9\n"
+
+    def test_verify_factor_bound_at_limit_runs(self, capsys, monkeypatch):
+        ran = []
+
+        def started(name, config, *_):
+            ran.append((name, config.lmax, config.dmax))
+            return verify.CheckResult(name, 0, 0)
+
+        monkeypatch.setattr(verify, "_sharded", started)
+        code, _, _ = run_cli(["verify", "--lmax=8", "--dmax=8", "--box=0,0", "--checks=tate-window"], capsys)
+        assert (code, ran) == (0, [("tate-window", 8, 8)])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lmax=1000", "--dmax=1", "--checks=tate-window"],
+            ["--lmax=400", "--dmax=1", "--box=0,0", "--checks=cohomology"],
+            ["--lmax=2000", "--dmax=1", "--box=0,0", "--r3-samples=0", "--checks=formula-vs-oracle"],
+        ],
+    )
+    def test_verify_costly_instances_refused_at_once(self, capsys, flags):
+        # each of these is under MAX_INSTANCES but ran for more than 10 s
+        started = time.perf_counter()
+        code, out, err = run_cli(["verify", *flags], capsys)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("svreg: error: lmax must be between 1 and 8, got ")
+
+    def test_verify_repeated_check_exit_one(self, capsys):
+        code, out, err = run_cli(["verify", "--checks=segre-r2,ideal-bound,segre-r2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "svreg: error: --checks: segre-r2 named more than once\n"
+
     def test_verify_minimal_twist_scan_over_limit_exit_one(self, capsys):
         # two points, each scanning about 2^64 twists
         started = time.perf_counter()

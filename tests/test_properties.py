@@ -169,10 +169,9 @@ def test_window_structure_and_positive_length(data):
     assert window.p_plus == cm_regularity(E, m)
     assert window.p_plus - window.p_minus >= 1
     for term in window.terms:
-        for entry in term.entries:
-            assert entry.twist == entry.i - term.p
-            assert entry.rank >= 1
-            assert 0 <= entry.i <= E.n
+        for i, rank in term.entries:
+            assert rank >= 1
+            assert 0 <= i <= E.n
 
 
 @given(st.integers(1, 3), st.lists(st.integers(-6, 6), min_size=1, max_size=3))

@@ -64,6 +64,28 @@ def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
         verify.run_checks(SMALL, ["segre-r2"])
 
 
+@pytest.mark.parametrize(
+    "config, names, message",
+    [
+        (verify.VerifyConfig(box=(3, 1)), None, "box needs lo <= hi, got 3,1"),
+        (verify.VerifyConfig(lmax=0), None, "lmax must be between 1 and 8, got 0"),
+        (verify.VerifyConfig(dmax=9), None, "dmax must be between 1 and 8, got 9"),
+        (verify.VerifyConfig(r3_samples=-1), None, "r3_samples must be >= 0, got -1"),
+        (verify.VerifyConfig(subadd_pairs=-1), None, "subadd_pairs must be >= 0, got -1"),
+        (verify.VerifyConfig(pair_samples=-1), None, "pair_samples must be >= 0, got -1"),
+        (SMALL, ["segre-r2", "cohomology", "segre-r2"], "checks named more than once: segre-r2"),
+    ],
+    ids=["inverted-box", "lmax-0", "dmax-9", "r3-samples", "subadd-pairs", "pair-samples", "repeated-name"],
+)
+def test_config_outside_the_domain_is_refused_before_any_check(monkeypatch, config, names, message):
+    def started(name, config, *_):
+        raise AssertionError(f"{name} started")
+
+    monkeypatch.setattr(verify, "_sharded", started)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify.run_checks(config, names)
+
+
 def test_first_counterexample_in_iteration_order(monkeypatch):
     # one planted failure in an r=1 embedding's shard, one in a later r=2
     # embedding's shard; the r=1 one comes first in iteration order
