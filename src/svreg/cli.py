@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
@@ -38,8 +37,9 @@ from .tate import balanced_endpoints, dual_twist, p_minus, p_plus, tate_window
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 _TATE_MAX_COLUMNS = 100_000  # a column peaks at about 0.8 KB of memory in JSON, 1 KB as a table
-# columns * (n + 1) * r factor steps, 1.5 to 6 us each on one 2-vCPU Xeon
-# core: 100,000 columns on P^1 x P^1 are 600,000 steps and take about 1 s
+# columns * (n + 1) * r factor steps, an upper bound on the (columns + n) * r
+# the window takes; on one 2-vCPU Xeon core the largest windows with small
+# ranks take 0.6 to 1.2 s end to end, 100,000 columns on P^1 x P^1 1.2 s
 _TATE_MAX_WORK = 1_000_000
 # n = sum(l) for oracle and cohomology: the oracle scans up to n*r <= n^2
 # factor windows, about 0.4 s at n = r = 2,000 on one 2-vCPU Xeon core
@@ -50,8 +50,12 @@ class UsageError(Exception):
     """Bad command line input; reported on stderr with exit code 1."""
 
 
-@dataclass
-class CliRequest:
+# The records here and in the library are NamedTuples and the embedding a
+# slotted class, because every one-shot call pays for this import: with
+# dataclasses, whose import loads inspect (8 ms) and which take about 1 ms
+# each to build, importing svreg took 25 ms instead of 8 (-X importtime,
+# Python 3.11 on a 2-vCPU Xeon).
+class CliRequest(NamedTuple):
     """A validated invocation: the subcommand, the output format and the
     already-parsed operation parameters."""
 
@@ -60,8 +64,7 @@ class CliRequest:
     params: dict[str, Any]
 
 
-@dataclass
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """What an invocation reports: the echoed inputs, the result payload, a
     note naming the result the subcommand rests on, and the tool version."""
 
@@ -72,9 +75,7 @@ class ReportDocument:
     version: str
 
     def to_json(self) -> str:
-        # vars, not dataclasses.asdict: asdict deep-copies the payload, which
-        # takes longer than computing a long Tate window
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,7 +209,7 @@ def _member(params: dict, inputs: dict) -> tuple[dict, str]:
 
 def _regset(params: dict, inputs: dict) -> tuple[dict, str]:
     corners = regularity_corners(params["E"], params["m"])
-    return {"corners": [dict(vars(c)) for c in corners]}, "Proposition regset"
+    return {"corners": [c._asdict() for c in corners]}, "Proposition regset"
 
 
 def _reg(params: dict, inputs: dict) -> tuple[dict, str]:
@@ -235,7 +236,7 @@ def _segre2(params: dict, inputs: dict) -> tuple[dict, str]:
 
 def _lambda(params: dict, inputs: dict) -> tuple[dict, str]:
     E = params["E"]
-    result = dict(vars(ideal_sheaf_bound(E)), reg_zero=cm_regularity(E, (0,) * E.r))
+    result = dict(ideal_sheaf_bound(E)._asdict(), reg_zero=cm_regularity(E, (0,) * E.r))
     return result, "ideal sheaf bound lambda = n + 1 - min floor(l_k/d_k)"
 
 
@@ -244,7 +245,7 @@ def _subadd(params: dict, inputs: dict) -> tuple[dict, str]:
     if "p" in params:
         status = check_pair_subadditivity(E, m, params["p"], m2, params["p2"])
         return {"status": status}, "Theorem Lregadd"
-    return dict(vars(check_subadditivity(E, m, m2))), "Theorem Fmreg"
+    return check_subadditivity(E, m, m2)._asdict(), "Theorem Fmreg"
 
 
 def _tate(params: dict, inputs: dict) -> tuple[dict, str]:
@@ -295,7 +296,6 @@ def _verify(params: dict, inputs: dict) -> tuple[dict, str]:
     return result, "closed forms replayed against the brute-force cohomology oracle"
 
 
-# NamedTuples, not dataclasses: each dataclass adds about 1 ms to the import
 class _Flag(NamedTuple):
     """A subcommand flag other than --l, --d and the length-r vectors."""
 

@@ -9,26 +9,30 @@ degree: the sum of the factor degrees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 MultiDegree = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class SegreVeronese:
     """A product of projective spaces P^{l_1} x ... x P^{l_r} together with
     the degrees d = (d_1, ..., d_r) of the very ample bundle O(d) giving its
-    Segre-Veronese embedding into P^N.
+    Segre-Veronese embedding into P^N.  Immutable, compared and hashed by
+    value.
     """
+
+    # slots, not a NamedTuple: CPython 3.11 specializes the verify loops'
+    # millions of E.l and E.d loads to LOAD_ATTR_SLOT, while a NamedTuple
+    # field load stays generic and about 35 % slower
+    __slots__ = ("l", "d")
 
     l: tuple[int, ...]
     d: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        l = tuple(int(x) for x in self.l)
-        d = tuple(int(x) for x in self.d)
+    def __init__(self, l: Iterable[int], d: Iterable[int]) -> None:
+        l = tuple(int(x) for x in l)
+        d = tuple(int(x) for x in d)
         if len(l) == 0:
             raise ValueError("need at least one factor")
         if len(l) != len(d):
@@ -40,11 +44,27 @@ class SegreVeronese:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "d", d)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.l == other.l and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.l, self.d))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(l={self.l!r}, d={self.d!r})"
+
     def __reduce__(self):
-        # unpickle through the constructor: restoring __dict__ directly, as
-        # pickle does by default, leaves an instance whose attribute loads
-        # CPython 3.11 cannot specialize, which slowed every verify shard
-        # that receives its embedding from the parent process
+        # unpickle through the constructor: pickle's default restores slots
+        # by setattr, which the frozen fields refuse; verify hands
+        # embeddings to its forked workers this way
         return SegreVeronese, (self.l, self.d)
 
     @property
@@ -73,22 +93,26 @@ def _check_lengths(E: SegreVeronese, **vectors: Sequence[int]) -> None:
             raise ValueError(f"{name} has {len(v)} entries, expected {r}")
 
 
-@dataclass(frozen=True)
-class CohomologyProfile:
-    """Where a line bundle's cohomology lives: either nowhere (both fields
-    None) or in exactly one degree with a strictly positive dimension."""
-
+class _Profile(NamedTuple):
     degree: int | None
     dimension: int | None
 
-    def __post_init__(self) -> None:
-        if (self.degree is None) != (self.dimension is None):
+
+class CohomologyProfile(_Profile):
+    """Where a line bundle's cohomology lives: either nowhere (both fields
+    None) or in exactly one degree with a strictly positive dimension."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int | None, dimension: int | None) -> "CohomologyProfile":
+        if (degree is None) != (dimension is None):
             raise ValueError("degree and dimension must be both present or both absent")
-        if self.degree is not None:
-            if self.degree < 0:
-                raise ValueError(f"degree must be >= 0, got {self.degree}")
-            if self.dimension < 1:
-                raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if degree is not None:
+            if degree < 0:
+                raise ValueError(f"degree must be >= 0, got {degree}")
+            if dimension < 1:
+                raise ValueError(f"dimension must be >= 1, got {dimension}")
+        return super().__new__(cls, degree, dimension)
 
     @classmethod
     def zero(cls) -> "CohomologyProfile":

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .cohomology import SegreVeronese, _check_lengths
 
@@ -30,8 +29,7 @@ _MAX_BREAKDOWN_FACTORS = 16
 PairStatus = Literal["holds", "fails", "hypothesis-not-met"]
 
 
-@dataclass(frozen=True)
-class RegularityCorner:
+class RegularityCorner(NamedTuple):
     """One translate corner of the regularity set.
 
     ``sigma`` lists factor indices in peel order: sigma[0] is charged for
@@ -44,8 +42,7 @@ class RegularityCorner:
     corner: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SubadditivityReport:
+class SubadditivityReport(NamedTuple):
     """The three regularities entering reg(m) + reg(m2) >= reg(m + m2)."""
 
     reg_m: int
@@ -54,8 +51,7 @@ class SubadditivityReport:
     holds: bool
 
 
-@dataclass(frozen=True)
-class IdealSheafBound:
+class IdealSheafBound(NamedTuple):
     """Twist from which the ideal sheaf of the embedded image is regular,
     computed through two presentations that must agree."""
 

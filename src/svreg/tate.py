@@ -10,15 +10,13 @@ p_plus a column is pure H^0, at or below p_minus it is pure H^n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cohomology import MultiDegree, SegreVeronese, _check_lengths, _kunneth
 from .regularity import cm_regularity
 
 
-@dataclass(frozen=True)
-class TateTerm:
+class TateTerm(NamedTuple):
     """Column p of a Tate resolution: its nonzero summands as (i, rank)
     pairs sorted by i, rank many generators in exterior twist i - p from
     H^i of the (p-i)-th twist of the sheaf."""
@@ -27,8 +25,7 @@ class TateTerm:
     entries: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class TateWindow:
+class TateWindow(NamedTuple):
     """Consecutive columns covering [p_minus - pad, p_plus + pad].
 
     p_minus <= p_plus is not asserted; an inverted window simply yields no
@@ -78,16 +75,27 @@ def tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> TateTerm:
 def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     """Columns for p in [p_minus - pad, p_plus + pad].
 
-    Columns at or above p_plus are pure H^0 and columns at or below p_minus
-    pure H^n, and neither holds one step inside; the ``tate-window`` check
-    of ``svreg verify`` replays this on every column of padded windows.
+    A twist q has cohomology in at most one degree i, so it feeds the single
+    column p = q + i.  The window evaluates each twist once, q running from
+    the last column down to n below the first, and walking downward files
+    each column's summands in increasing i.  Columns at or above p_plus are pure
+    H^0 and columns at or below p_minus pure H^n, and neither holds one step
+    inside; the ``tate-window`` check of ``svreg verify`` replays this, and
+    every column against ``tate_term``, on padded windows.
     """
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
     _check_lengths(E, m=m)
     lo = p_minus(E, m)
     hi = p_plus(E, m)
-    terms = tuple(tate_term(E, m, p) for p in range(lo - pad, hi + pad + 1))
+    first, last = lo - pad, hi + pad
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(first, last + 1)]
+    l, d = E.l, E.d
+    for q in range(last, first - E.n - 1, -1):
+        found = _kunneth(l, (mk + q * dk for mk, dk in zip(m, d)))
+        if found is not None and first <= q + found[0] <= last:
+            columns[q + found[0] - first].append(found)
+    terms = tuple(TateTerm(p, tuple(entries)) for p, entries in enumerate(columns, first))
     return TateWindow(lo, hi, pad, terms)
 
 

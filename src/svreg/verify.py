@@ -39,7 +39,7 @@ SUBSET_R = range(4, 13)  # factor counts of the sorted-vs-subsets samples
 SUBSET_SAMPLES = 20  # sorted-vs-subsets samples per factor count
 MAX_INSTANCES = 10**8  # about 6x the 15,453,295 of the reference grid, weighted as in run_checks
 # largest lmax and dmax, which set the cost of one instance: the reference
-# grid uses 3; the slowest tate-window instance took 1.1 ms at 8 and 24 ms
+# grid uses 3; the slowest tate-window instance took 1.3 ms at 8 and 23 ms
 # at 32 on one 2-vCPU Xeon core
 MAX_FACTOR_BOUND = 8
 
@@ -307,7 +307,7 @@ def _subadditivity(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | No
         m = tuple(rng.randint(lo, hi) for _ in range(E.r))
         m2 = tuple(rng.randint(lo, hi) for _ in range(E.r))
         report = regularity.check_subadditivity(E, m, m2)
-        yield None if report.holds else _instance(E, m=m, m2=m2, report=report.__dict__)
+        yield None if report.holds else _instance(E, m=m, m2=m2, report=report._asdict())
 
 
 def _pair_subadditivity(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | None]:
@@ -391,16 +391,21 @@ def _pure(term: tate.TateTerm, degree: int) -> bool:
 
 
 def _window_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
+    """Every column of the padded window equals the one ``tate_term``
+    builds on its own, and is pure exactly from the endpoints outward."""
     window = tate.tate_window(E, m, pad=3)
     n = E.n
     for t in window.terms:
+        if t != tate.tate_term(E, m, t.p):
+            return _instance(E, m=m, p=t.p, reason="window column differs from tate_term")
         if _pure(t, 0) != (t.p >= window.p_plus) or _pure(t, n) != (t.p <= window.p_minus):
             return _instance(E, m=m, p=t.p, reason="purity does not match endpoint")
     return None
 
 
 def _window_structure(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | None]:
-    # windows cost a full cohomology sweep per column, hence the small box
+    # the tate_term replay costs a full cohomology sweep per column, hence
+    # the small box
     return (_window_failure(E, m) for m in itertools.product(range(-4, 5), repeat=E.r))
 
 

@@ -198,7 +198,15 @@ class TestSegreVeronese:
         # rely on
         E = SegreVeronese((1, 2), (3, 1))
         built = []
-        real = SegreVeronese.__post_init__
-        monkeypatch.setattr(SegreVeronese, "__post_init__", lambda self: built.append(real(self)))
+        real = SegreVeronese.__init__
+        monkeypatch.setattr(SegreVeronese, "__init__", lambda self, l, d: built.append(real(self, l, d)))
         copy = pickle.loads(pickle.dumps(E))
         assert (copy, hash(copy), len(built)) == (E, hash(E), 1)
+        # slots, no __dict__: the layout whose loads CPython specializes
+        assert not hasattr(copy, "__dict__")
+
+    def test_fields_are_frozen(self):
+        E = SegreVeronese((1, 2), (3, 1))
+        with pytest.raises(AttributeError):
+            E.l = (2, 2)
+        assert E.l == (1, 2)

@@ -11,11 +11,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def test_cli_import_leaves_verify_and_pools_unloaded():
-    # a one-shot call imports svreg.cli; only `svreg verify` needs the rest
-    code = (
-        "import sys, svreg.cli; "
-        "print(','.join(m for m in ('svreg.verify', 'multiprocessing', 'concurrent.futures') if m in sys.modules))"
-    )
+    # a one-shot call imports svreg.cli; only `svreg verify` needs the rest,
+    # and no record needs dataclasses (or the inspect module it loads)
+    modules = ("svreg.verify", "multiprocessing", "concurrent.futures", "dataclasses", "inspect")
+    code = f"import sys, svreg.cli; print(','.join(m for m in {modules!r} if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""

@@ -23,7 +23,7 @@ from svreg.regularity import (
     regularity_corners,
     segre_regularity,
 )
-from svreg.tate import balanced_endpoints, dual_twist, p_minus, p_plus, tate_window
+from svreg.tate import balanced_endpoints, dual_twist, p_minus, p_plus, tate_term, tate_window
 
 
 @st.composite
@@ -172,6 +172,7 @@ def test_window_structure_and_positive_length(data):
         for i, rank in term.entries:
             assert rank >= 1
             assert 0 <= i <= E.n
+    assert window.terms == tuple(tate_term(E, m, p) for p in range(window.p_minus - 2, window.p_plus + 3))
 
 
 @given(st.integers(1, 3), st.lists(st.integers(-6, 6), min_size=1, max_size=3))
