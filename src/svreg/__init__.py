@@ -16,7 +16,6 @@ from .cohomology import (
     euler_characteristic,
     factor_cohomology,
     product_cohomology,
-    twist,
 )
 from .regularity import (
     IdealSheafBound,
@@ -94,5 +93,4 @@ __all__ = [
     "segre_regularity",
     "tate_term",
     "tate_window",
-    "twist",
 ]

@@ -6,6 +6,11 @@ concatenate documents line by line.  Dimensions, ranks and other values
 that can outgrow 64 bits are serialized as decimal strings; everything is
 exact; the only floats are the per-check timings of ``verify``.
 
+This module checks how the flags are written (integers, list lengths,
+required flags) and its own output and cost limits.  A value outside the
+domain of the library call it feeds is refused by that call, with a
+ValueError, before the call does any work.
+
 Exit codes: 0 success, 1 usage or input error, 2 a verification check
 found a counterexample, 3 an internal error (a broken invariant the
 library detected, reported in one line on stderr).
@@ -15,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from . import __version__
@@ -41,6 +45,10 @@ _TATE_MAX_COLUMNS = 100_000  # a column peaks at about 0.8 KB of memory in JSON,
 # the window takes; on one 2-vCPU Xeon core the largest windows with small
 # ranks take 0.6 to 1.2 s end to end, 100,000 columns on P^1 x P^1 1.2 s
 _TATE_MAX_WORK = 1_000_000
+# decimal digits of the ranks, bounded in _tate before the window is built:
+# 1.2M for 100,000 columns on P^1 x P^1, 4.75M for 50,000 on P^19 and 10.0M
+# for 9,900 on P^100 with d = 10^6; 43.5M for 1,008 on P^990 with d = 2^63 - 1
+_TATE_MAX_DIGITS = 2 * 10**7
 # n = sum(l) for oracle and cohomology: the oracle scans up to n*r <= n^2
 # factor windows, about 0.4 s at n = r = 2,000 on one 2-vCPU Xeon core
 _MAX_DIMENSION = 2_000
@@ -103,12 +111,10 @@ def _integer(text: str, flag: str) -> int:
         raise UsageError(f"{flag} expects an integer, got {text!r}") from None
 
 
-def _bounded(text: str, flag: str, minimum: int) -> int:
+def _bounded(text: str, flag: str) -> int:
     v = _integer(text, flag)
     if not INT64_MIN <= v <= INT64_MAX:
         raise UsageError(f"{flag} value {v} is outside the signed 64-bit range")
-    if v < minimum:
-        raise UsageError(f"{flag} must be >= {minimum}, got {v}")
     return v
 
 
@@ -119,38 +125,23 @@ def _seed(text: str, flag: str) -> int:
     return seed
 
 
-def _box(text: str, flag: str) -> tuple[int, ...]:
-    lo_hi = _int_list(text, flag)
-    if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
-        raise UsageError(f"{flag} expects lo,hi with lo <= hi, got {text!r}")
-    return lo_hi
+def _two(text: str, flag: str) -> tuple[int, ...]:
+    values = _int_list(text, flag)
+    if len(values) != 2:
+        raise UsageError(f"{flag} expects exactly two entries, got {len(values)}")
+    return values
 
 
 def _check_names(text: str, flag: str) -> list[str]:
-    from . import verify  # loaded for ``svreg verify`` only
-
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         raise UsageError(f"{flag} needs at least one check name")
-    unknown = [n for n in names if n not in verify.CHECKS]
-    if unknown:
-        available = ", ".join(verify.CHECKS)
-        raise UsageError(f"{flag}: unknown {', '.join(unknown)}; available: {available}")
-    repeated = sorted({n for n in names if names.count(n) > 1}, key=names.index)
-    if repeated:
-        raise UsageError(f"{flag}: {', '.join(repeated)} named more than once")
     return names
 
 
 def _embedding(ns: argparse.Namespace) -> SegreVeronese:
     l = _int_list(ns.l, "--l")
     d = (1,) * len(l) if ns.d is None else _int_list(ns.d, "--d")
-    if len(l) != len(d):
-        raise UsageError(f"--l has {len(l)} entries but --d has {len(d)}")
-    if any(x < 1 for x in l):
-        raise UsageError(f"--l entries must be >= 1, got {list(l)}")
-    if any(x < 1 for x in d):
-        raise UsageError(f"--d entries must be >= 1, got {list(d)}")
     return SegreVeronese(l, d)
 
 
@@ -225,13 +216,7 @@ def _reg(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _segre2(params: dict, inputs: dict) -> tuple[dict, str]:
-    dims, twist = params["dims"], params["twist"]
-    for flag, value in (("--dims", dims), ("--twist", twist)):
-        if len(value) != 2:
-            raise UsageError(f"{flag} expects exactly two entries, got {len(value)}")
-    if min(dims) < 1:
-        raise UsageError(f"--dims entries must be >= 1, got {list(dims)}")
-    return {"value": segre_regularity(*dims, *twist)}, "Theorem theo_reg, r=2 Segre specialization"
+    return {"value": segre_regularity(*params["dims"], *params["twist"])}, "Theorem theo_reg, r=2 Segre specialization"
 
 
 def _lambda(params: dict, inputs: dict) -> tuple[dict, str]:
@@ -250,12 +235,19 @@ def _subadd(params: dict, inputs: dict) -> tuple[dict, str]:
 
 def _tate(params: dict, inputs: dict) -> tuple[dict, str]:
     E, m, pad = params["E"], params["m"], params["pad"]
-    columns = p_plus(E, m) - p_minus(E, m) + 2 * pad + 1
+    hi, lo = p_plus(E, m), p_minus(E, m)
+    columns = hi - lo + 2 * pad + 1
     if columns > _TATE_MAX_COLUMNS:
         raise UsageError(f"the window has {columns} columns, over the limit of {_TATE_MAX_COLUMNS}")
     steps = columns * (E.n + 1) * E.r
     if steps > _TATE_MAX_WORK:
         raise UsageError(f"the window takes {steps} factor steps, over the limit of {_TATE_MAX_WORK}")
+    # a rank is a product of binomials C(|a_k| + l_k, l_k) <= (|a_k| + l_k)^l_k
+    # with |a_k| <= |m_k| + |q| d_k, q the twist farthest from 0
+    q = max(abs(hi + pad), abs(lo - pad - E.n))
+    digits = (columns + E.n) * sum(lk * len(str(abs(mk) + q * dk + lk)) for mk, lk, dk in zip(m, E.l, E.d))
+    if digits > _TATE_MAX_DIGITS:
+        raise UsageError(f"the window's ranks take up to {digits} digits, over the limit of {_TATE_MAX_DIGITS}")
     window = tate_window(E, m, pad)
     result = {
         "p_minus": window.p_minus,
@@ -311,7 +303,7 @@ class _Command(NamedTuple):
     build: Callable[[dict, dict], tuple[dict, str]]
     vectors: tuple[str, ...] = ()  # length-r vectors, read after --l/--d and echoed in order
     pair: tuple[str, ...] = ()  # optional length-r vectors that must be given together
-    flags: tuple[_Flag, ...] = ()  # in --help and validation order
+    flags: tuple[_Flag, ...] = ()  # in --help and parsing order
     echo: tuple[str, ...] = ()  # the flags, by dest, echoed after the vectors
     d: dict[str, Any] | None = {"required": True}  # argparse keywords of --d; None: no embedding
 
@@ -342,8 +334,8 @@ _COMMANDS: dict[str, _Command] = {
     "segre2": _Command(
         "two-factor Segre regularity closed form", _segre2, d=None,
         flags=(
-            _Flag("--dims", _int_list, dict(required=True, help="a,b: the two factor dimensions")),
-            _Flag("--twist", _int_list, dict(required=True, help="k,l: the two twist entries")),
+            _Flag("--dims", _two, dict(required=True, help="a,b: the two factor dimensions")),
+            _Flag("--twist", _two, dict(required=True, help="k,l: the two twist entries")),
         ),
         echo=("dims", "twist"),
     ),
@@ -354,18 +346,18 @@ _COMMANDS: dict[str, _Command] = {
     ),
     "tate": _Command(
         "Tate resolution columns around the interesting window", _tate, ("m",), echo=("pad",),
-        flags=(_Flag("--pad", partial(_bounded, minimum=0), dict(default="2")),),
+        flags=(_Flag("--pad", _bounded, dict(default="2")),),
     ),
     "endpoints": _Command("window endpoints p+ and p-", _endpoints, ("m",)),
     "verify": _Command(
         "replay the closed forms against the cohomology oracle", _verify, d=None,
         flags=(
-            _Flag("--box", _box),
-            _Flag("--lmax", partial(_bounded, minimum=1)),
-            _Flag("--dmax", partial(_bounded, minimum=1)),
-            _Flag("--r3-samples", partial(_bounded, minimum=0)),
-            _Flag("--subadd-pairs", partial(_bounded, minimum=0)),
-            _Flag("--pair-samples", partial(_bounded, minimum=0)),
+            _Flag("--box", _two),
+            _Flag("--lmax", _bounded),
+            _Flag("--dmax", _bounded),
+            _Flag("--r3-samples", _bounded),
+            _Flag("--subadd-pairs", _bounded),
+            _Flag("--pair-samples", _bounded),
             _Flag("--seed", _seed),
             _Flag("--checks", _check_names, dict(help="comma list; default: all")),
         ),
@@ -408,9 +400,10 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
 
 
 def parse_args(argv: list[str]) -> CliRequest:
-    """Validate argv into a CliRequest; raises UsageError naming the
-    offending flag.  The few checks that span two flags or need computing
-    are left to the payload builders, which run them first."""
+    """Read argv into a CliRequest; raises UsageError naming the flag that
+    is missing or badly written.  Values outside a library call's domain
+    are refused by that call before it does any work: SegreVeronese raises
+    ValueError here, the others when the payload builders run."""
     # the top-level parser has no option that takes a value, so its first
     # positional argument is the subcommand; an argv that starts with it can
     # reach neither the top-level help nor the invalid-choice error
@@ -530,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     try:
         request = parse_args(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: SegreVeronese refused --l/--d
         print(f"svreg: error: {exc}", file=sys.stderr)
         return 1
     # Exact values may be longer than CPython's 4,300-digit limit on

@@ -185,13 +185,6 @@ def _kunneth(l: Iterable[int], a: Iterable[int]) -> tuple[int, int] | None:
     return degree, dimension
 
 
-def twist(E: SegreVeronese, a: Sequence[int], steps: int) -> MultiDegree:
-    """Multidegree of O(a) twisted along the embedding bundle: a + steps*d
-    componentwise."""
-    _check_lengths(E, a=a)
-    return tuple(ak + steps * dk for ak, dk in zip(a, E.d))
-
-
 def euler_characteristic(E: SegreVeronese, a: Sequence[int]) -> int:
     """chi(O(a)) as an exact signed integer.
 

@@ -37,7 +37,7 @@ from .cohomology import SegreVeronese
 R3_SLICE = 1000  # seeded r=3 samples per shard
 SUBSET_R = range(4, 13)  # factor counts of the sorted-vs-subsets samples
 SUBSET_SAMPLES = 20  # sorted-vs-subsets samples per factor count
-MAX_INSTANCES = 10**8  # about 6x the 15,453,295 of the reference grid, weighted as in run_checks
+MAX_INSTANCES = 10**8  # about 6x the 16,941,628 of the reference grid, weighted as in run_checks
 # largest lmax and dmax, which set the cost of one instance: the reference
 # grid uses 3; the slowest tate-window instance took 1.3 ms at 8 and 23 ms
 # at 32 on one 2-vCPU Xeon core
@@ -591,7 +591,10 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     sample count, and a run of more than ``MAX_INSTANCES`` instances.
     There a minimal-twist point counts as the 2 * bound + 4 oracle calls its
     scan may make, bound = n + max(|m_k| + l_k) + 2 at most
-    4 * lmax + max(|lo|, |hi|) + 2 since n <= 3 * lmax."""
+    4 * lmax + max(|lo|, |hi|) + 2 since n <= 3 * lmax.  A cohomology
+    instance counts as 3 * lmax + 3: its convolution and duality loops run
+    over up to n + 1 <= 3 * lmax + 1 degrees, and at lmax = 3 one took
+    25-31 us, about 12 times a pair instance."""
     if names is None:
         selected = list(CHECKS)
     else:
@@ -616,6 +619,7 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
             raise ValueError(f"{field} must be >= 0, got {getattr(config, field)}")
     counts = instance_counts(config)
     counts["minimal-twist"] *= 2 * (4 * config.lmax + max(abs(lo), abs(hi)) + 2) + 4
+    counts["cohomology"] *= 3 * config.lmax + 3
     total = sum(counts[name] for name in selected)
     if total > MAX_INSTANCES:
         raise ValueError(f"the run has {total} instances, over the limit of {MAX_INSTANCES}")

@@ -53,7 +53,8 @@ class TestParseArgs:
         assert request.params["pad"] == 1
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(cli.UsageError, match="--d"):
+        # refused by SegreVeronese, which main maps to exit 1
+        with pytest.raises(ValueError, match="^l has 2 entries but d has 1$"):
             cli.parse_args(["reg", "--l", "1,1", "--d", "1"])
 
     def test_malformed_list_rejected(self):
@@ -359,6 +360,34 @@ class TestMain:
             cli.run(request)
         assert len(built) == 1
 
+    def test_tate_digits_over_limit_exit_one(self, capsys):
+        # 1,008 columns and 998,928 factor steps, both under their limits,
+        # but 37 MB of digits in the ranks
+        started = time.perf_counter()
+        code, out, err = run_cli(["tate", "--l=990", f"--d={2**63 - 1}", "--m=0", "--pad=8"], capsys)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err == f"svreg: error: the window's ranks take up to 43516440 digits, over the limit of {cli._TATE_MAX_DIGITS}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--l=1,1", "--d=1,1", "--m=0,99999", "--pad=0"],  # 100,000 columns
+            ["--l=19", "--d=1", "--m=0", "--pad=24999"],  # 50,000 columns
+            ["--l=100", "--d=1000000", "--m=0", "--pad=4899"],  # 9,900 columns, bound at 10^7 digits
+        ],
+    )
+    def test_tate_digits_limit_admits_the_largest_windows(self, monkeypatch, argv):
+        built = []
+
+        def stub(E, m, pad):
+            built.append(pad)
+            return TateWindow(0, 0, pad, ())
+
+        monkeypatch.setattr(cli, "tate_window", stub)
+        cli.run(cli.parse_args(["tate", *argv]))
+        assert len(built) == 1
+
     def test_regset_corner_limit_is_inclusive(self, capsys, monkeypatch):
         # stubbed: at the limit regularity_corners walks 8! permutations
         walked = []
@@ -423,7 +452,8 @@ class TestMain:
 
         monkeypatch.setattr(verify, "_sharded", started)
         code, out, err = run_cli(["verify", f"--box={-2**63},0", "--checks=cohomology"], capsys)
-        count = verify.instance_counts(verify.VerifyConfig(box=(-2**63, 0)))["cohomology"]
+        # a cohomology instance weighs 3 * lmax + 3 = 12 at the default lmax
+        count = verify.instance_counts(verify.VerifyConfig(box=(-2**63, 0)))["cohomology"] * 12
         assert (code, out) == (1, "")
         assert err == f"svreg: error: the run has {count} instances, over the limit of {verify.MAX_INSTANCES}\n"
 
@@ -467,7 +497,56 @@ class TestMain:
     def test_verify_repeated_check_exit_one(self, capsys):
         code, out, err = run_cli(["verify", "--checks=segre-r2,ideal-bound,segre-r2"], capsys)
         assert (code, out) == (1, "")
-        assert err == "svreg: error: --checks: segre-r2 named more than once\n"
+        assert err == "svreg: error: checks named more than once: segre-r2\n"
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--lmax=0", "lmax must be between 1 and 8, got 0"),
+            ("--dmax=0", "dmax must be between 1 and 8, got 0"),
+            ("--box=3,1", "box needs lo <= hi, got 3,1"),
+            ("--r3-samples=-1", "r3_samples must be >= 0, got -1"),
+            ("--subadd-pairs=-1", "subadd_pairs must be >= 0, got -1"),
+            ("--pair-samples=-1", "pair_samples must be >= 0, got -1"),
+            ("--checks=nope", f"unknown checks: nope; available: {', '.join(verify.CHECKS)}"),
+            ("--checks=segre-r2,segre-r2", "checks named more than once: segre-r2"),
+        ],
+    )
+    def test_verify_domain_is_refused_by_run_checks(self, capsys, monkeypatch, flag, message):
+        # the CLI reads these flags as integers and names only; run_checks
+        # refuses the values before any check starts
+        def started(name, config, *_):
+            raise AssertionError(f"{name} started")
+
+        monkeypatch.setattr(verify, "_sharded", started)
+        code, out, err = run_cli(["verify", flag], capsys)
+        assert (code, out, err) == (1, "", f"svreg: error: {message}\n")
+
+    def test_verify_cohomology_weight_refuses_a_long_run_at_once(self, capsys, monkeypatch):
+        # 95,027,208 cohomology instances at about 25 us each: 40 CPU-minutes
+        def started(name, config, *_):
+            raise AssertionError(f"{name} started")
+
+        monkeypatch.setattr(verify, "_sharded", started)
+        started_at = time.perf_counter()
+        argv = ["verify", "--lmax=8", "--box=-28,28", "--r3-samples=0", "--checks=cohomology"]
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - started_at < 1
+        count = verify.instance_counts(verify.VerifyConfig(lmax=8, box=(-28, 28), r3_samples=0))["cohomology"]
+        assert count == 95_027_208
+        assert (code, out) == (1, "")
+        assert err == f"svreg: error: the run has {count * 27} instances, over the limit of {verify.MAX_INSTANCES}\n"
+
+    def test_verify_reference_grid_is_admitted(self, capsys, monkeypatch):
+        ran = []
+
+        def started(name, config, *_):
+            ran.append(name)
+            return verify.CheckResult(name, 0, 0)
+
+        monkeypatch.setattr(verify, "_sharded", started)
+        code, _, _ = run_cli(["verify"], capsys)
+        assert (code, ran) == (0, list(verify.CHECKS))
 
     def test_verify_minimal_twist_scan_over_limit_exit_one(self, capsys):
         # two points, each scanning about 2^64 twists

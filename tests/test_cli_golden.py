@@ -8,6 +8,9 @@ of the output, regenerate it with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
+which prints the argv of each case whose recorded output changed, with
+the streams (code, stdout, stderr) that differ.
+
 Help texts are rendered at ``COLUMNS=80`` so argparse wraps them the same
 way on every terminal.  ``verify`` runs in-process on small grids, and the
 per-check timings it reports are masked.
@@ -199,9 +202,15 @@ def test_outputs_match_golden(group):
 
 
 if __name__ == "__main__":
+    recorded = {tuple(record["argv"]): record for record in _load()} if os.path.exists(GOLDEN) else {}
     with _contract_env():
         records = [dict(zip(("argv", "code", "stdout", "stderr"), [argv, *capture(argv)]))
                    for argv in cases()]
+    for record in records:
+        old = recorded.get(tuple(record["argv"]))
+        changed = [key for key in ("code", "stdout", "stderr") if old is None or old[key] != record[key]]
+        if changed:
+            print(f"{'new' if old is None else ','.join(changed)}: {json.dumps(record['argv'])}")
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, ensure_ascii=False)
         fh.write("\n")

@@ -11,7 +11,6 @@ from svreg.cohomology import (
     euler_characteristic,
     factor_cohomology,
     product_cohomology,
-    twist,
 )
 
 
@@ -124,25 +123,6 @@ class TestProductCohomology:
         E = SegreVeronese((1, 1), (1, 1))
         with pytest.raises(ValueError):
             product_cohomology(E, (1, 2, 3))
-
-
-class TestTwist:
-    def test_positive_step(self):
-        E = SegreVeronese((1, 1), (1, 3))
-        assert twist(E, (0, 0), 2) == (2, 6)
-
-    def test_zero_step(self):
-        E = SegreVeronese((1, 1), (2, 5))
-        assert twist(E, (1, -1), 0) == (1, -1)
-
-    def test_negative_step(self):
-        E = SegreVeronese((1, 1), (2, 1))
-        assert twist(E, (0, 3), -1) == (-2, 2)
-
-    def test_length_mismatch(self):
-        E = SegreVeronese((1, 1), (1, 1))
-        with pytest.raises(ValueError):
-            twist(E, (0,), 1)
 
 
 class TestEulerCharacteristic:
