@@ -11,24 +11,24 @@ A check's grid is cut into shards that follow its iteration order: one per
 embedding for the pair and point grids, then slices of the r=3 samples,
 each drawn from a seed of its own; one per (r, l) for cohomology; one per
 factor count for sorted-vs-subsets; a single shard for the small checks.
-Each check function lists its shard units in the calling process and
-hands every shard one unit with the routine that walks it.  The shards
-run on a pool of forked worker processes and are merged in shard order,
-so instance counts and the first counterexample do not depend on the
-number of workers.  The pool is forked anew for every check, and the
-routines look the ``regularity`` and ``tate`` functions up through their
-modules, so workers run whatever those modules hold when the check is
-called, patched functions included.
+The two pair checks share one walk of the pair grid, which calls the
+closed form once per pair and compares it with each route named.  The
+shards of a walk run on a pool of forked worker processes, forked anew
+for every walk, and are merged in shard order, so instance counts and
+the first counterexample do not depend on the number of workers.  The
+shards look the ``regularity`` and ``tate`` functions up through their
+modules, and cache nothing of theirs, so workers run whatever those
+modules hold when the check is called, patched functions included.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import cohomology, regularity, tate
@@ -60,7 +60,8 @@ class VerifyConfig:
 @dataclass
 class CheckResult:
     """A check's (or one shard's) tally; ``elapsed_s`` is the sum of the
-    wall times of its shards, measured where they ran."""
+    wall times of its shards, measured where they ran.  Two pair checks
+    run together each report their shared walk's: do not add the two."""
 
     name: str
     instances: int
@@ -114,19 +115,13 @@ def _grid(config: VerifyConfig) -> list[SegreVeronese | range]:
     return [*_embeddings(config), *(range(i, min(i + R3_SLICE, n)) for i in range(0, n, R3_SLICE))]
 
 
-def _pairs(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[tuple[SegreVeronese, tuple, tuple]]:
-    """(E, m, p) over one shard of the pair grid."""
+def _pair_groups(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[tuple[SegreVeronese, tuple, Sequence]]:
+    """(E, m, ps) over one shard of the pair grid: each (E, m) of the point
+    grid with every box point p of E, or with one seeded r=3 sample's p."""
     if isinstance(unit, range):
-        return _samples(config, f"r3|{unit.start}", 3, len(unit))
+        return ((E, m, (p,)) for E, m, p in _samples(config, f"r3|{unit.start}", 3, len(unit)))
     pts = _box_points(config, unit.r)
-    return itertools.product((unit,), pts, pts)
-
-
-def _points(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[tuple[SegreVeronese, tuple]]:
-    """(E, m) over one shard of the point grid; r=3 samples drop their p."""
-    if isinstance(unit, range):
-        return ((E, m) for E, m, _ in _pairs(config, unit))
-    return itertools.product((unit,), _box_points(config, unit.r))
+    return ((unit, m, pts) for m in pts)
 
 
 def _instance(E: SegreVeronese, **extra) -> dict:
@@ -136,47 +131,38 @@ def _instance(E: SegreVeronese, **extra) -> dict:
     return out
 
 
-def _compare(
-    pairs: Iterable[tuple[SegreVeronese, tuple, tuple]],
-    f: Callable[..., bool],
-    g: Callable[..., bool],
-    f_key: str,
-    g_key: str,
-) -> Iterator[dict | None]:
-    """Two routes to the same predicate, evaluated on every (E, m, p)."""
-    for E, m, p in pairs:
-        a = f(E, m, p)
-        b = g(E, m, p)
-        yield None if a == b else _instance(E, m=m, p=p, **{f_key: a, g_key: b})
-
-
-def _formula_vs_oracle(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[dict | None]:
-    return _compare(
-        _pairs(config, unit), regularity.is_regular_formula, regularity.is_regular_oracle, "formula", "oracle"
-    )
-
-
-@lru_cache(maxsize=4096)
-def _corners(l: tuple[int, ...], d: tuple[int, ...], m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    # keyed on plain tuples: hashing a SegreVeronese runs its Python-level
-    # __hash__ and __eq__ on every lookup
-    return tuple(c.corner for c in regularity.regularity_corners(SegreVeronese(l, d), m))
-
-
-def _dominates_a_corner(E: SegreVeronese, m: tuple[int, ...], p: tuple[int, ...]) -> bool:
-    """Membership in the regularity set of O(m) straight from its corners.
-    Explicit loops: nested generators cost about a third more verify time."""
-    for corner in _corners(E.l, E.d, m):
-        for pk, ck in zip(p, corner):
-            if pk < ck:
-                break
-        else:
-            return True
-    return False
-
-
-def _corner_membership(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[dict | None]:
-    return _compare(_pairs(config, unit), regularity.is_regular_formula, _dominates_a_corner, "formula", "corners")
+def _walk_pairs(task: tuple[Sequence[str], SegreVeronese | range, VerifyConfig]) -> list[CheckResult]:
+    """Tally one shard of the pair grid for each pair check the task names,
+    in its order.  Each (E, m, p) gets one closed-form call, compared with
+    the cohomology scan for formula-vs-oracle and with domination of a
+    corner of O(m), built once per m, for corner-membership."""
+    names, unit, config = task
+    started = time.perf_counter()
+    formula, oracle, ge = regularity.is_regular_formula, regularity.is_regular_oracle, operator.ge
+    checks = {name: CheckResult(name, 0, 0) for name in names}
+    fo, cm = checks.get("formula-vs-oracle"), checks.get("corner-membership")
+    instances = 0
+    for E, m, ps in _pair_groups(config, unit):
+        corners = [c.corner for c in regularity.regularity_corners(E, m)] if cm else ()
+        instances += len(ps)
+        for p in ps:
+            regular = formula(E, m, p)
+            if fo and (answer := oracle(E, m, p)) != regular:
+                fo.failures += 1
+                fo.counterexample = fo.counterexample or _instance(E, m=m, p=p, formula=regular, oracle=answer)
+            if cm:
+                dominated = False
+                for corner in corners:  # a loop: any() over a generator costs twice the time
+                    if all(map(ge, p, corner)):
+                        dominated = True
+                        break
+                if dominated != regular:
+                    cm.failures += 1
+                    cm.counterexample = cm.counterexample or _instance(E, m=m, p=p, formula=regular, corners=dominated)
+    elapsed = time.perf_counter() - started
+    for result in checks.values():
+        result.instances, result.elapsed_s = instances, elapsed
+    return [checks[name] for name in names]
 
 
 def _subset_failure(E: SegreVeronese, m: tuple[int, ...], p: tuple[int, ...]) -> dict | None:
@@ -220,7 +206,7 @@ def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
 
 
 def _minimal_twist(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[dict | None]:
-    return (_minimal_twist_failure(E, m) for E, m in _points(config, unit))
+    return (_minimal_twist_failure(E, m) for E, m, _ in _pair_groups(config, unit))
 
 
 def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
@@ -382,7 +368,7 @@ def _tate_closed_forms(config: VerifyConfig) -> Iterator[dict | None]:
 def _tate_endpoints(config: VerifyConfig, unit: SegreVeronese | range | None) -> Iterator[dict | None]:
     if unit is None:
         return _tate_closed_forms(config)
-    return (_duality_failure(E, m) for E, m in _points(config, unit))
+    return (_duality_failure(E, m) for E, m, _ in _pair_groups(config, unit))
 
 
 def _pure(term: tate.TateTerm, degree: int) -> bool:
@@ -439,34 +425,45 @@ def _worker_count(shards: int) -> int:
     return max(1, min(_available_cpus(), shards))
 
 
-def _sharded(name: str, config: VerifyConfig, routine: Callable, units: Iterable) -> CheckResult:
-    """Run ``routine`` on every unit, one shard each, and merge the shards
-    in unit order."""
-    tasks = [(name, routine, unit, config) for unit in units]
+def _pooled(shard: Callable, tasks: list) -> list:
+    """``shard`` on every task, in task order, on ``_worker_count`` processes."""
     workers = _worker_count(len(tasks))
     if workers == 1:
-        parts = list(map(_run_shard, tasks))
-    else:
-        # deferred: one-shot CLI calls never need them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        return list(map(shard, tasks))
+    # deferred: one-shot CLI calls never need them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        # fork, not spawn: workers must run the caller's modules as they
-        # are now, patched functions included, without importing anew.  A
-        # worker that dies raises BrokenProcessPool, a RuntimeError.
-        executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            parts = list(executor.map(_run_shard, tasks))
-        finally:
-            executor.shutdown(cancel_futures=True)
+    # fork, not spawn: workers must run the caller's modules as they are
+    # now, patched functions included, without importing anew.  A worker
+    # that dies raises BrokenProcessPool, a RuntimeError.
+    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(executor.map(shard, tasks))
+    finally:
+        executor.shutdown(cancel_futures=True)
+
+
+def _merged(name: str, parts: Iterable[CheckResult]) -> CheckResult:
+    """One check's shard tallies, merged in shard order."""
     merged = CheckResult(name, 0, 0)
     for part in parts:
         merged.instances += part.instances
         merged.failures += part.failures
         merged.elapsed_s += part.elapsed_s
-        if merged.counterexample is None:
-            merged.counterexample = part.counterexample
+        merged.counterexample = merged.counterexample or part.counterexample
     return merged
+
+
+def _sharded(name: str, config: VerifyConfig, routine: Callable, units: Iterable) -> CheckResult:
+    """Run ``routine`` on every unit, one shard each, merged in unit order."""
+    return _merged(name, _pooled(_run_shard, [(name, routine, unit, config) for unit in units]))
+
+
+def _pair_checks(config: VerifyConfig, names: Sequence[str]) -> list[CheckResult]:
+    """The pair checks in ``names``, in that order, from one walk of the pair grid."""
+    parts = _pooled(_walk_pairs, [(names, unit, config) for unit in _grid(config)])
+    return [_merged(name, column) for name, column in zip(names, zip(*parts))]
 
 
 # The checks are named module functions rather than partials of _sharded,
@@ -477,13 +474,13 @@ def _sharded(name: str, config: VerifyConfig, routine: Callable, units: Iterable
 def check_formula_vs_oracle(config: VerifyConfig) -> CheckResult:
     """The closed-form regularity test must agree with the cohomology scan
     on every grid point."""
-    return _sharded("formula-vs-oracle", config, _formula_vs_oracle, _grid(config))
+    return _pair_checks(config, ["formula-vs-oracle"])[0]
 
 
 def check_corner_membership(config: VerifyConfig) -> CheckResult:
     """Domination of a corner of ``regularity_corners`` must agree with the
     closed-form test everywhere."""
-    return _sharded("corner-membership", config, _corner_membership, _grid(config))
+    return _pair_checks(config, ["corner-membership"])[0]
 
 
 def check_sorted_vs_subsets(config: VerifyConfig) -> CheckResult:
@@ -582,7 +579,8 @@ def instance_counts(config: VerifyConfig) -> dict[str, int]:
 
 
 def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list[CheckResult]:
-    """Run the named checks (all of them by default) in registry order.
+    """Run the named checks (all of them by default) and report them in the
+    order named.  The named pair checks run first, on one shared walk.
 
     Each check runs on one worker process per available CPU, at most one
     per shard; with a single CPU it runs in this process.  Before any grid
@@ -623,4 +621,6 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     total = sum(counts[name] for name in selected)
     if total > MAX_INSTANCES:
         raise ValueError(f"the run has {total} instances, over the limit of {MAX_INSTANCES}")
-    return [CHECKS[name](config) for name in selected]
+    pairs = [name for name in selected if name in ("formula-vs-oracle", "corner-membership")]
+    results = {result.name: result for result in _pair_checks(config, pairs)} if pairs else {}
+    return [results[name] if name in results else CHECKS[name](config) for name in selected]

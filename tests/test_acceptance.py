@@ -10,9 +10,13 @@ Reference grids: exhaustive r in {1,2} with l_k, d_k <= 3 and entries in
 each r from 4 to 12 against the subset definition, 1,000 seeded random
 twist pairs per embedding for subadditivity, and exhaustive r <= 3
 closed-form windows.  Every check must see exactly the instance count
-``verify.instance_counts`` gives for the reference grid.
+``verify.instance_counts`` gives for the reference grid.  The two pair
+checks come from one shared walk of the pair grid, as ``svreg verify``
+runs them, and each keeps its own test.
 """
 import time
+
+import pytest
 
 from svreg import verify
 from svreg.cohomology import SegreVeronese
@@ -21,10 +25,8 @@ from svreg.regularity import cm_regularity, segre_regularity
 CONFIG = verify.VerifyConfig()
 
 
-def run_check(name):
-    started = time.time()
-    result = verify.CHECKS[name](CONFIG)
-    elapsed = time.time() - started
+def passed(result, elapsed):
+    name = result.name
     assert result.failures == 0, (
         f"FAIL {name}: {result.failures} of {result.instances} instances, "
         f"first counterexample: {result.counterexample}"
@@ -34,13 +36,27 @@ def run_check(name):
     return result
 
 
-def test_oracle_equivalence():
-    result = run_check("formula-vs-oracle")
+def run_check(name):
+    started = time.time()
+    result = verify.CHECKS[name](CONFIG)
+    return passed(result, time.time() - started)
+
+
+@pytest.fixture(scope="module")
+def pair_checks():
+    """Both pair checks from one walk of the reference pair grid, by name."""
+    started = time.time()
+    results = verify.run_checks(CONFIG, ["formula-vs-oracle", "corner-membership"])
+    return {result.name: (result, time.time() - started) for result in results}
+
+
+def test_oracle_equivalence(pair_checks):
+    result = passed(*pair_checks["formula-vs-oracle"])
     assert result.instances == 2601 + 6765201 + CONFIG.r3_samples
 
 
-def test_corner_decomposition():
-    run_check("corner-membership")
+def test_corner_decomposition(pair_checks):
+    passed(*pair_checks["corner-membership"])
 
 
 def test_sorted_closed_forms():

@@ -47,10 +47,6 @@ def test_every_library_cache_is_bounded():
         for name, value in vars(module).items()
         if hasattr(value, "cache_info")
     }
-    memos = {
-        "svreg.regularity._regularity",
-        "svreg.regularity._oracle_scan",
-        "svreg.verify._corners",
-    }
+    memos = {"svreg.regularity._regularity", "svreg.regularity._oracle_scan"}
     assert memos <= set(caches)
     assert [name for name, maxsize in caches.items() if maxsize is None] == []

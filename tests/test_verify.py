@@ -9,6 +9,7 @@ from svreg import regularity, tate, verify
 from svreg.cohomology import SegreVeronese
 
 SMALL = verify.VerifyConfig(lmax=2, dmax=2, box=(-3, 3), r3_samples=50)
+PAIR_CHECKS = ["formula-vs-oracle", "corner-membership"]
 
 
 def summary(results):
@@ -41,14 +42,77 @@ def test_instance_counts_match_the_runs(monkeypatch, config):
     assert {r.name: r.instances for r in results} == verify.instance_counts(config)
 
 
-def test_checks_are_public_module_functions():
+def test_checks_are_public_module_functions(monkeypatch):
     # profilers wrap the public functions of svreg.verify to time each
-    # check, so a partial or a lambda here would go untimed
-    for fn in verify.CHECKS.values():
+    # check, so a partial or a lambda here would go untimed, and read the
+    # instances of the one result each returns
+    monkeypatch.setattr(verify, "_available_cpus", lambda: 1)
+    tiny = verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=3, subadd_pairs=2, pair_samples=1)
+    for name, fn in verify.CHECKS.items():
         assert inspect.isfunction(fn) and not fn.__name__.startswith("_")
         assert fn.__module__ == verify.__name__
         assert getattr(verify, fn.__name__) is fn
+        result = fn(tiny)
+        assert isinstance(result, verify.CheckResult) and result.name == name
     assert list(verify.CHECKS) == list(verify.instance_counts(verify.VerifyConfig()))
+
+
+def flip_oracle(monkeypatch):
+    # on the box [-3, 3], m + p = -2 for m in -3..1: five pairs of l=(2,), d=(1,)
+    real = regularity._oracle_scan
+    monkeypatch.setattr(regularity, "_oracle_scan", lambda l, d, c: real(l, d, c) != ((l, d, c) == ((2,), (1,), (-2,))))
+
+
+def shift_corners(monkeypatch):
+    real = regularity.regularity_corners
+    monkeypatch.setattr(
+        regularity,
+        "regularity_corners",
+        lambda E, m: [c._replace(corner=tuple(x + 1 for x in c.corner)) for c in real(E, m)],
+    )
+
+
+def flip_formula(monkeypatch):
+    real = regularity.is_regular_formula
+    monkeypatch.setattr(
+        regularity, "is_regular_formula", lambda E, m, p: real(E, m, p) != (E.l == (1, 2) and tuple(m) == (0, 0))
+    )
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "plant, failing",
+    [(flip_oracle, {"formula-vs-oracle"}), (shift_corners, {"corner-membership"}), (flip_formula, set(PAIR_CHECKS))],
+    ids=["oracle", "corners", "formula"],
+)
+def test_each_route_is_caught_by_the_check_that_owns_it(monkeypatch, plant, failing, cpus):
+    plant(monkeypatch)
+    both = run_on(cpus, monkeypatch, SMALL, PAIR_CHECKS)
+    assert {r.name for r in both if r.failures} == failing
+    counts = verify.instance_counts(SMALL)
+    assert [r.instances for r in both] == [counts[name] for name in PAIR_CHECKS]
+    firsts = {tuple(map(tuple, (ce["l"], ce["d"], ce["m"], ce["p"]))) for ce in (r.counterexample for r in both) if ce}
+    assert len(firsts) == 1  # a formula fault is first found at the same pair by both
+    # the shared walk reports each check as a lone run of it does
+    assert summary(both) == [summary(run_on(cpus, monkeypatch, SMALL, [name]))[0] for name in PAIR_CHECKS]
+
+
+def test_patched_corners_reach_every_run(monkeypatch):
+    # a memo of corners in verify would hand the next run a clean run's
+    # corners and hide the patched regularity_corners
+    config = verify.VerifyConfig(lmax=1, dmax=1, box=(-2, 2), r3_samples=0)
+    monkeypatch.setattr(verify, "_available_cpus", lambda: 1)
+    assert verify.check_corner_membership(config).failures == 0
+    shift_corners(monkeypatch)
+    assert verify.check_corner_membership(config).failures == 121
+
+
+def test_report_follows_the_order_named(monkeypatch):
+    # the pair checks share one walk, which runs first, so only the report
+    # order puts them apart and reversed here
+    names = ["corner-membership", "segre-r2", "formula-vs-oracle"]
+    results = run_on(1, monkeypatch, SMALL, names)
+    assert summary(results) == [summary(run_on(1, monkeypatch, SMALL, [name]))[0] for name in names]
 
 
 def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
@@ -147,6 +211,10 @@ def test_patched_oracle_scan_reaches_forked_workers(monkeypatch):
     assert ce["oracle"] != ce["formula"]
 
 
+def pairs_of(config, unit):
+    return [(E, m, p) for E, m, ps in verify._pair_groups(config, unit) for p in ps]
+
+
 def test_r3_slices_draw_their_own_samples():
     # enough r=3 samples for several slices, the last one short
     config = verify.VerifyConfig(lmax=1, dmax=2, box=(-1, 1), r3_samples=2 * verify.R3_SLICE + 7)
@@ -155,19 +223,22 @@ def test_r3_slices_draw_their_own_samples():
     assert grid[:6] == list(verify._embeddings(config))
     for E in grid[:6]:
         pts = list(itertools.product(range(-1, 2), repeat=E.r))
-        assert list(verify._pairs(config, E)) == [(E, m, p) for m in pts for p in pts]
+        assert pairs_of(config, E) == [(E, m, p) for m in pts for p in pts]
+        # the point grid is the (E, m) of the groups
+        assert [(F, m) for F, m, _ in verify._pair_groups(config, E)] == [(E, m) for m in pts]
     # the slices cover the samples in order, with no gap and no overlap
     assert [i for unit in slices for i in unit] == list(range(config.r3_samples))
-    drawn = [list(verify._pairs(config, unit)) for unit in slices]
+    drawn = [pairs_of(config, unit) for unit in slices]
     for unit, pairs in zip(slices, drawn):
         assert len(pairs) == len(unit)
         assert all(E.r == len(m) == len(p) == 3 for E, m, p in pairs)
-        # all four grid checks see the same (E, m) for a slice
-        assert list(verify._points(config, unit)) == [(E, m) for E, m, _ in pairs]
+        # each sample is a group of its own, so all four grid checks see
+        # the same (E, m) for a slice
+        assert all(len(ps) == 1 for _, _, ps in verify._pair_groups(config, unit))
     # each slice draws from a seed of its own, and its samples do not
     # depend on which slices were drawn before it
     assert drawn[0] != drawn[1]
-    assert [list(verify._pairs(config, unit)) for unit in reversed(slices)] == drawn[::-1]
+    assert [pairs_of(config, unit) for unit in reversed(slices)] == drawn[::-1]
 
 
 def test_elapsed_is_reported():
