@@ -13,12 +13,13 @@ each drawn from a seed of its own; one per (r, l) for cohomology; one per
 factor count for sorted-vs-subsets; a single shard for the small checks.
 The two pair checks share one walk of the pair grid, which calls the
 closed form once per pair and compares it with each route named.  The
-shards of a walk run on a pool of forked worker processes, forked anew
-for every walk, and are merged in shard order, so instance counts and
-the first counterexample do not depend on the number of workers.  The
-shards look the ``regularity`` and ``tate`` functions up through their
-modules, and cache nothing of theirs, so workers run whatever those
-modules hold when the check is called, patched functions included.
+shards of every check named run on a pool of forked worker processes,
+one pool per run, and each check's are merged in shard order, so
+instance counts and the first counterexample do not depend on the
+number of workers.  The shards look the ``regularity`` and ``tate``
+functions up through their modules, and cache nothing of theirs, so
+workers run whatever those modules hold when the run starts, patched
+functions included.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import cohomology, regularity, tate
 from .cohomology import SegreVeronese
@@ -59,9 +60,10 @@ class VerifyConfig:
 
 @dataclass
 class CheckResult:
-    """A check's (or one shard's) tally; ``elapsed_s`` is the sum of the
-    wall times of its shards, measured where they ran.  Two pair checks
-    run together each report their shared walk's: do not add the two."""
+    """A check's (or one shard's) tally, as ``run_checks`` reports it;
+    ``elapsed_s`` is the sum of the wall times of its shards, measured
+    where they ran.  The two pair checks named in one run share a walk and
+    each reports the walk's: do not add the two."""
 
     name: str
     instances: int
@@ -131,12 +133,11 @@ def _instance(E: SegreVeronese, **extra) -> dict:
     return out
 
 
-def _walk_pairs(task: tuple[Sequence[str], SegreVeronese | range, VerifyConfig]) -> list[CheckResult]:
-    """Tally one shard of the pair grid for each pair check the task names,
-    in its order.  Each (E, m, p) gets one closed-form call, compared with
-    the cohomology scan for formula-vs-oracle and with domination of a
-    corner of O(m), built once per m, for corner-membership."""
-    names, unit, config = task
+def _walk_pairs(config: VerifyConfig, unit: SegreVeronese | range, names: Sequence[str]) -> list[CheckResult]:
+    """Tally one shard of the pair grid for each pair check named, in that
+    order.  Each (E, m, p) gets one closed-form call, compared with the
+    cohomology scan for formula-vs-oracle and with domination of a corner
+    of O(m), built once per m, for corner-membership."""
     started = time.perf_counter()
     formula, oracle, ge = regularity.is_regular_formula, regularity.is_regular_oracle, operator.ge
     checks = {name: CheckResult(name, 0, 0) for name in names}
@@ -395,11 +396,14 @@ def _window_structure(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict |
     return (_window_failure(E, m) for m in itertools.product(range(-4, 5), repeat=E.r))
 
 
-def _run_shard(task: tuple[str, Callable, Any, VerifyConfig]) -> CheckResult:
-    """Tally one shard: the outcomes of ``routine`` on one unit, None for an
-    instance that holds and a counterexample for one that fails.  Runs in a
-    worker process or in-process."""
-    name, routine, unit, config = task
+def _run_shard(task: tuple[tuple[str, ...], Callable, Any, VerifyConfig]) -> list[CheckResult]:
+    """Tally one shard for each check the task names, in its order.  The
+    pair walk tallies its checks itself; any other routine serves one
+    check and yields None for an instance that holds and a counterexample
+    for one that fails.  Runs in a worker process or in-process."""
+    names, routine, unit, config = task
+    if routine is _walk_pairs:
+        return _walk_pairs(config, unit, names)
     started = time.perf_counter()
     instances = failures = 0
     counterexample = None
@@ -408,7 +412,7 @@ def _run_shard(task: tuple[str, Callable, Any, VerifyConfig]) -> CheckResult:
         if outcome is not None:
             failures += 1
             counterexample = counterexample or outcome
-    return CheckResult(name, instances, failures, counterexample, time.perf_counter() - started)
+    return [CheckResult(names[0], instances, failures, counterexample, time.perf_counter() - started)]
 
 
 def _available_cpus() -> int:
@@ -425,11 +429,11 @@ def _worker_count(shards: int) -> int:
     return max(1, min(_available_cpus(), shards))
 
 
-def _pooled(shard: Callable, tasks: list) -> list:
-    """``shard`` on every task, in task order, on ``_worker_count`` processes."""
+def _pooled(tasks: list) -> list[list[CheckResult]]:
+    """``_run_shard`` on every task, in task order, on ``_worker_count`` processes."""
     workers = _worker_count(len(tasks))
     if workers == 1:
-        return list(map(shard, tasks))
+        return list(map(_run_shard, tasks))
     # deferred: one-shot CLI calls never need them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -439,115 +443,78 @@ def _pooled(shard: Callable, tasks: list) -> list:
     # that dies raises BrokenProcessPool, a RuntimeError.
     executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(executor.map(shard, tasks))
+        return list(executor.map(_run_shard, tasks))
     finally:
         executor.shutdown(cancel_futures=True)
 
 
-def _merged(name: str, parts: Iterable[CheckResult]) -> CheckResult:
-    """One check's shard tallies, merged in shard order."""
-    merged = CheckResult(name, 0, 0)
-    for part in parts:
-        merged.instances += part.instances
-        merged.failures += part.failures
-        merged.elapsed_s += part.elapsed_s
-        merged.counterexample = merged.counterexample or part.counterexample
-    return merged
+class _Check(NamedTuple):
+    """A check: ``routine(config, unit)`` on each unit of ``units(config)``,
+    one shard each, in iteration order, and what the check replays.  The
+    pair checks share the routine ``_walk_pairs``, and with it one walk."""
+
+    routine: Callable
+    units: Callable[[VerifyConfig], Iterable]
+    description: str
 
 
-def _sharded(name: str, config: VerifyConfig, routine: Callable, units: Iterable) -> CheckResult:
-    """Run ``routine`` on every unit, one shard each, merged in unit order."""
-    return _merged(name, _pooled(_run_shard, [(name, routine, unit, config) for unit in units]))
-
-
-def _pair_checks(config: VerifyConfig, names: Sequence[str]) -> list[CheckResult]:
-    """The pair checks in ``names``, in that order, from one walk of the pair grid."""
-    parts = _pooled(_walk_pairs, [(names, unit, config) for unit in _grid(config)])
-    return [_merged(name, column) for name, column in zip(names, zip(*parts))]
-
-
-# The checks are named module functions rather than partials of _sharded,
-# so that each is an entry point of its own for callers and for profilers
-# that wrap module functions.
-
-
-def check_formula_vs_oracle(config: VerifyConfig) -> CheckResult:
-    """The closed-form regularity test must agree with the cohomology scan
-    on every grid point."""
-    return _pair_checks(config, ["formula-vs-oracle"])[0]
-
-
-def check_corner_membership(config: VerifyConfig) -> CheckResult:
-    """Domination of a corner of ``regularity_corners`` must agree with the
-    closed-form test everywhere."""
-    return _pair_checks(config, ["corner-membership"])[0]
-
-
-def check_sorted_vs_subsets(config: VerifyConfig) -> CheckResult:
-    """cm_regularity and is_regular_formula must agree with the max and the
-    test over all 2^r - 1 subsets, on seeded samples with r from 4 to 12."""
-    return _sharded("sorted-vs-subsets", config, _sorted_vs_subsets, SUBSET_R)
-
-
-def check_minimal_twist(config: VerifyConfig) -> CheckResult:
-    """cm_regularity must equal the least q with q*d in the regularity set."""
-    return _sharded("minimal-twist", config, _minimal_twist, _grid(config))
-
-
-def check_cohomology_consistency(config: VerifyConfig) -> CheckResult:
-    """Concentration, Serre duality and the Euler characteristic, replayed
-    against a full Kunneth convolution, exhaustively for r up to 3."""
-    units = [l for r in (1, 2, 3) for l in itertools.product(range(1, config.lmax + 1), repeat=r)]
-    return _sharded("cohomology", config, _cohomology, units)
-
-
-def check_segre_closed_form(config: VerifyConfig) -> CheckResult:
-    """The two-factor Segre closed form must match cm_regularity."""
-    return _sharded("segre-r2", config, _segre_closed_form, [None])
-
-
-def check_ideal_sheaf_bound(config: VerifyConfig) -> CheckResult:
-    """lambda - 1 must bound reg of the structure sheaf of the image from
-    above, strictly so at l=(1,2), d=(1,1)."""
-    return _sharded("ideal-bound", config, _ideal_sheaf_bound, [None])
-
-
-def check_subadditivity_random(config: VerifyConfig) -> CheckResult:
-    """reg(m) + reg(m2) >= reg(m + m2) on seeded random pairs."""
-    return _sharded("subadditivity", config, _subadditivity, _embeddings(config))
-
-
-def check_pair_subadditivity_random(config: VerifyConfig) -> CheckResult:
-    """For seeded random pairs satisfying the hypotheses (built from corner
-    points, so regularity is guaranteed), the sum pair must be regular."""
-    return _sharded("pair-subadditivity", config, _pair_subadditivity, _embeddings(config))
-
-
-def check_tate_endpoints(config: VerifyConfig) -> CheckResult:
-    """Window length closed forms, the balanced special case, and the
-    duality p_minus(m) = -p_plus(dual twist of m), replayed against the
-    direct ceiling form of p_minus."""
-    return _sharded("tate-endpoints", config, _tate_endpoints, [None, *_grid(config)])
-
-
-def check_window_structure(config: VerifyConfig) -> CheckResult:
-    """Column purity must characterize both endpoints exactly: pure H^0 iff
-    p >= p_plus, pure H^n iff p <= p_minus, across a padded window."""
-    return _sharded("tate-window", config, _window_structure, _embeddings(config))
-
-
-CHECKS: dict[str, Callable[[VerifyConfig], CheckResult]] = {
-    "cohomology": check_cohomology_consistency,
-    "formula-vs-oracle": check_formula_vs_oracle,
-    "corner-membership": check_corner_membership,
-    "sorted-vs-subsets": check_sorted_vs_subsets,
-    "minimal-twist": check_minimal_twist,
-    "segre-r2": check_segre_closed_form,
-    "ideal-bound": check_ideal_sheaf_bound,
-    "subadditivity": check_subadditivity_random,
-    "pair-subadditivity": check_pair_subadditivity_random,
-    "tate-endpoints": check_tate_endpoints,
-    "tate-window": check_window_structure,
+CHECKS: dict[str, _Check] = {
+    "cohomology": _Check(
+        _cohomology,
+        lambda config: [l for r in (1, 2, 3) for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
+        "Concentration, Serre duality and the Euler characteristic, replayed "
+        "against a full Kunneth convolution, exhaustively for r up to 3.",
+    ),
+    "formula-vs-oracle": _Check(
+        _walk_pairs,
+        _grid,
+        "The closed-form regularity test must agree with the cohomology scan on every grid point.",
+    ),
+    "corner-membership": _Check(
+        _walk_pairs,
+        _grid,
+        "Domination of a corner of regularity_corners must agree with the closed-form test everywhere.",
+    ),
+    "sorted-vs-subsets": _Check(
+        _sorted_vs_subsets,
+        lambda config: SUBSET_R,
+        "cm_regularity and is_regular_formula must agree with the max and the "
+        "test over all 2^r - 1 subsets, on seeded samples with r from 4 to 12.",
+    ),
+    "minimal-twist": _Check(
+        _minimal_twist, _grid, "cm_regularity must equal the least q with q*d in the regularity set."
+    ),
+    "segre-r2": _Check(
+        _segre_closed_form, lambda config: [None], "The two-factor Segre closed form must match cm_regularity."
+    ),
+    "ideal-bound": _Check(
+        _ideal_sheaf_bound,
+        lambda config: [None],
+        "lambda - 1 must bound reg of the structure sheaf of the image from "
+        "above, strictly so at l=(1,2), d=(1,1).",
+    ),
+    "subadditivity": _Check(
+        _subadditivity, _embeddings, "reg(m) + reg(m2) >= reg(m + m2) on seeded random pairs."
+    ),
+    "pair-subadditivity": _Check(
+        _pair_subadditivity,
+        _embeddings,
+        "For seeded random pairs satisfying the hypotheses (built from corner "
+        "points, so regularity is guaranteed), the sum pair must be regular.",
+    ),
+    "tate-endpoints": _Check(
+        _tate_endpoints,
+        lambda config: [None, *_grid(config)],
+        "Window length closed forms, the balanced special case, and the "
+        "duality p_minus(m) = -p_plus(dual twist of m), replayed against the "
+        "direct ceiling form of p_minus.",
+    ),
+    "tate-window": _Check(
+        _window_structure,
+        _embeddings,
+        "Column purity must characterize both endpoints exactly: pure H^0 iff "
+        "p >= p_plus, pure H^n iff p <= p_minus, across a padded window.",
+    ),
 }
 
 
@@ -579,11 +546,12 @@ def instance_counts(config: VerifyConfig) -> dict[str, int]:
 
 
 def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list[CheckResult]:
-    """Run the named checks (all of them by default) and report them in the
-    order named.  The named pair checks run first, on one shared walk.
+    """Run the named checks (all of them by default; ``CHECKS`` lists them)
+    and report them in the order named.  This is the one way to run a check.
 
-    Each check runs on one worker process per available CPU, at most one
-    per shard; with a single CPU it runs in this process.  Before any grid
+    The shards of every check named run on one pool, of one worker process
+    per available CPU and at most one per shard; with a single CPU they run
+    in this process.  The named pair checks share one walk.  Before any grid
     is built, a repeated check name is refused, and so is a config with
     lmax or dmax outside 1..MAX_FACTOR_BOUND, an inverted box or a negative
     sample count, and a run of more than ``MAX_INSTANCES`` instances.
@@ -621,6 +589,20 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     total = sum(counts[name] for name in selected)
     if total > MAX_INSTANCES:
         raise ValueError(f"the run has {total} instances, over the limit of {MAX_INSTANCES}")
-    pairs = [name for name in selected if name in ("formula-vs-oracle", "corner-membership")]
-    results = {result.name: result for result in _pair_checks(config, pairs)} if pairs else {}
-    return [results[name] if name in results else CHECKS[name](config) for name in selected]
+    walks: dict[Callable, list[str]] = {}  # routine -> the checks that share its walk
+    for name in selected:
+        walks.setdefault(CHECKS[name].routine, []).append(name)
+    tasks = [
+        (tuple(walk), routine, unit, config)
+        for routine, walk in walks.items()
+        for unit in CHECKS[walk[0]].units(config)
+    ]
+    merged = {name: CheckResult(name, 0, 0) for name in selected}
+    for shard in _pooled(tasks):
+        for part in shard:
+            result = merged[part.name]
+            result.instances += part.instances
+            result.failures += part.failures
+            result.elapsed_s += part.elapsed_s
+            result.counterexample = result.counterexample or part.counterexample
+    return list(merged.values())

@@ -38,6 +38,16 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def names_started(tasks):
+    """The checks a stand-in for ``verify._pooled``, which starts every
+    shard of a run, was handed shards of."""
+    return sorted({name for names, *_ in tasks for name in names})
+
+
+def refuse_to_start(tasks):
+    raise AssertionError(f"{', '.join(names_started(tasks))} started")
+
+
 class TestParseArgs:
     def test_reg_request(self):
         request = cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", "0,0"])
@@ -447,10 +457,7 @@ class TestMain:
         assert err == "svreg: error: --checks needs at least one check name\n"
 
     def test_verify_grid_over_limit_exit_one(self, capsys, monkeypatch):
-        def started(name, config, *_):
-            raise AssertionError(f"{name} started")
-
-        monkeypatch.setattr(verify, "_sharded", started)
+        monkeypatch.setattr(verify, "_pooled", refuse_to_start)
         code, out, err = run_cli(["verify", f"--box={-2**63},0", "--checks=cohomology"], capsys)
         # a cohomology instance weighs 3 * lmax + 3 = 12 at the default lmax
         count = verify.instance_counts(verify.VerifyConfig(box=(-2**63, 0)))["cohomology"] * 12
@@ -459,10 +466,7 @@ class TestMain:
 
     @pytest.mark.parametrize("flag", ["--lmax", "--dmax"])
     def test_verify_factor_bound_over_limit_exit_one(self, capsys, monkeypatch, flag):
-        def started(name, config, *_):
-            raise AssertionError(f"{name} started")
-
-        monkeypatch.setattr(verify, "_sharded", started)
+        monkeypatch.setattr(verify, "_pooled", refuse_to_start)
         code, out, err = run_cli(["verify", f"{flag}=9", "--box=0,0", "--checks=cohomology"], capsys)
         assert (code, out) == (1, "")
         assert err == f"svreg: error: {flag[2:]} must be between 1 and 8, got 9\n"
@@ -470,13 +474,13 @@ class TestMain:
     def test_verify_factor_bound_at_limit_runs(self, capsys, monkeypatch):
         ran = []
 
-        def started(name, config, *_):
-            ran.append((name, config.lmax, config.dmax))
-            return verify.CheckResult(name, 0, 0)
+        def started(tasks):
+            ran.append(sorted({(name, config.lmax, config.dmax) for names, _, _, config in tasks for name in names}))
+            return [[verify.CheckResult(name, 0, 0) for name in names] for names, *_ in tasks]
 
-        monkeypatch.setattr(verify, "_sharded", started)
+        monkeypatch.setattr(verify, "_pooled", started)
         code, _, _ = run_cli(["verify", "--lmax=8", "--dmax=8", "--box=0,0", "--checks=tate-window"], capsys)
-        assert (code, ran) == (0, [("tate-window", 8, 8)])
+        assert (code, ran) == (0, [[("tate-window", 8, 8)]])
 
     @pytest.mark.parametrize(
         "flags",
@@ -515,19 +519,13 @@ class TestMain:
     def test_verify_domain_is_refused_by_run_checks(self, capsys, monkeypatch, flag, message):
         # the CLI reads these flags as integers and names only; run_checks
         # refuses the values before any check starts
-        def started(name, config, *_):
-            raise AssertionError(f"{name} started")
-
-        monkeypatch.setattr(verify, "_sharded", started)
+        monkeypatch.setattr(verify, "_pooled", refuse_to_start)
         code, out, err = run_cli(["verify", flag], capsys)
         assert (code, out, err) == (1, "", f"svreg: error: {message}\n")
 
     def test_verify_cohomology_weight_refuses_a_long_run_at_once(self, capsys, monkeypatch):
         # 95,027,208 cohomology instances at about 25 us each: 40 CPU-minutes
-        def started(name, config, *_):
-            raise AssertionError(f"{name} started")
-
-        monkeypatch.setattr(verify, "_sharded", started)
+        monkeypatch.setattr(verify, "_pooled", refuse_to_start)
         started_at = time.perf_counter()
         argv = ["verify", "--lmax=8", "--box=-28,28", "--r3-samples=0", "--checks=cohomology"]
         code, out, err = run_cli(argv, capsys)
@@ -540,14 +538,13 @@ class TestMain:
     def test_verify_reference_grid_is_admitted(self, capsys, monkeypatch):
         ran = []
 
-        def started(name, config, *_):
-            ran.append(name)
-            return verify.CheckResult(name, 0, 0)
+        def started(tasks):
+            ran.append(names_started(tasks))
+            return [[verify.CheckResult(name, 0, 0) for name in names] for names, *_ in tasks]
 
-        monkeypatch.setattr(verify, "_sharded", started)
-        monkeypatch.setattr(verify, "_pair_checks", lambda config, names: [started(n, config) for n in names])
+        monkeypatch.setattr(verify, "_pooled", started)
         code, _, _ = run_cli(["verify"], capsys)
-        assert (code, sorted(ran)) == (0, sorted(verify.CHECKS))
+        assert (code, ran) == (0, [sorted(verify.CHECKS)])
 
     def test_verify_minimal_twist_scan_over_limit_exit_one(self, capsys):
         # two points, each scanning about 2^64 twists

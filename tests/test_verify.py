@@ -42,19 +42,45 @@ def test_instance_counts_match_the_runs(monkeypatch, config):
     assert {r.name: r.instances for r in results} == verify.instance_counts(config)
 
 
-def test_checks_are_public_module_functions(monkeypatch):
-    # profilers wrap the public functions of svreg.verify to time each
-    # check, so a partial or a lambda here would go untimed, and read the
-    # instances of the one result each returns
-    monkeypatch.setattr(verify, "_available_cpus", lambda: 1)
+def test_run_checks_is_the_one_route_to_a_check(monkeypatch):
+    # CHECKS describes the checks and runs none: a check runs through
+    # run_checks, which refuses a config outside the domain before any work
+    public = {
+        name
+        for name, value in vars(verify).items()
+        if inspect.isfunction(value) and not name.startswith("_") and value.__module__ == verify.__name__
+    }
+    assert public == {"run_checks", "instance_counts"}
     tiny = verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=3, subadd_pairs=2, pair_samples=1)
-    for name, fn in verify.CHECKS.items():
-        assert inspect.isfunction(fn) and not fn.__name__.startswith("_")
-        assert fn.__module__ == verify.__name__
-        assert getattr(verify, fn.__name__) is fn
-        result = fn(tiny)
+    for name in verify.CHECKS:
+        (result,) = run_on(1, monkeypatch, tiny, [name])
         assert isinstance(result, verify.CheckResult) and result.name == name
     assert list(verify.CHECKS) == list(verify.instance_counts(verify.VerifyConfig()))
+
+
+def test_one_pool_per_run(monkeypatch):
+    calls = []
+    real = verify._pooled
+
+    def recorded(tasks):
+        calls.append(tasks)
+        return real(tasks)
+
+    monkeypatch.setattr(verify, "_pooled", recorded)
+    pooled = run_on(2, monkeypatch, SMALL)
+    (tasks,) = calls
+    # every shard of every check, the pair checks on shared shards
+    for name, check in verify.CHECKS.items():
+        assert [unit for names, _, unit, _ in tasks if name in names] == list(check.units(SMALL))
+    walk = [names for names, routine, *_ in tasks if routine is verify._walk_pairs]
+    assert walk == [tuple(PAIR_CHECKS)] * len(verify._grid(SMALL))
+    monkeypatch.setattr(verify, "_pooled", real)
+    assert summary(pooled) == summary(run_on(1, monkeypatch, SMALL))
+
+
+def refuse_to_start(tasks):
+    """Stands in for ``_pooled``, which starts every shard of a run."""
+    raise AssertionError(f"{', '.join(sorted({n for names, *_ in tasks for n in names}))} started")
 
 
 def flip_oracle(monkeypatch):
@@ -102,24 +128,21 @@ def test_patched_corners_reach_every_run(monkeypatch):
     # corners and hide the patched regularity_corners
     config = verify.VerifyConfig(lmax=1, dmax=1, box=(-2, 2), r3_samples=0)
     monkeypatch.setattr(verify, "_available_cpus", lambda: 1)
-    assert verify.check_corner_membership(config).failures == 0
+    assert verify.run_checks(config, ["corner-membership"])[0].failures == 0
     shift_corners(monkeypatch)
-    assert verify.check_corner_membership(config).failures == 121
+    assert verify.run_checks(config, ["corner-membership"])[0].failures == 121
 
 
 def test_report_follows_the_order_named(monkeypatch):
-    # the pair checks share one walk, which runs first, so only the report
-    # order puts them apart and reversed here
+    # the pair checks share one walk, so only the report order puts them
+    # apart and reversed here
     names = ["corner-membership", "segre-r2", "formula-vs-oracle"]
     results = run_on(1, monkeypatch, SMALL, names)
     assert summary(results) == [summary(run_on(1, monkeypatch, SMALL, [name]))[0] for name in names]
 
 
 def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
-    def started(name, config, *_):
-        raise AssertionError(f"{name} started")
-
-    monkeypatch.setattr(verify, "_sharded", started)
+    monkeypatch.setattr(verify, "_pooled", refuse_to_start)
     monkeypatch.setattr(verify, "MAX_INSTANCES", 1088)  # segre-r2 has 1089
     with pytest.raises(ValueError, match="the run has 1089 instances, over the limit of 1088"):
         verify.run_checks(SMALL, ["segre-r2"])
@@ -138,14 +161,30 @@ def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
         (verify.VerifyConfig(subadd_pairs=-1), None, "subadd_pairs must be >= 0, got -1"),
         (verify.VerifyConfig(pair_samples=-1), None, "pair_samples must be >= 0, got -1"),
         (SMALL, ["segre-r2", "cohomology", "segre-r2"], "checks named more than once: segre-r2"),
+        # a check named alone is refused the same way
+        *(
+            (verify.VerifyConfig(lmax=0, r3_samples=0), [name], "lmax must be between 1 and 8, got 0")
+            for name in verify.CHECKS
+        ),
+        *(
+            (verify.VerifyConfig(box=(3, 1), lmax=1, dmax=1), [name], "box needs lo <= hi, got 3,1")
+            for name in verify.CHECKS
+        ),
     ],
-    ids=["inverted-box", "lmax-0", "dmax-9", "r3-samples", "subadd-pairs", "pair-samples", "repeated-name"],
+    ids=[
+        "inverted-box",
+        "lmax-0",
+        "dmax-9",
+        "r3-samples",
+        "subadd-pairs",
+        "pair-samples",
+        "repeated-name",
+        *(f"lmax-0-{name}" for name in verify.CHECKS),
+        *(f"inverted-box-{name}" for name in verify.CHECKS),
+    ],
 )
 def test_config_outside_the_domain_is_refused_before_any_check(monkeypatch, config, names, message):
-    def started(name, config, *_):
-        raise AssertionError(f"{name} started")
-
-    monkeypatch.setattr(verify, "_sharded", started)
+    monkeypatch.setattr(verify, "_pooled", refuse_to_start)
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify.run_checks(config, names)
 
