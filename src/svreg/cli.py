@@ -7,13 +7,14 @@ that can outgrow 64 bits are serialized as decimal strings; everything is
 exact; the only floats are the per-check timings of ``verify``.
 
 This module checks how the flags are written (integers, list lengths,
-required flags) and its own output and cost limits.  A value outside the
-domain of the library call it feeds is refused by that call, with a
-ValueError, before the call does any work.
+required flags) and keeps one cost limit of its own, ``_MAX_DIMENSION``.
+A value outside the domain of the library call it feeds, or over that
+call's own cost limits, is refused by that call before it does any work.
+Both kinds of refusal are a ValueError, reported in one line on stderr.
 
 Exit codes: 0 success, 1 usage or input error, 2 a verification check
 found a counterexample, 3 an internal error (a broken invariant the
-library detected, reported in one line on stderr).
+library detected, a RuntimeError reported in one line on stderr).
 """
 from __future__ import annotations
 
@@ -40,22 +41,9 @@ from .tate import balanced_endpoints, dual_twist, p_minus, p_plus, tate_window
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-_TATE_MAX_COLUMNS = 100_000  # a column peaks at about 0.8 KB of memory in JSON, 1 KB as a table
-# columns * (n + 1) * r factor steps, an upper bound on the (columns + n) * r
-# the window takes; on one 2-vCPU Xeon core the largest windows with small
-# ranks take 0.6 to 1.2 s end to end, 100,000 columns on P^1 x P^1 1.2 s
-_TATE_MAX_WORK = 1_000_000
-# decimal digits of the ranks, bounded in _tate before the window is built:
-# 1.2M for 100,000 columns on P^1 x P^1, 4.75M for 50,000 on P^19 and 10.0M
-# for 9,900 on P^100 with d = 10^6; 43.5M for 1,008 on P^990 with d = 2^63 - 1
-_TATE_MAX_DIGITS = 2 * 10**7
 # n = sum(l) for oracle and cohomology: the oracle scans up to n*r <= n^2
 # factor windows, about 0.4 s at n = r = 2,000 on one 2-vCPU Xeon core
 _MAX_DIMENSION = 2_000
-
-
-class UsageError(Exception):
-    """Bad command line input; reported on stderr with exit code 1."""
 
 
 # The records here and in the library are NamedTuples and the embedding a
@@ -88,19 +76,19 @@ class ReportDocument(NamedTuple):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; 2 is reserved for verify
-    # counterexamples, so surface parse problems as UsageError instead.
+    # counterexamples, so surface parse problems as ValueError instead.
     def error(self, message: str):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
+        raise ValueError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
     for v in values:
         if not INT64_MIN <= v <= INT64_MAX:
-            raise UsageError(f"{flag} entry {v} is outside the signed 64-bit range")
+            raise ValueError(f"{flag} entry {v} is outside the signed 64-bit range")
     return values
 
 
@@ -108,34 +96,34 @@ def _integer(text: str, flag: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"{flag} expects an integer, got {text!r}") from None
+        raise ValueError(f"{flag} expects an integer, got {text!r}") from None
 
 
 def _bounded(text: str, flag: str) -> int:
     v = _integer(text, flag)
     if not INT64_MIN <= v <= INT64_MAX:
-        raise UsageError(f"{flag} value {v} is outside the signed 64-bit range")
+        raise ValueError(f"{flag} value {v} is outside the signed 64-bit range")
     return v
 
 
 def _seed(text: str, flag: str) -> int:
     seed = _integer(text, flag)
     if not 0 <= seed < 2**64:
-        raise UsageError(f"{flag} expects an unsigned 64-bit integer, got {seed}")
+        raise ValueError(f"{flag} expects an unsigned 64-bit integer, got {seed}")
     return seed
 
 
 def _two(text: str, flag: str) -> tuple[int, ...]:
     values = _int_list(text, flag)
     if len(values) != 2:
-        raise UsageError(f"{flag} expects exactly two entries, got {len(values)}")
+        raise ValueError(f"{flag} expects exactly two entries, got {len(values)}")
     return values
 
 
 def _check_names(text: str, flag: str) -> list[str]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
-        raise UsageError(f"{flag} needs at least one check name")
+        raise ValueError(f"{flag} needs at least one check name")
     return names
 
 
@@ -148,16 +136,16 @@ def _embedding(ns: argparse.Namespace) -> SegreVeronese:
 def _check_dimension(E: SegreVeronese) -> None:
     """Refuse a product whose dimension n sets the length of a loop."""
     if E.n > _MAX_DIMENSION:
-        raise UsageError(f"--l sums to n={E.n}, over the limit of {_MAX_DIMENSION}")
+        raise ValueError(f"--l sums to n={E.n}, over the limit of {_MAX_DIMENSION}")
 
 
 def _vector(ns: argparse.Namespace, name: str, r: int) -> tuple[int, ...]:
     raw = getattr(ns, name)
     if raw is None:
-        raise UsageError(f"--{name} is required")
+        raise ValueError(f"--{name} is required")
     value = _int_list(raw, f"--{name}")
     if len(value) != r:
-        raise UsageError(f"--{name} has {len(value)} entries, expected {r}")
+        raise ValueError(f"--{name} has {len(value)} entries, expected {r}")
     return value
 
 
@@ -234,21 +222,7 @@ def _subadd(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _tate(params: dict, inputs: dict) -> tuple[dict, str]:
-    E, m, pad = params["E"], params["m"], params["pad"]
-    hi, lo = p_plus(E, m), p_minus(E, m)
-    columns = hi - lo + 2 * pad + 1
-    if columns > _TATE_MAX_COLUMNS:
-        raise UsageError(f"the window has {columns} columns, over the limit of {_TATE_MAX_COLUMNS}")
-    steps = columns * (E.n + 1) * E.r
-    if steps > _TATE_MAX_WORK:
-        raise UsageError(f"the window takes {steps} factor steps, over the limit of {_TATE_MAX_WORK}")
-    # a rank is a product of binomials C(|a_k| + l_k, l_k) <= (|a_k| + l_k)^l_k
-    # with |a_k| <= |m_k| + |q| d_k, q the twist farthest from 0
-    q = max(abs(hi + pad), abs(lo - pad - E.n))
-    digits = (columns + E.n) * sum(lk * len(str(abs(mk) + q * dk + lk)) for mk, lk, dk in zip(m, E.l, E.d))
-    if digits > _TATE_MAX_DIGITS:
-        raise UsageError(f"the window's ranks take up to {digits} digits, over the limit of {_TATE_MAX_DIGITS}")
-    window = tate_window(E, m, pad)
+    window = tate_window(params["E"], params["m"], params["pad"])
     result = {
         "p_minus": window.p_minus,
         "p_plus": window.p_plus,
@@ -265,9 +239,9 @@ def _endpoints(params: dict, inputs: dict) -> tuple[dict, str]:
     E, m = params["E"], params["m"]
     hi, lo = p_plus(E, m), p_minus(E, m)
     result = {"p_plus": hi, "p_minus": lo, "length": hi - lo, "dual_twist": list(dual_twist(E, m))}
-    if len(set(E.l)) == 1 and set(E.d) == {1}:
-        bp, bm = balanced_endpoints(E.r, E.l[0], tuple(sorted(m)))
-        result["balanced"] = {"p_plus": bp, "p_minus": bm}
+    balanced = balanced_endpoints(E, m)
+    if balanced is not None:
+        result["balanced"] = {"p_plus": balanced[0], "p_minus": balanced[1]}
     return result, "Tate endpoint theorem: p+ = reg(m), p- = -reg(dual twist)"
 
 
@@ -400,10 +374,11 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
 
 
 def parse_args(argv: list[str]) -> CliRequest:
-    """Read argv into a CliRequest; raises UsageError naming the flag that
-    is missing or badly written.  Values outside a library call's domain
-    are refused by that call before it does any work: SegreVeronese raises
-    ValueError here, the others when the payload builders run."""
+    """Read argv into a CliRequest; raises ValueError naming the flag that
+    is missing or badly written.  Values outside a library call's domain,
+    or over its cost limits, are refused by that call before it does any
+    work, with a ValueError too: SegreVeronese here, the others when the
+    payload builders run."""
     # the top-level parser has no option that takes a value, so its first
     # positional argument is the subcommand; an argv that starts with it can
     # reach neither the top-level help nor the invalid-choice error
@@ -418,7 +393,7 @@ def parse_args(argv: list[str]) -> CliRequest:
         given = [vector for vector in command.pair if getattr(ns, vector) is not None]
         if given and len(given) < len(command.pair):
             flags = " and ".join(f"--{vector}" for vector in command.pair)
-            raise UsageError(f"{flags} must be given together for the pair-level check")
+            raise ValueError(f"{flags} must be given together for the pair-level check")
         for vector in given:
             params[vector] = _vector(ns, vector, E.r)
     for flag in command.flags:
@@ -521,20 +496,16 @@ def render_table(doc: ReportDocument) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    # Exact values may be longer than CPython's 4,300-digit limit on
+    # int-to-str conversion (3.10.7 on); parsing keeps the limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         request = parse_args(args)
-    except (UsageError, ValueError) as exc:  # ValueError: SegreVeronese refused --l/--d
-        print(f"svreg: error: {exc}", file=sys.stderr)
-        return 1
-    # Exact values may be longer than CPython's 4,300-digit limit on
-    # int-to-str conversion (3.10.7 on); parsing above keeps the limit.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         doc, code = run(request)
         text = doc.to_json() if request.format == "json" else render_table(doc)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"svreg: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -15,6 +15,16 @@ from typing import NamedTuple, Sequence
 from .cohomology import MultiDegree, SegreVeronese, _check_lengths, _kunneth
 from .regularity import cm_regularity
 
+# Limits of one window; times are ``svreg tate`` in JSON on one 2-vCPU Xeon core.
+_MAX_COLUMNS = 100_000  # a column peaks at 0.8 KB of memory in JSON, 1 KB as a table
+# columns * (n + 1) * r factor steps, an upper bound on the (columns + n) * r
+# the window takes; the largest windows with small ranks take 0.6 to 1.2 s
+_MAX_WORK = 1_000_000
+# digits of the ranks: 1.2M for 100,000 columns on P^1 x P^1 (1.2 s), 4.75M
+# for 50,000 on P^19, 10.0M for 9,900 on P^100 with d = 10^6; 43.5M for
+# 1,008 on P^990 with d = 2^63 - 1
+_MAX_DIGITS = 2 * 10**7
+
 
 class TateTerm(NamedTuple):
     """Column p of a Tate resolution: its nonzero summands as (i, rank)
@@ -72,6 +82,13 @@ def tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> TateTerm:
     return TateTerm(p, tuple(entries))
 
 
+def _digits(x: int) -> int:  # len(str(x)) for x >= 1, past CPython's int-to-str limit
+    k = (x.bit_length() - 1) * 1233 >> 12  # 1233/4096 < log10(2), so 10**k <= x
+    while 10**k <= x:
+        k += 1
+    return k
+
+
 def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     """Columns for p in [p_minus - pad, p_plus + pad].
 
@@ -82,36 +99,46 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     H^0 and columns at or below p_minus pure H^n, and neither holds one step
     inside; the ``tate-window`` check of ``svreg verify`` replays this, and
     every column against ``tate_term``, on padded windows.
+
+    Before it builds any column, it refuses with ValueError a negative pad
+    and a window over ``_MAX_COLUMNS`` columns, ``_MAX_WORK`` factor steps
+    or ``_MAX_DIGITS`` digits of the ranks: products of binomials
+    C(|a_k| + l_k, l_k) <= (|a_k| + l_k)^l_k, |a_k| <= |m_k| + |q| d_k at twist q.
     """
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
     _check_lengths(E, m=m)
-    lo = p_minus(E, m)
-    hi = p_plus(E, m)
+    lo, hi = p_minus(E, m), p_plus(E, m)
     first, last = lo - pad, hi + pad
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(first, last + 1)]
-    l, d = E.l, E.d
-    for q in range(last, first - E.n - 1, -1):
+    n, r, l, d = E.n, E.r, E.l, E.d
+    columns = last - first + 1
+    if columns > _MAX_COLUMNS:
+        raise ValueError(f"the window has {columns} columns, over the limit of {_MAX_COLUMNS}")
+    steps = columns * (n + 1) * r
+    if steps > _MAX_WORK:
+        raise ValueError(f"the window takes {steps} factor steps, over the limit of {_MAX_WORK}")
+    far = max(abs(last), abs(first - n))
+    digits = (columns + n) * sum(lk * _digits(abs(mk) + far * dk + lk) for mk, lk, dk in zip(m, l, d))
+    if digits > _MAX_DIGITS:
+        raise ValueError(f"the window's ranks take up to {digits} digits, over the limit of {_MAX_DIGITS}")
+    summands: list[list[tuple[int, int]]] = [[] for _ in range(columns)]
+    for q in range(last, first - n - 1, -1):
         found = _kunneth(l, (mk + q * dk for mk, dk in zip(m, d)))
         if found is not None and first <= q + found[0] <= last:
-            columns[q + found[0] - first].append(found)
-    terms = tuple(TateTerm(p, tuple(entries)) for p, entries in enumerate(columns, first))
+            summands[q + found[0] - first].append(found)
+    terms = tuple(TateTerm(p, tuple(entries)) for p, entries in enumerate(summands, first))
     return TateWindow(lo, hi, pad, terms)
 
 
-def balanced_endpoints(r: int, l: int, m_sorted: Sequence[int]) -> tuple[int, int]:
+def balanced_endpoints(E: SegreVeronese, m: Sequence[int]) -> tuple[int, int] | None:
     """Window endpoints (p_plus, p_minus) in the special case d = (1,...,1)
-    and l = (l,...,l), for m sorted nondecreasing:
+    and l = (l,...,l), None for any other embedding.  With m sorted
+    nondecreasing,
 
         p_plus = max_i ((i-1)*l - m_i),   p_minus = min_i ((i-1)*l - m_i) - 1.
     """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
-    if len(m_sorted) != r:
-        raise ValueError(f"m_sorted has {len(m_sorted)} entries, expected {r}")
-    if any(m_sorted[i] > m_sorted[i + 1] for i in range(r - 1)):
-        raise ValueError(f"m_sorted must be nondecreasing, got {tuple(m_sorted)}")
-    values = [i * l - mi for i, mi in enumerate(m_sorted)]
+    _check_lengths(E, m=m)
+    if set(E.d) != {1} or len(set(E.l)) != 1:
+        return None
+    values = [i * E.l[0] - mi for i, mi in enumerate(sorted(m))]
     return max(values), min(values) - 1

@@ -352,7 +352,7 @@ def _tate_closed_forms(config: VerifyConfig) -> Iterator[dict | None]:
         for l in range(1, config.lmax + 1):
             E = SegreVeronese((l,) * r, (1,) * r)
             for ms in itertools.combinations_with_replacement(range(-6, 7), r):
-                got = tate.balanced_endpoints(r, l, ms)
+                got = tate.balanced_endpoints(E, ms)
                 want = (tate.p_plus(E, ms), tate.p_minus(E, ms))
                 yield None if got == want else _instance(E, m=ms, balanced=list(got), general=list(want))
     # m = (0, ..., 0, M) with M >= (r-1)l: window length grows as M - l + 1

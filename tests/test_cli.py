@@ -8,8 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from svreg import cli
-from svreg import regularity, verify
-from svreg.tate import TateWindow
+from svreg import regularity, tate, verify
 
 
 # a library function each subcommand calls, and an invocation that calls it
@@ -68,20 +67,20 @@ class TestParseArgs:
             cli.parse_args(["reg", "--l", "1,1", "--d", "1"])
 
     def test_malformed_list_rejected(self):
-        with pytest.raises(cli.UsageError, match="--m"):
+        with pytest.raises(ValueError, match="--m"):
             cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", "0,x"])
 
     def test_int64_range_enforced(self):
         big = str(2**63)
-        with pytest.raises(cli.UsageError, match="64-bit"):
+        with pytest.raises(ValueError, match="64-bit"):
             cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", f"0,{big}"])
 
     def test_unknown_subcommand_rejected(self):
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(ValueError):
             cli.parse_args(["frobnicate"])
 
     def test_caps_flag_is_gone(self):
-        with pytest.raises(cli.UsageError, match="unrecognized arguments: --caps subsets=5"):
+        with pytest.raises(ValueError, match="unrecognized arguments: --caps subsets=5"):
             cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", "0,0", "--caps", "subsets=5"])
 
     def test_negative_entries_with_equals_form(self):
@@ -319,24 +318,17 @@ class TestMain:
         code, out, err = run_cli(["tate", "--l=1,1", "--d=1,1", *flags], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("svreg: error: the window has ")
-        assert err.endswith(f" columns, over the limit of {cli._TATE_MAX_COLUMNS}\n")
+        assert err.endswith(f" columns, over the limit of {tate._MAX_COLUMNS}\n")
 
-    def test_tate_window_limit_is_inclusive(self, monkeypatch):
+    def test_tate_window_limit_is_inclusive(self, capsys, kunneth_calls):
         # on P^1 x P^1, m = (0, M) has p+ - p- = M: M + 2 pad + 1 columns
-        built = []
-
-        def stub(E, m, pad):
-            built.append(m)
-            return TateWindow(0, 0, pad, ())
-
-        monkeypatch.setattr(cli, "tate_window", stub)
-        limit = cli._TATE_MAX_COLUMNS
-        cli.run(cli.parse_args(["tate", "--l=1,1", "--d=1,1", f"--m=0,{limit - 5}", "--pad=2"]))
-        assert built == [(0, limit - 5)]
-        request = cli.parse_args(["tate", "--l=1,1", "--d=1,1", f"--m=0,{limit - 4}", "--pad=2"])
-        with pytest.raises(cli.UsageError, match=f"has {limit + 1} columns"):
-            cli.run(request)
-        assert len(built) == 1
+        limit = tate._MAX_COLUMNS
+        doc, _ = cli.run(cli.parse_args(["tate", "--l=1,1", "--d=1,1", f"--m=0,{limit - 5}", "--pad=2"]))
+        assert len(doc.result["terms"]) == limit
+        kunneth_calls.clear()
+        code, out, err = run_cli(["tate", "--l=1,1", "--d=1,1", f"--m=0,{limit - 4}", "--pad=2"], capsys)
+        assert (code, out, kunneth_calls) == (1, "", [])
+        assert err == f"svreg: error: the window has {limit + 1} columns, over the limit of {limit}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -351,24 +343,18 @@ class TestMain:
         assert time.perf_counter() - started < 1
         assert (code, out) == (1, "")
         assert err.startswith("svreg: error: the window takes ")
-        assert err.endswith(f" factor steps, over the limit of {cli._TATE_MAX_WORK}\n")
+        assert err.endswith(f" factor steps, over the limit of {tate._MAX_WORK}\n")
 
-    def test_tate_work_limit_is_inclusive(self, monkeypatch):
+    def test_tate_work_limit_is_inclusive(self, capsys, kunneth_calls):
         # on P^19, m = 0 has p+ - p- = 1: 2 + 2 pad columns of 20 steps each
-        built = []
-
-        def stub(E, m, pad):
-            built.append(pad)
-            return TateWindow(0, 0, pad, ())
-
-        monkeypatch.setattr(cli, "tate_window", stub)
-        pad = cli._TATE_MAX_WORK // 40 - 1
-        cli.run(cli.parse_args(["tate", "--l=19", "--d=1", "--m=0", f"--pad={pad}"]))
-        assert built == [pad]
-        request = cli.parse_args(["tate", "--l=19", "--d=1", "--m=0", f"--pad={pad + 1}"])
-        with pytest.raises(cli.UsageError, match=f"takes {cli._TATE_MAX_WORK + 40} factor steps"):
-            cli.run(request)
-        assert len(built) == 1
+        limit = tate._MAX_WORK
+        pad = limit // 40 - 1
+        doc, _ = cli.run(cli.parse_args(["tate", "--l=19", "--d=1", "--m=0", f"--pad={pad}"]))
+        assert len(doc.result["terms"]) == 2 + 2 * pad
+        kunneth_calls.clear()
+        code, out, err = run_cli(["tate", "--l=19", "--d=1", "--m=0", f"--pad={pad + 1}"], capsys)
+        assert (code, out, kunneth_calls) == (1, "", [])
+        assert err == f"svreg: error: the window takes {limit + 40} factor steps, over the limit of {limit}\n"
 
     def test_tate_digits_over_limit_exit_one(self, capsys):
         # 1,008 columns and 998,928 factor steps, both under their limits,
@@ -377,7 +363,7 @@ class TestMain:
         code, out, err = run_cli(["tate", "--l=990", f"--d={2**63 - 1}", "--m=0", "--pad=8"], capsys)
         assert time.perf_counter() - started < 1
         assert (code, out) == (1, "")
-        assert err == f"svreg: error: the window's ranks take up to 43516440 digits, over the limit of {cli._TATE_MAX_DIGITS}\n"
+        assert err == f"svreg: error: the window's ranks take up to 43516440 digits, over the limit of {tate._MAX_DIGITS}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -387,16 +373,15 @@ class TestMain:
             ["--l=100", "--d=1000000", "--m=0", "--pad=4899"],  # 9,900 columns, bound at 10^7 digits
         ],
     )
-    def test_tate_digits_limit_admits_the_largest_windows(self, monkeypatch, argv):
-        built = []
+    def test_tate_digits_limit_admits_the_largest_windows(self, kunneth_calls, argv):
+        doc, _ = cli.run(cli.parse_args(["tate", *argv]))
+        result = doc.result
+        assert len(result["terms"]) == result["length"] + 2 * doc.inputs["pad"] + 1
 
-        def stub(E, m, pad):
-            built.append(pad)
-            return TateWindow(0, 0, pad, ())
-
-        monkeypatch.setattr(cli, "tate_window", stub)
-        cli.run(cli.parse_args(["tate", *argv]))
-        assert len(built) == 1
+    def test_tate_negative_pad_is_reported_before_the_window_limits(self, capsys):
+        # the window would have 99,999,998 columns
+        code, out, err = run_cli(["tate", "--l=1,1", "--d=1,1", "--m=0,99999999", "--pad=-1"], capsys)
+        assert (code, out, err) == (1, "", "svreg: error: pad must be >= 0, got -1\n")
 
     def test_regset_corner_limit_is_inclusive(self, capsys, monkeypatch):
         # stubbed: at the limit regularity_corners walks 8! permutations

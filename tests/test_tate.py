@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from svreg import tate
 from svreg.cohomology import SegreVeronese, product_cohomology
 from svreg.tate import (
     balanced_endpoints,
@@ -16,6 +17,7 @@ from svreg.tate import (
 from svreg.verify import _p_minus_ceiling
 
 P1P1 = SegreVeronese((1, 1), (1, 1))
+P19 = SegreVeronese((19,), (1,))
 
 
 class TestDualTwist:
@@ -159,30 +161,90 @@ class TestTateWindow:
             tate_window(P1P1, (0, 0), -1)
 
 
+class TestWindowLimits:
+    # each refused window makes no Kunneth call, so it is refused before
+    # any column is built
+
+    def test_column_limit_is_inclusive(self, kunneth_calls):
+        # on P^1 x P^1, m = (0, M) has p+ - p- = M: M + 2 pad + 1 columns
+        limit = tate._MAX_COLUMNS
+        assert len(tate_window(P1P1, (0, limit - 5), 2).terms) == limit
+        assert len(kunneth_calls) == limit + 2  # columns + n twists
+        kunneth_calls.clear()
+        with pytest.raises(ValueError, match=f"^the window has {limit + 1} columns, over the limit of {limit}$"):
+            tate_window(P1P1, (0, limit - 4), 2)
+        assert kunneth_calls == []
+
+    def test_work_limit_is_inclusive(self, kunneth_calls):
+        # on P^19, m = 0 has p+ - p- = 1: 2 + 2 pad columns of 20 steps each
+        limit = tate._MAX_WORK
+        pad = limit // 40 - 1
+        assert len(tate_window(P19, (0,), pad).terms) == 2 + 2 * pad
+        kunneth_calls.clear()
+        with pytest.raises(ValueError, match=f"^the window takes {limit + 40} factor steps, over the limit of {limit}$"):
+            tate_window(P19, (0,), pad + 1)
+        assert kunneth_calls == []
+
+    def test_digits_limit_is_inclusive(self, kunneth_calls, monkeypatch):
+        # 9,900 columns on P^100 with d = 2 * 10^15: the twist farthest
+        # from 0 is q = 5,000 and |q| d + 100 has 20 digits, so the bound
+        # is (9,900 + 100) * 100 * 20 digits, exactly the limit
+        E = SegreVeronese((100,), (2 * 10**15,))
+        assert tate._MAX_DIGITS == 20_000_000
+        assert len(tate_window(E, (0,), 4899).terms) == 9_900
+        kunneth_calls.clear()
+        monkeypatch.setattr(tate, "_MAX_DIGITS", 19_999_999)
+        with pytest.raises(ValueError, match="^the window's ranks take up to 20000000 digits, over the limit of 19999999$"):
+            tate_window(E, (0,), 4899)
+        assert kunneth_calls == []
+
+    def test_library_window_is_refused_before_allocation(self, kunneth_calls):
+        with pytest.raises(ValueError, match="^the window has 1000000005 columns, over the limit of 100000$"):
+            tate_window(P1P1, (0, 10**9))
+        assert kunneth_calls == []
+
+    def test_digit_bound_takes_twists_past_the_str_conversion_limit(self):
+        # on P^1 the window of O(M) is the window of O(0) moved by -M, so
+        # its ranks stay small although |m| + |q| d has 5,001 digits, more
+        # than CPython converts to str by default
+        P1 = SegreVeronese((1,), (1,))
+        M = 10**5000
+        window, origin = tate_window(P1, (M,), 1), tate_window(P1, (0,), 1)
+        assert (window.p_minus + M, window.p_plus + M) == (origin.p_minus, origin.p_plus)
+        assert [t.entries for t in window.terms] == [t.entries for t in origin.terms]
+
+
+P2P2P2 = SegreVeronese((2, 2, 2), (1, 1, 1))
+
+
 class TestBalancedEndpoints:
     def test_segre_origin(self):
-        assert balanced_endpoints(2, 1, (0, 0)) == (1, -1)
+        assert balanced_endpoints(P1P1, (0, 0)) == (1, -1)
 
     def test_unbalanced(self):
-        assert balanced_endpoints(2, 1, (0, 2)) == (0, -2)
+        assert balanced_endpoints(P1P1, (0, 2)) == (0, -2)
 
     def test_three_factors(self):
-        assert balanced_endpoints(3, 2, (7, 7, 7)) == (-3, -8)
+        assert balanced_endpoints(P2P2P2, (7, 7, 7)) == (-3, -8)
 
     def test_matches_general_operations(self):
-        E = SegreVeronese((2, 2, 2), (1, 1, 1))
         for ms in ((0, 0, 0), (-3, 0, 2), (5, 5, 5), (-6, -6, 6)):
-            assert balanced_endpoints(3, 2, ms) == (p_plus(E, ms), p_minus(E, ms))
+            assert balanced_endpoints(P2P2P2, ms) == (p_plus(P2P2P2, ms), p_minus(P2P2P2, ms))
 
     def test_balanced_length_independent_of_twist(self):
         E = SegreVeronese((2, 2, 2), (1, 1, 1))
         m = (5, 5, 5)
         assert p_plus(E, m) - p_minus(E, m) == 5
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            balanced_endpoints(2, 1, (2, 0))
+    def test_unsorted_m_matches_sorted(self):
+        for ms in ((2, 0, -3), (6, -6, -6), (0, 5, 1)):
+            assert balanced_endpoints(P2P2P2, ms) == balanced_endpoints(P2P2P2, sorted(ms))
+            assert balanced_endpoints(P2P2P2, ms) == (p_plus(P2P2P2, ms), p_minus(P2P2P2, ms))
+
+    def test_unbalanced_embedding_returns_none(self):
+        for E in (SegreVeronese((1, 2), (1, 1)), SegreVeronese((1, 1), (1, 2)), SegreVeronese((2,), (3,))):
+            assert balanced_endpoints(E, (0,) * E.r) is None
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            balanced_endpoints(3, 1, (0, 0))
+        with pytest.raises(ValueError, match="^m has 2 entries, expected 3$"):
+            balanced_endpoints(SegreVeronese((1, 1, 1), (1, 1, 1)), (0, 0))
