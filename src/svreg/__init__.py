@@ -12,9 +12,7 @@ from .cohomology import (
     CohomologyProfile,
     MultiDegree,
     SegreVeronese,
-    binom,
     euler_characteristic,
-    factor_cohomology,
     product_cohomology,
 )
 from .regularity import (
@@ -26,7 +24,6 @@ from .regularity import (
     cm_regularity,
     cm_regularity_breakdown,
     ideal_sheaf_bound,
-    in_regularity_set,
     is_regular_formula,
     is_regular_oracle,
     regularity_corners,
@@ -39,7 +36,6 @@ from .tate import (
     dual_twist,
     p_minus,
     p_plus,
-    tate_term,
     tate_window,
 )
 
@@ -73,16 +69,13 @@ __all__ = [
     "TateWindow",
     "VerifyConfig",
     "balanced_endpoints",
-    "binom",
     "check_pair_subadditivity",
     "check_subadditivity",
     "cm_regularity",
     "cm_regularity_breakdown",
     "dual_twist",
     "euler_characteristic",
-    "factor_cohomology",
     "ideal_sheaf_bound",
-    "in_regularity_set",
     "is_regular_formula",
     "is_regular_oracle",
     "p_minus",
@@ -91,6 +84,5 @@ __all__ = [
     "regularity_corners",
     "run_checks",
     "segre_regularity",
-    "tate_term",
     "tate_window",
 ]

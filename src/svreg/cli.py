@@ -31,7 +31,6 @@ from .regularity import (
     cm_regularity,
     cm_regularity_breakdown,
     ideal_sheaf_bound,
-    in_regularity_set,
     is_regular_formula,
     is_regular_oracle,
     regularity_corners,
@@ -182,7 +181,7 @@ def _oracle(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _member(params: dict, inputs: dict) -> tuple[dict, str]:
-    member = in_regularity_set(params["E"], params["m"], params["p"])
+    member = is_regular_formula(params["E"], params["m"], params["p"])
     return {"member": member}, "Proposition regset"
 
 

@@ -133,29 +133,6 @@ class CohomologyProfile(_Profile):
         return [self.h(i) for i in range(n + 1)]
 
 
-def binom(a: int, b: int) -> int:
-    """C(a, b) as an exact integer, with the convention C(a, b) = 0 whenever
-    a < 0 or a < b."""
-    if a < 0 or a < b:
-        return 0
-    return comb(a, b)
-
-
-def factor_cohomology(l: int, j: int) -> CohomologyProfile:
-    """Cohomology of O(j) on a single P^l.
-
-    H^0 has dimension C(j+l, l) when j >= 0, H^l has dimension C(-j-1, l)
-    when j <= -l-1, and everything vanishes for -l <= j <= -1.
-    """
-    if l < 1:
-        raise ValueError(f"projective space dimension must be >= 1, got {l}")
-    if j >= 0:
-        return CohomologyProfile(0, comb(j + l, l))
-    if j <= -l - 1:
-        return CohomologyProfile(l, comb(-j - 1, l))
-    return CohomologyProfile.zero()
-
-
 def product_cohomology(E: SegreVeronese, a: Sequence[int]) -> CohomologyProfile:
     """Cohomology of O(a_1, ..., a_r) on the product, by the Kunneth formula.
 
@@ -170,8 +147,8 @@ def product_cohomology(E: SegreVeronese, a: Sequence[int]) -> CohomologyProfile:
 
 def _kunneth(l: Iterable[int], a: Iterable[int]) -> tuple[int, int] | None:
     """(degree, dimension) of O(a) on P^{l_1} x ... x P^{l_r}, or None when
-    it has no cohomology: the factor rules of ``factor_cohomology`` applied
-    in place, without building a profile per factor."""
+    it has no cohomology.  O(j) on P^l has only H^0 = C(j+l, l) if j >= 0,
+    only H^l = C(-j-1, l) if j <= -l-1, and none else; read factor by factor."""
     degree = 0
     dimension = 1
     for lk, ak in zip(l, a):
@@ -189,9 +166,9 @@ def euler_characteristic(E: SegreVeronese, a: Sequence[int]) -> int:
     """chi(O(a)) as an exact signed integer.
 
     Each factor contributes the binomial polynomial
-    (a_k+1)(a_k+2)...(a_k+l_k) / l_k! evaluated over the integers.  The
-    clamped binom cannot be used here: negative arguments must keep their
-    sign for the alternating-sum cross-check to mean anything.
+    (a_k+1)(a_k+2)...(a_k+l_k) / l_k! evaluated over the integers.
+    Negative arguments keep their sign, which the alternating-sum
+    cross-check relies on.
     """
     _check_lengths(E, a=a)
     chi = 1

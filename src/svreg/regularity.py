@@ -83,7 +83,9 @@ def is_regular_formula(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> 
     p_k + m_k + l_k - l_J * d_k >= 0, that is, with
     floor((m_k + p_k + l_k)/d_k) >= l_J.  That holds for every J iff
     reg(m + p) <= 0, so the test is one evaluation of the sorted form
-    behind cm_regularity, memoized on (l, d, m + p)."""
+    behind cm_regularity, memoized on (l, d, m + p).  By Proposition regset
+    it is also membership in the union of the orthants at the corners of
+    ``regularity_corners``."""
     r = len(E.l)
     if len(m) != r or len(p) != r:
         _check_lengths(E, m=m, p=p)
@@ -157,14 +159,6 @@ def regularity_corners(E: SegreVeronese, m: Sequence[int]) -> list[RegularityCor
             corner[k] = -m[k] - l[k] + suffix[i] * d[k]
         corners.append(RegularityCorner(sigma, tuple(corner)))
     return corners
-
-
-def in_regularity_set(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> bool:
-    """Membership test for the regularity set of O(m), the union of the
-    orthants at the corners of ``regularity_corners``.  By Proposition
-    regset that set is where O(m) is O(p)-regular, so this is the closed
-    form; ``svreg verify`` replays it against corner domination."""
-    return is_regular_formula(E, m, p)
 
 
 def cm_regularity(E: SegreVeronese, m: Sequence[int]) -> int:

@@ -17,8 +17,7 @@ from .regularity import cm_regularity
 
 # Limits of one window; times are ``svreg tate`` in JSON on one 2-vCPU Xeon core.
 _MAX_COLUMNS = 100_000  # a column peaks at 0.8 KB of memory in JSON, 1 KB as a table
-# columns * (n + 1) * r factor steps, an upper bound on the (columns + n) * r
-# the window takes; the largest windows with small ranks take 0.6 to 1.2 s
+# factor steps, exactly (columns + n) * r; 999,150 on (P^5)^150, d = 3: 1.6-1.9 s
 _MAX_WORK = 1_000_000
 # digits of the ranks: 1.2M for 100,000 columns on P^1 x P^1 (1.2 s), 4.75M
 # for 50,000 on P^19, 10.0M for 9,900 on P^100 with d = 10^6; 43.5M for
@@ -70,18 +69,6 @@ def p_minus(E: SegreVeronese, m: Sequence[int]) -> int:
     return -cm_regularity(E, dual_twist(E, m))
 
 
-def tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> TateTerm:
-    """Column p of the Tate resolution of the pushforward of O(m): for each
-    i in 0..n, dim H^i(O(m + (p-i)d)) generators in twist i - p."""
-    _check_lengths(E, m=m)
-    entries = []
-    for i in range(E.n + 1):
-        found = _kunneth(E.l, (mk + (p - i) * dk for mk, dk in zip(m, E.d)))
-        if found is not None and found[0] == i:
-            entries.append((i, found[1]))
-    return TateTerm(p, tuple(entries))
-
-
 def _digits(x: int) -> int:  # len(str(x)) for x >= 1, past CPython's int-to-str limit
     k = (x.bit_length() - 1) * 1233 >> 12  # 1233/4096 < log10(2), so 10**k <= x
     while 10**k <= x:
@@ -98,7 +85,7 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     each column's summands in increasing i.  Columns at or above p_plus are pure
     H^0 and columns at or below p_minus pure H^n, and neither holds one step
     inside; the ``tate-window`` check of ``svreg verify`` replays this, and
-    every column against ``tate_term``, on padded windows.
+    every column against one it builds on its own, on padded windows.
 
     Before it builds any column, it refuses with ValueError a negative pad
     and a window over ``_MAX_COLUMNS`` columns, ``_MAX_WORK`` factor steps
@@ -114,7 +101,7 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     columns = last - first + 1
     if columns > _MAX_COLUMNS:
         raise ValueError(f"the window has {columns} columns, over the limit of {_MAX_COLUMNS}")
-    steps = columns * (n + 1) * r
+    steps = (columns + n) * r
     if steps > _MAX_WORK:
         raise ValueError(f"the window takes {steps} factor steps, over the limit of {_MAX_WORK}")
     far = max(abs(last), abs(first - n))

@@ -16,10 +16,10 @@ closed form once per pair and compares it with each route named.  The
 shards of every check named run on a pool of forked worker processes,
 one pool per run, and each check's are merged in shard order, so
 instance counts and the first counterexample do not depend on the
-number of workers.  The shards look the ``regularity`` and ``tate``
-functions up through their modules, and cache nothing of theirs, so
-workers run whatever those modules hold when the run starts, patched
-functions included.
+number of workers.  The shards look the library functions up through
+their modules, and cache nothing of theirs, so workers run whatever those
+modules hold when the run starts, patched functions included.  The
+second routes the checks replay, such as ``_tate_term``, live only here.
 """
 from __future__ import annotations
 
@@ -210,13 +210,24 @@ def _minimal_twist(config: VerifyConfig, unit: SegreVeronese | range) -> Iterato
     return (_minimal_twist_failure(E, m) for E, m, _ in _pair_groups(config, unit))
 
 
+def _factor_table(l: int, j: int) -> list[int]:
+    """[h^0, ..., h^l] of O(j) on P^l by the Bott rules, not through
+    ``cohomology``: C(j+l, l) if j >= 0, C(-j-1, l) in degree l if j < -l."""
+    table = [0] * (l + 1)
+    if j >= 0:
+        table[0] = math.comb(j + l, l)
+    elif j <= -l - 1:
+        table[l] = math.comb(-j - 1, l)
+    return table
+
+
 def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
     n = E.n
     profile = cohomology.product_cohomology(E, a)
     # independent route: full Kunneth convolution of the factor tables
     conv = [1]
     for lk, ak in zip(E.l, a):
-        t = cohomology.factor_cohomology(lk, ak).table(lk)
+        t = _factor_table(lk, ak)
         new = [0] * (len(conv) + lk)
         for i, ci in enumerate(conv):
             if ci:
@@ -236,10 +247,11 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
         lJ = sum(E.l[k] for k in J)
         dim = 1
         for k in range(E.r):
+            # no argument is negative: no factor lies in the vanishing window
             if k in J:
-                dim *= cohomology.binom(-a[k] - 1, E.l[k])
+                dim *= math.comb(-a[k] - 1, E.l[k])
             else:
-                dim *= cohomology.binom(a[k] + E.l[k], E.l[k])
+                dim *= math.comb(a[k] + E.l[k], E.l[k])
         if profile.degree != lJ or profile.dimension != dim:
             return _instance(E, a=a, reason="degree law violated", expected=[lJ, dim])
     dual = tuple(-ak - lk - 1 for ak, lk in zip(a, E.l))
@@ -377,13 +389,25 @@ def _pure(term: tate.TateTerm, degree: int) -> bool:
     return all(i == degree for i, _ in term.entries)
 
 
+def _tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> tate.TateTerm:
+    """Column p of the Tate resolution, on its own: dim H^i(O(m + (p-i)d))
+    for each i in 0..n.  It calls ``cohomology._kunneth``, not the
+    ``tate._kunneth`` that ``tate_window`` calls, so a fault there shows."""
+    entries = []
+    for i in range(E.n + 1):
+        found = cohomology._kunneth(E.l, (mk + (p - i) * dk for mk, dk in zip(m, E.d)))
+        if found is not None and found[0] == i:
+            entries.append((i, found[1]))
+    return tate.TateTerm(p, tuple(entries))
+
+
 def _window_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
-    """Every column of the padded window equals the one ``tate_term``
+    """Every column of the padded window equals the one ``_tate_term``
     builds on its own, and is pure exactly from the endpoints outward."""
     window = tate.tate_window(E, m, pad=3)
     n = E.n
     for t in window.terms:
-        if t != tate.tate_term(E, m, t.p):
+        if t != _tate_term(E, m, t.p):
             return _instance(E, m=m, p=t.p, reason="window column differs from tate_term")
         if _pure(t, 0) != (t.p >= window.p_plus) or _pure(t, n) != (t.p <= window.p_minus):
             return _instance(E, m=m, p=t.p, reason="purity does not match endpoint")
@@ -391,7 +415,7 @@ def _window_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
 
 
 def _window_structure(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | None]:
-    # the tate_term replay costs a full cohomology sweep per column, hence
+    # the _tate_term replay costs a full cohomology sweep per column, hence
     # the small box
     return (_window_failure(E, m) for m in itertools.product(range(-4, 5), repeat=E.r))
 

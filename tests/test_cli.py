@@ -11,12 +11,13 @@ from svreg import cli
 from svreg import regularity, tate, verify
 
 
-# a library function each subcommand calls, and an invocation that calls it
+# a library function each subcommand calls, and an invocation that calls it;
+# member calls the function regular does, and goes by its command
 LIBRARY_CALLS = [
     ("product_cohomology", ["cohomology", "--l=1,1", "--a=0,0"]),
     ("is_regular_formula", ["regular", "--l=1,1", "--d=1,1", "--m=0,0", "--p=0,0"]),
     ("is_regular_oracle", ["oracle", "--l=1,1", "--d=1,1", "--m=0,0", "--p=0,0"]),
-    ("in_regularity_set", ["member", "--l=1,1", "--d=1,1", "--m=0,0", "--p=0,0"]),
+    ("is_regular_formula", ["member", "--l=1,1", "--d=1,1", "--m=0,0", "--p=0,0"]),
     ("regularity_corners", ["regset", "--l=1,1", "--d=1,1", "--m=0,0"]),
     ("cm_regularity", ["reg", "--l=1,1", "--d=1,1", "--m=0,0"]),
     ("segre_regularity", ["segre2", "--dims=2,3", "--twist=0,0"]),
@@ -301,7 +302,9 @@ class TestMain:
             documents.append(document)
         assert documents[0] == documents[1]
 
-    @pytest.mark.parametrize("name, argv", LIBRARY_CALLS, ids=[name for name, _ in LIBRARY_CALLS])
+    @pytest.mark.parametrize(
+        "name, argv", LIBRARY_CALLS, ids=["member" if argv[0] == "member" else name for name, argv in LIBRARY_CALLS]
+    )
     def test_internal_error_exit_three(self, capsys, monkeypatch, name, argv):
         # each subcommand calls its library function through the cli module
         # when it runs, so the function patched there is the one that raises
@@ -346,18 +349,21 @@ class TestMain:
         assert err.endswith(f" factor steps, over the limit of {tate._MAX_WORK}\n")
 
     def test_tate_work_limit_is_inclusive(self, capsys, kunneth_calls):
-        # on P^19, m = 0 has p+ - p- = 1: 2 + 2 pad columns of 20 steps each
+        # on (P^1)^64, m = 0 has p+ - p- = 64: 65 + 2 pad columns and 64
+        # more twists, 64 factor steps each; far under the other limits
         limit = tate._MAX_WORK
-        pad = limit // 40 - 1
-        doc, _ = cli.run(cli.parse_args(["tate", "--l=19", "--d=1", "--m=0", f"--pad={pad}"]))
-        assert len(doc.result["terms"]) == 2 + 2 * pad
+        pad = (limit // 64 - 129) // 2
+        ones, zeros = ",".join(["1"] * 64), ",".join(["0"] * 64)
+        flags = ["tate", f"--l={ones}", f"--d={ones}", f"--m={zeros}"]
+        doc, _ = cli.run(cli.parse_args([*flags, f"--pad={pad}"]))
+        assert (len(doc.result["terms"]) + 64) * 64 == limit
         kunneth_calls.clear()
-        code, out, err = run_cli(["tate", "--l=19", "--d=1", "--m=0", f"--pad={pad + 1}"], capsys)
+        code, out, err = run_cli([*flags, f"--pad={pad + 1}"], capsys)
         assert (code, out, kunneth_calls) == (1, "", [])
-        assert err == f"svreg: error: the window takes {limit + 40} factor steps, over the limit of {limit}\n"
+        assert err == f"svreg: error: the window takes {limit + 128} factor steps, over the limit of {limit}\n"
 
     def test_tate_digits_over_limit_exit_one(self, capsys):
-        # 1,008 columns and 998,928 factor steps, both under their limits,
+        # 1,008 columns and 1,998 factor steps, both under their limits,
         # but 37 MB of digits in the ranks
         started = time.perf_counter()
         code, out, err = run_cli(["tate", "--l=990", f"--d={2**63 - 1}", "--m=0", "--pad=8"], capsys)

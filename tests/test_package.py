@@ -1,4 +1,6 @@
-"""What importing svreg loads, and the names it resolves on first use."""
+"""What importing svreg loads, the names it resolves on first use, and the
+one route per library call."""
+import ast
 import os
 import subprocess
 import sys
@@ -50,3 +52,42 @@ def test_every_library_cache_is_bounded():
     memos = {"svreg.regularity._regularity", "svreg.regularity._oracle_scan"}
     assert memos <= set(caches)
     assert [name for name, maxsize in caches.items() if maxsize is None] == []
+
+
+def test_second_routes_are_not_exported():
+    removed = ("in_regularity_set", "tate_term", "factor_cohomology", "binom")
+    assert [name for name in removed if hasattr(svreg, name)] == []
+
+
+def names_in(tree):
+    """Every name a module reads, imports or reaches as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_public_function_has_a_caller_outside_verify():
+    # a second route that only verify replays the library against belongs
+    # in verify: each public function of the library is named in the CLI or
+    # in another library module
+    library = ("cohomology", "regularity", "tate")
+    trees = {}
+    for module in (*library, "cli"):
+        with open(os.path.join(SRC, "svreg", f"{module}.py")) as f:
+            trees[module] = ast.parse(f.read())
+    named = {module: names_in(tree) for module, tree in trees.items()}
+    uncalled = [
+        f"{module}.{node.name}"
+        for module in library
+        for node in trees[module].body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and not any(node.name in named[other] for other in trees if other != module)
+    ]
+    assert uncalled == []

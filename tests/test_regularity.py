@@ -12,7 +12,6 @@ from svreg.regularity import (
     cm_regularity,
     cm_regularity_breakdown,
     ideal_sheaf_bound,
-    in_regularity_set,
     is_regular_formula,
     is_regular_oracle,
     regularity_corners,
@@ -128,21 +127,24 @@ class TestRegularityCorners:
 
 
 class TestInRegularitySet:
+    # membership, as ``svreg member`` reports it, is the closed-form test
+
     def test_dominating_point(self):
-        assert in_regularity_set(P1P1, (0, 0), (1, 1))
+        assert is_regular_formula(P1P1, (0, 0), (1, 1))
 
     def test_origin_outside(self):
-        assert not in_regularity_set(P1P1, (0, 0), (0, 0))
+        assert not is_regular_formula(P1P1, (0, 0), (0, 0))
 
     def test_corner_itself(self):
-        assert in_regularity_set(P1P1, (0, 0), (0, 1))
+        assert is_regular_formula(P1P1, (0, 0), (0, 1))
 
     def test_matches_formula_on_grid(self):
+        # Proposition regset: the set is the union of the corners' orthants
         E = SegreVeronese((2, 1), (1, 2))
-        for p0 in range(-4, 5):
-            for p1 in range(-4, 5):
-                p = (p0, p1)
-                assert in_regularity_set(E, (1, -2), p) == is_regular_formula(E, (1, -2), p)
+        corners = [c.corner for c in regularity_corners(E, (1, -2))]
+        for p in itertools.product(range(-4, 5), repeat=2):
+            dominated = any(all(x >= y for x, y in zip(p, c)) for c in corners)
+            assert dominated == is_regular_formula(E, (1, -2), p)
 
 
 class TestCmRegularity:

@@ -11,13 +11,11 @@ from svreg.tate import (
     dual_twist,
     p_minus,
     p_plus,
-    tate_term,
     tate_window,
 )
-from svreg.verify import _p_minus_ceiling
+from svreg.verify import _p_minus_ceiling, _tate_term
 
 P1P1 = SegreVeronese((1, 1), (1, 1))
-P19 = SegreVeronese((19,), (1,))
 
 
 class TestDualTwist:
@@ -75,16 +73,17 @@ class TestEndpoints:
 
 
 class TestTateTerm:
+    # the column-by-column route that verify replays windows against
     def test_middle_column(self):
-        term = tate_term(P1P1, (0, 0), 0)
+        term = _tate_term(P1P1, (0, 0), 0)
         assert term.entries == ((0, 1), (2, 1))
 
     def test_column_above_window(self):
-        term = tate_term(P1P1, (0, 0), 2)
+        term = _tate_term(P1P1, (0, 0), 2)
         assert term.entries == ((0, 9),)
 
     def test_column_below_window(self):
-        term = tate_term(P1P1, (0, 0), -2)
+        term = _tate_term(P1P1, (0, 0), -2)
         assert term.entries == ((2, 9),)
 
     def test_matches_per_twist_route(self):
@@ -104,7 +103,7 @@ class TestTateTerm:
                     E = SegreVeronese(l, d)
                     for m in itertools.product(range(-3, 4), repeat=r):
                         for p in range(p_minus(E, m) - 2, p_plus(E, m) + 3):
-                            term = tate_term(E, m, p)
+                            term = _tate_term(E, m, p)
                             assert term.p == p
                             assert list(term.entries) == reference(E, m, p)
 
@@ -176,13 +175,16 @@ class TestWindowLimits:
         assert kunneth_calls == []
 
     def test_work_limit_is_inclusive(self, kunneth_calls):
-        # on P^19, m = 0 has p+ - p- = 1: 2 + 2 pad columns of 20 steps each
+        # on (P^1)^64, m = 0 has p+ - p- = 64: 65 + 2 pad columns, built
+        # from columns + n Kunneth calls of r = 64 factor steps each
+        E = SegreVeronese((1,) * 64, (1,) * 64)
         limit = tate._MAX_WORK
-        pad = limit // 40 - 1
-        assert len(tate_window(P19, (0,), pad).terms) == 2 + 2 * pad
+        pad = (limit // 64 - 129) // 2
+        assert (len(tate_window(E, (0,) * 64, pad).terms) + 64) * 64 == limit
+        assert len(kunneth_calls) * 64 == limit
         kunneth_calls.clear()
-        with pytest.raises(ValueError, match=f"^the window takes {limit + 40} factor steps, over the limit of {limit}$"):
-            tate_window(P19, (0,), pad + 1)
+        with pytest.raises(ValueError, match=f"^the window takes {limit + 128} factor steps, over the limit of {limit}$"):
+            tate_window(E, (0,) * 64, pad + 1)
         assert kunneth_calls == []
 
     def test_digits_limit_is_inclusive(self, kunneth_calls, monkeypatch):

@@ -317,6 +317,22 @@ def test_dead_worker_is_an_error(monkeypatch):
         run_on(2, monkeypatch, SMALL, ["formula-vs-oracle"])
 
 
+def test_window_replay_does_not_share_the_windows_route(monkeypatch):
+    # the replay builds its columns through cohomology._kunneth, so a rank
+    # fault planted in the _kunneth that tate_window reads fails every window
+    real = tate._kunneth
+
+    def one_more(l, a):
+        found = real(l, a)
+        return found and (found[0], found[1] + 1)
+
+    monkeypatch.setattr(tate, "_kunneth", one_more)
+    config = verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=0)
+    (result,) = run_on(1, monkeypatch, config, ["tate-window"])
+    assert result.failures == result.instances == 90
+    assert result.counterexample["reason"] == "window column differs from tate_term"
+
+
 def test_p_minus_disagreement_is_a_counterexample(monkeypatch):
     real = tate.p_minus
     monkeypatch.setattr(tate, "p_minus", lambda E, m: real(E, m) + 1)
