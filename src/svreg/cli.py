@@ -120,10 +120,7 @@ def _two(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _check_names(text: str, flag: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        raise ValueError(f"{flag} needs at least one check name")
-    return names
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _embedding(ns: argparse.Namespace) -> SegreVeronese:

@@ -17,12 +17,14 @@ from .regularity import cm_regularity
 
 # Limits of one window; times are ``svreg tate`` in JSON on one 2-vCPU Xeon core.
 _MAX_COLUMNS = 100_000  # a column peaks at 0.8 KB of memory in JSON, 1 KB as a table
-# factor steps, exactly (columns + n) * r; 999,150 on (P^5)^150, d = 3: 1.6-1.9 s
+# factor steps, exactly (columns + n) * r; 999,150 on (P^5)^150, d = 3: 1.6-2.1 s
 _MAX_WORK = 1_000_000
-# digits of the ranks: 1.2M for 100,000 columns on P^1 x P^1 (1.2 s), 4.75M
-# for 50,000 on P^19, 10.0M for 9,900 on P^100 with d = 10^6; 43.5M for
-# 1,008 on P^990 with d = 2^63 - 1
-_MAX_DIGITS = 2 * 10**7
+# squared digits of the ranks, (columns + n) D^2 with D the digits of the
+# longest: building and printing a rank takes time quadratic in its digits.
+# 6.0e10 on (P^5)^150 above (2.1 s) and for 99,999 columns on P^43 with
+# d = 10^13 (4.4 s, 336 MB); 4.0e10 for 9,900 on P^100 with d = 2 * 10^15
+# (1.8 s); 2.86e11 for 748 on P^650 with d = 2^63 - 1 (6.3 s), refused
+_MAX_DIGIT_WORK = 6 * 10**10
 
 
 class TateTerm(NamedTuple):
@@ -89,8 +91,11 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
 
     Before it builds any column, it refuses with ValueError a negative pad
     and a window over ``_MAX_COLUMNS`` columns, ``_MAX_WORK`` factor steps
-    or ``_MAX_DIGITS`` digits of the ranks: products of binomials
-    C(|a_k| + l_k, l_k) <= (|a_k| + l_k)^l_k, |a_k| <= |m_k| + |q| d_k at twist q.
+    or ``_MAX_DIGIT_WORK`` squared digits of the ranks: a rank is a product
+    of binomials C(|a_k| + l_k, l_k) <= (|a_k| + l_k)^l_k, with
+    |a_k| <= |m_k| + |q| d_k at twist q, so it has at most
+    D = sum_k l_k digits(|m_k| + |q| d_k + l_k) digits, and the window's
+    are bounded by (columns + n) D^2 at the q farthest from 0.
     """
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
@@ -105,9 +110,9 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     if steps > _MAX_WORK:
         raise ValueError(f"the window takes {steps} factor steps, over the limit of {_MAX_WORK}")
     far = max(abs(last), abs(first - n))
-    digits = (columns + n) * sum(lk * _digits(abs(mk) + far * dk + lk) for mk, lk, dk in zip(m, l, d))
-    if digits > _MAX_DIGITS:
-        raise ValueError(f"the window's ranks take up to {digits} digits, over the limit of {_MAX_DIGITS}")
+    squared = (columns + n) * sum(lk * _digits(abs(mk) + far * dk + lk) for mk, lk, dk in zip(m, l, d)) ** 2
+    if squared > _MAX_DIGIT_WORK:
+        raise ValueError(f"the window's ranks take up to {squared} squared digits, over the limit of {_MAX_DIGIT_WORK}")
     summands: list[list[tuple[int, int]]] = [[] for _ in range(columns)]
     for q in range(last, first - n - 1, -1):
         found = _kunneth(l, (mk + q * dk for mk, dk in zip(m, d)))

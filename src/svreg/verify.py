@@ -38,7 +38,9 @@ from .cohomology import SegreVeronese
 R3_SLICE = 1000  # seeded r=3 samples per shard
 SUBSET_R = range(4, 13)  # factor counts of the sorted-vs-subsets samples
 SUBSET_SAMPLES = 20  # sorted-vs-subsets samples per factor count
-MAX_INSTANCES = 10**8  # about 6x the 16,941,628 of the reference grid, weighted as in run_checks
+# the most a run may weigh, in pair instances of 2.3 us (see CHECKS): about
+# 230 CPU-s, 5.2x the 19,307,908 of the reference grid
+MAX_INSTANCES = 10**8
 # largest lmax and dmax, which set the cost of one instance: the reference
 # grid uses 3; the slowest tate-window instance took 1.3 ms at 8 and 23 ms
 # at 32 on one 2-vCPU Xeon core
@@ -108,6 +110,27 @@ def _samples(config: VerifyConfig, key: str, r: int, count: int) -> Iterator[tup
         m = tuple(rng.randint(lo, hi) for _ in range(r))
         p = tuple(rng.randint(lo, hi) for _ in range(r))
         yield SegreVeronese(l, d), m, p
+
+
+def _per_embedding(config: VerifyConfig, instances: int) -> int:
+    """Instances over every embedding with r in {1, 2}, ``instances ** r``
+    on each: one per embedding for 1, one per box point for the box width."""
+    return sum((config.lmax * config.dmax * instances) ** r for r in (1, 2))
+
+
+def _width(config: VerifyConfig) -> int:
+    lo, hi = config.box
+    return hi - lo + 1
+
+
+def _points(config: VerifyConfig) -> int:
+    """Instances of the point grid: each (E, m), and each r=3 sample."""
+    return _per_embedding(config, _width(config)) + config.r3_samples
+
+
+def _pairs(config: VerifyConfig) -> int:
+    """Instances of the pair grid: each (E, m, p), and each r=3 sample."""
+    return _per_embedding(config, _width(config) ** 2) + config.r3_samples
 
 
 def _grid(config: VerifyConfig) -> list[SegreVeronese | range]:
@@ -378,6 +401,12 @@ def _tate_closed_forms(config: VerifyConfig) -> Iterator[dict | None]:
                 yield None if length == expected else _instance(E, m=m, length=length, expected=expected)
 
 
+def _tate_closed_form_count(config: VerifyConfig) -> int:
+    # per l: 13 constant twists for each r in 1..3, the multisets of r
+    # entries in -6..6, and 9 values of M for r in (2, 3)
+    return config.lmax * (3 * 13 + sum(math.comb(12 + r, r) for r in (1, 2, 3)) + 2 * 9)
+
+
 def _tate_endpoints(config: VerifyConfig, unit: SegreVeronese | range | None) -> Iterator[dict | None]:
     if unit is None:
         return _tate_closed_forms(config)
@@ -474,61 +503,100 @@ def _pooled(tasks: list) -> list[list[CheckResult]]:
 
 class _Check(NamedTuple):
     """A check: ``routine(config, unit)`` on each unit of ``units(config)``,
-    one shard each, in iteration order, and what the check replays.  The
-    pair checks share the routine ``_walk_pairs``, and with it one walk."""
+    one shard each, in iteration order; the ``count(config)`` instances
+    that walk has, in closed form; the ``weight(config)`` of one of them,
+    its cost in pair instances; and what the check replays.  The pair
+    checks share the routine ``_walk_pairs``, and with it one walk."""
 
     routine: Callable
     units: Callable[[VerifyConfig], Iterable]
+    count: Callable[[VerifyConfig], int]
+    weight: Callable[[VerifyConfig], int]
     description: str
 
 
+# A weight is the mean cost of one instance of the check, in pair instances:
+# one formula-vs-oracle pair of the reference grid took 2.3 us.  The costs
+# quoted are CPU time per instance of the check run alone in one process,
+# on one core of a 2-vCPU Xeon VM, at the reference grid unless stated.
 CHECKS: dict[str, _Check] = {
     "cohomology": _Check(
         _cohomology,
         lambda config: [l for r in (1, 2, 3) for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
+        lambda config: sum((config.lmax * _width(config)) ** r for r in (1, 2, 3)),
+        # its convolution and duality loops run over up to n + 1 <= 3 lmax + 1
+        # degrees: 26 us at lmax 3 (weight 12), 19 us at 1 and 29 us at 8
+        lambda config: 3 * config.lmax + 3,
         "Concentration, Serre duality and the Euler characteristic, replayed "
         "against a full Kunneth convolution, exhaustively for r up to 3.",
     ),
     "formula-vs-oracle": _Check(
         _walk_pairs,
         _grid,
+        _pairs,
+        lambda config: 1,  # 2.3-2.6 us; 5.5 us at lmax = dmax = 8 on the box -1..1
         "The closed-form regularity test must agree with the cohomology scan on every grid point.",
     ),
     "corner-membership": _Check(
         _walk_pairs,
         _grid,
+        _pairs,
+        lambda config: 1,  # 2.2 us; 3.6 us at lmax = dmax = 8 on the box -1..1
         "Domination of a corner of regularity_corners must agree with the closed-form test everywhere.",
     ),
     "sorted-vs-subsets": _Check(
         _sorted_vs_subsets,
         lambda config: SUBSET_R,
+        lambda config: len(SUBSET_R) * SUBSET_SAMPLES,
+        lambda config: 700,  # 1.5-1.6 ms: up to 2^12 - 1 subsets each
         "cm_regularity and is_regular_formula must agree with the max and the "
         "test over all 2^r - 1 subsets, on seeded samples with r from 4 to 12.",
     ),
     "minimal-twist": _Check(
-        _minimal_twist, _grid, "cm_regularity must equal the least q with q*d in the regularity set."
+        _minimal_twist,
+        _grid,
+        _points,
+        # the 2 bound + 4 oracle calls its scan may make, bound = n +
+        # max(|m_k| + l_k) + 2 <= 4 lmax + max(|lo|, |hi|) + 2 since
+        # n <= 3 lmax: 117 us at the reference's weight 48
+        lambda config: 2 * (4 * config.lmax + max(map(abs, config.box)) + 2) + 4,
+        "cm_regularity must equal the least q with q*d in the regularity set.",
     ),
     "segre-r2": _Check(
-        _segre_closed_form, lambda config: [None], "The two-factor Segre closed form must match cm_regularity."
+        _segre_closed_form,
+        lambda config: [None],
+        lambda config: 3 * 3 * 11 * 11,
+        lambda config: 3,  # 4.7 us
+        "The two-factor Segre closed form must match cm_regularity.",
     ),
     "ideal-bound": _Check(
         _ideal_sheaf_bound,
         lambda config: [None],
+        lambda config: _per_embedding(config, 1) + 1,
+        lambda config: 7,  # 12-16 us
         "lambda - 1 must bound reg of the structure sheaf of the image from "
         "above, strictly so at l=(1,2), d=(1,1).",
     ),
     "subadditivity": _Check(
-        _subadditivity, _embeddings, "reg(m) + reg(m2) >= reg(m + m2) on seeded random pairs."
+        _subadditivity,
+        _embeddings,
+        lambda config: _per_embedding(config, 1) * config.subadd_pairs,
+        lambda config: 7,  # 10-15 us
+        "reg(m) + reg(m2) >= reg(m + m2) on seeded random pairs.",
     ),
     "pair-subadditivity": _Check(
         _pair_subadditivity,
         _embeddings,
+        lambda config: _per_embedding(config, 1) * config.pair_samples,
+        lambda config: 16,  # 25-36 us
         "For seeded random pairs satisfying the hypotheses (built from corner "
         "points, so regularity is guaranteed), the sum pair must be regular.",
     ),
     "tate-endpoints": _Check(
         _tate_endpoints,
         lambda config: [None, *_grid(config)],
+        lambda config: _tate_closed_form_count(config) + _points(config),
+        lambda config: 22,  # 33-46 us; 50 us an r=3 sample
         "Window length closed forms, the balanced special case, and the "
         "duality p_minus(m) = -p_plus(dual twist of m), replayed against the "
         "direct ceiling form of p_minus.",
@@ -536,6 +604,11 @@ CHECKS: dict[str, _Check] = {
     "tate-window": _Check(
         _window_structure,
         _embeddings,
+        lambda config: _per_embedding(config, 9),
+        # a window's columns and their Kunneth calls grow with l and d:
+        # 148 us at lmax = dmax = 1, 196 at 3, 248 at 4, 180 at lmax 1 and
+        # dmax 8, 354 at lmax 8 and dmax 1, 463 at lmax 8 and dmax 4
+        lambda config: 50 + config.lmax * (15 + config.dmax),
         "Column purity must characterize both endpoints exactly: pure H^0 iff "
         "p >= p_plus, pure H^n iff p <= p_minus, across a padded window.",
     ),
@@ -545,28 +618,7 @@ CHECKS: dict[str, _Check] = {
 def instance_counts(config: VerifyConfig) -> dict[str, int]:
     """The number of instances each check runs on ``config``, in closed
     form: nothing is enumerated, so a grid of any size is sized at once."""
-    lo, hi = config.box
-    box = hi - lo + 1
-    embeddings = {r: (config.lmax * config.dmax) ** r for r in (1, 2)}
-    n_embeddings = sum(embeddings.values())
-    pairs = sum(e * box ** (2 * r) for r, e in embeddings.items()) + config.r3_samples
-    points = sum(e * box**r for r, e in embeddings.items()) + config.r3_samples
-    # _tate_closed_forms, per l: 13 constant twists for each r in 1..3, the
-    # multisets of r entries in -6..6, and 9 values of M for r in (2, 3)
-    closed_forms = config.lmax * (3 * 13 + sum(math.comb(12 + r, r) for r in (1, 2, 3)) + 2 * 9)
-    return {
-        "cohomology": sum((config.lmax * box) ** r for r in (1, 2, 3)),
-        "formula-vs-oracle": pairs,
-        "corner-membership": pairs,
-        "sorted-vs-subsets": len(SUBSET_R) * SUBSET_SAMPLES,
-        "minimal-twist": points,
-        "segre-r2": 3 * 3 * 11 * 11,
-        "ideal-bound": n_embeddings + 1,
-        "subadditivity": n_embeddings * config.subadd_pairs,
-        "pair-subadditivity": n_embeddings * config.pair_samples,
-        "tate-endpoints": closed_forms + points,
-        "tate-window": sum(e * 9**r for r, e in embeddings.items()),
-    }
+    return {name: check.count(config) for name, check in CHECKS.items()}
 
 
 def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list[CheckResult]:
@@ -576,18 +628,16 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     The shards of every check named run on one pool, of one worker process
     per available CPU and at most one per shard; with a single CPU they run
     in this process.  The named pair checks share one walk.  Before any grid
-    is built, a repeated check name is refused, and so is a config with
-    lmax or dmax outside 1..MAX_FACTOR_BOUND, an inverted box or a negative
-    sample count, and a run of more than ``MAX_INSTANCES`` instances.
-    There a minimal-twist point counts as the 2 * bound + 4 oracle calls its
-    scan may make, bound = n + max(|m_k| + l_k) + 2 at most
-    4 * lmax + max(|lo|, |hi|) + 2 since n <= 3 * lmax.  A cohomology
-    instance counts as 3 * lmax + 3: its convolution and duality loops run
-    over up to n + 1 <= 3 * lmax + 1 degrees, and at lmax = 3 one took
-    25-31 us, about 12 times a pair instance."""
+    is built, an empty list of names and a repeated name are refused, and
+    so is a config with lmax or dmax outside 1..MAX_FACTOR_BOUND, an
+    inverted box or a negative sample count, and a run that weighs more
+    than ``MAX_INSTANCES``: the sum of ``count * weight`` over the checks
+    named, each read from its ``CHECKS`` entry."""
     if names is None:
         selected = list(CHECKS)
     else:
+        if not names:
+            raise ValueError(f"no checks named; available: {', '.join(CHECKS)}")
         unknown = [n for n in names if n not in CHECKS]
         if unknown:
             raise ValueError(
@@ -607,10 +657,7 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     for field in ("r3_samples", "subadd_pairs", "pair_samples"):
         if getattr(config, field) < 0:
             raise ValueError(f"{field} must be >= 0, got {getattr(config, field)}")
-    counts = instance_counts(config)
-    counts["minimal-twist"] *= 2 * (4 * config.lmax + max(abs(lo), abs(hi)) + 2) + 4
-    counts["cohomology"] *= 3 * config.lmax + 3
-    total = sum(counts[name] for name in selected)
+    total = sum(CHECKS[name].count(config) * CHECKS[name].weight(config) for name in selected)
     if total > MAX_INSTANCES:
         raise ValueError(f"the run has {total} instances, over the limit of {MAX_INSTANCES}")
     walks: dict[Callable, list[str]] = {}  # routine -> the checks that share its walk

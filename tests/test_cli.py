@@ -369,14 +369,28 @@ class TestMain:
         code, out, err = run_cli(["tate", "--l=990", f"--d={2**63 - 1}", "--m=0", "--pad=8"], capsys)
         assert time.perf_counter() - started < 1
         assert (code, out) == (1, "")
-        assert err == f"svreg: error: the window's ranks take up to 43516440 digits, over the limit of {tate._MAX_DIGITS}\n"
+        assert err == f"svreg: error: the window's ranks take up to 947788063200 squared digits, over the limit of {tate._MAX_DIGIT_WORK}\n"
+
+    @pytest.mark.parametrize("l", [[650], [1] * 650, [65] * 10], ids=["P650", "P1^650", "P65^10"])
+    def test_tate_few_long_ranks_refused_at_once(self, capsys, l):
+        # 748 columns of ranks up to 14,300 digits long: 2 * 10^7 digits in
+        # all, but building and printing them took 5.5 to 8.1 s on one core
+        r = len(l)
+        argv = ["tate", f"--l={','.join(map(str, l))}", f"--d={','.join([str(2**63 - 1)] * r)}", f"--m={','.join(['0'] * r)}", "--pad=48"]
+        started = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err == f"svreg: error: the window's ranks take up to 285877020000 squared digits, over the limit of {tate._MAX_DIGIT_WORK}\n"
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["--l=1,1", "--d=1,1", "--m=0,99999", "--pad=0"],  # 100,000 columns
             ["--l=19", "--d=1", "--m=0", "--pad=24999"],  # 50,000 columns
-            ["--l=100", "--d=1000000", "--m=0", "--pad=4899"],  # 9,900 columns, bound at 10^7 digits
+            ["--l=100", "--d=1000000", "--m=0", "--pad=4899"],  # 9,900 columns, bound at 10^10
+            # 5,911 columns at the step limit, bound at 5.995 * 10^10
+            [f"--l={','.join(['5'] * 150)}", f"--d={','.join(['3'] * 150)}", f"--m={','.join(['0'] * 150)}", "--pad=2580"],
         ],
     )
     def test_tate_digits_limit_admits_the_largest_windows(self, kunneth_calls, argv):
@@ -445,7 +459,7 @@ class TestMain:
     def test_verify_empty_check_list_exit_one(self, capsys, checks):
         code, out, err = run_cli(["verify", checks, "--format=json"], capsys)
         assert (code, out) == (1, "")
-        assert err == "svreg: error: --checks needs at least one check name\n"
+        assert err == f"svreg: error: no checks named; available: {', '.join(verify.CHECKS)}\n"
 
     def test_verify_grid_over_limit_exit_one(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "_pooled", refuse_to_start)
@@ -472,6 +486,25 @@ class TestMain:
         monkeypatch.setattr(verify, "_pooled", started)
         code, _, _ = run_cli(["verify", "--lmax=8", "--dmax=8", "--box=0,0", "--checks=tate-window"], capsys)
         assert (code, ran) == (0, [[("tate-window", 8, 8)]])
+
+    @pytest.mark.parametrize(
+        "flags, config, name",
+        [
+            # about 4,500, 1,350 and 2,250 CPU-s at 46, 15 and 25 us an instance
+            (["--checks=tate-endpoints", "--r3-samples=99000000"], dict(r3_samples=99_000_000), "tate-endpoints"),
+            (["--subadd-pairs=1000000", "--checks=subadditivity"], dict(subadd_pairs=1_000_000), "subadditivity"),
+            (["--pair-samples=1000000", "--checks=pair-subadditivity"], dict(pair_samples=1_000_000), "pair-subadditivity"),
+        ],
+    )
+    def test_verify_long_runs_refused_at_once(self, capsys, monkeypatch, flags, config, name):
+        monkeypatch.setattr(verify, "_pooled", refuse_to_start)
+        started = time.perf_counter()
+        code, out, err = run_cli(["verify", *flags], capsys)
+        assert time.perf_counter() - started < 1
+        config = verify.VerifyConfig(**config)
+        price = verify.CHECKS[name].count(config) * verify.CHECKS[name].weight(config)
+        assert (code, out) == (1, "")
+        assert err == f"svreg: error: the run has {price} instances, over the limit of {verify.MAX_INSTANCES}\n"
 
     @pytest.mark.parametrize(
         "flags",

@@ -1,6 +1,7 @@
-"""What importing svreg loads, the names it resolves on first use, and the
-one route per library call."""
+"""What importing svreg loads, the names it resolves on first use, the
+one route per library call, and the limits README quotes."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -91,3 +92,35 @@ def test_every_public_function_has_a_caller_outside_verify():
         and not any(node.name in named[other] for other in trees if other != module)
     ]
     assert uncalled == []
+
+
+def written(value):
+    """A limit as README writes it: a * 10^k from 10^7 up, else with
+    thousands separators."""
+    k = len(str(value)) - 1
+    if value >= 10**7 and value % 10**k == 0:
+        lead = value // 10**k
+        return f"10^{k}" if lead == 1 else f"{lead} * 10^{k}"
+    return f"{value:,}"
+
+
+# each limit constant and the README phrase that quotes its value
+LIMITS = [
+    ("verify", "MAX_INSTANCES", "a run of more than {} weighted instances"),
+    ("verify", "MAX_FACTOR_BOUND", "`dmax` outside 1..{}"),
+    ("tate", "_MAX_COLUMNS", "a window of more than {} columns"),
+    ("tate", "_MAX_WORK", "a window of more than {} factor steps"),
+    ("tate", "_MAX_DIGIT_WORK", "may take more than {} squared digits"),
+    ("cli", "_MAX_DIMENSION", "dimension `n = sum(l)` above {}"),
+    ("regularity", "_MAX_CORNER_FACTORS", "`regset` refuses `r > {}`"),
+    ("regularity", "_MAX_BREAKDOWN_FACTORS", "`reg --explain` refuses `r > {}`"),
+]
+
+
+@pytest.mark.parametrize("module, name, phrase", LIMITS, ids=[name for _, name, _ in LIMITS])
+def test_readme_quotes_every_limit(module, name, phrase):
+    # a limit changed without its documentation fails here
+    value = getattr(importlib.import_module(f"svreg.{module}"), name)
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
+        readme = " ".join(f.read().split())
+    assert phrase.format(written(value)) in readme

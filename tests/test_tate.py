@@ -187,17 +187,19 @@ class TestWindowLimits:
             tate_window(E, (0,) * 64, pad + 1)
         assert kunneth_calls == []
 
-    def test_digits_limit_is_inclusive(self, kunneth_calls, monkeypatch):
-        # 9,900 columns on P^100 with d = 2 * 10^15: the twist farthest
-        # from 0 is q = 5,000 and |q| d + 100 has 20 digits, so the bound
-        # is (9,900 + 100) * 100 * 20 digits, exactly the limit
-        E = SegreVeronese((100,), (2 * 10**15,))
-        assert tate._MAX_DIGITS == 20_000_000
-        assert len(tate_window(E, (0,), 4899).terms) == 9_900
+    def test_digits_limit_is_inclusive(self, kunneth_calls):
+        # 59,900 columns on P^100 with d = 300,000: the twist farthest from
+        # 0 is q = -30,000 and |q| d + 100 has 10 digits, so a rank has at
+        # most D = 100 * 10 digits and the bound is (59,900 + 100) * D^2,
+        # exactly the limit
+        E = SegreVeronese((100,), (300_000,))
+        limit = tate._MAX_DIGIT_WORK
+        assert limit == 6 * 10**10
+        assert len(tate_window(E, (0,), 29_899).terms) == 59_900
         kunneth_calls.clear()
-        monkeypatch.setattr(tate, "_MAX_DIGITS", 19_999_999)
-        with pytest.raises(ValueError, match="^the window's ranks take up to 20000000 digits, over the limit of 19999999$"):
-            tate_window(E, (0,), 4899)
+        # one more column on each side: q = -30,001, still 10 digits
+        with pytest.raises(ValueError, match=f"^the window's ranks take up to 60002000000 squared digits, over the limit of {limit}$"):
+            tate_window(E, (0,), 29_900)
         assert kunneth_calls == []
 
     def test_library_window_is_refused_before_allocation(self, kunneth_calls):

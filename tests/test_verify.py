@@ -141,14 +141,31 @@ def test_report_follows_the_order_named(monkeypatch):
     assert summary(results) == [summary(run_on(1, monkeypatch, SMALL, [name]))[0] for name in names]
 
 
-def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_each_check_is_priced_by_its_count_and_weight(monkeypatch, name):
+    check = verify.CHECKS[name]
+    price = check.count(SMALL) * check.weight(SMALL)
     monkeypatch.setattr(verify, "_pooled", refuse_to_start)
-    monkeypatch.setattr(verify, "MAX_INSTANCES", 1088)  # segre-r2 has 1089
-    with pytest.raises(ValueError, match="the run has 1089 instances, over the limit of 1088"):
-        verify.run_checks(SMALL, ["segre-r2"])
-    monkeypatch.setattr(verify, "MAX_INSTANCES", 1089)
-    with pytest.raises(AssertionError, match="segre-r2 started"):
-        verify.run_checks(SMALL, ["segre-r2"])
+    monkeypatch.setattr(verify, "MAX_INSTANCES", price - 1)
+    with pytest.raises(ValueError, match=f"^the run has {price} instances, over the limit of {price - 1}$"):
+        verify.run_checks(SMALL, [name])
+    monkeypatch.setattr(verify, "MAX_INSTANCES", price)
+    with pytest.raises(AssertionError, match=f"^{name} started$"):
+        verify.run_checks(SMALL, [name])
+
+
+def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
+    # a run weighs the sum over the checks named, each priced by its entry
+    monkeypatch.setattr(verify, "_pooled", refuse_to_start)
+    names = ["segre-r2", "tate-window"]
+    price = 3 * 1089 + verify.CHECKS["tate-window"].count(SMALL) * verify.CHECKS["tate-window"].weight(SMALL)
+    monkeypatch.setattr(verify, "MAX_INSTANCES", price)
+    with pytest.raises(AssertionError, match="^segre-r2, tate-window started$"):
+        verify.run_checks(SMALL, names)
+    heavier = verify.CHECKS["segre-r2"]._replace(weight=lambda config: 4)
+    monkeypatch.setitem(verify.CHECKS, "segre-r2", heavier)
+    with pytest.raises(ValueError, match=f"^the run has {price + 1089} instances, over the limit of {price}$"):
+        verify.run_checks(SMALL, names)
 
 
 @pytest.mark.parametrize(
@@ -161,6 +178,7 @@ def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
         (verify.VerifyConfig(subadd_pairs=-1), None, "subadd_pairs must be >= 0, got -1"),
         (verify.VerifyConfig(pair_samples=-1), None, "pair_samples must be >= 0, got -1"),
         (SMALL, ["segre-r2", "cohomology", "segre-r2"], "checks named more than once: segre-r2"),
+        (SMALL, [], f"no checks named; available: {', '.join(verify.CHECKS)}"),
         # a check named alone is refused the same way
         *(
             (verify.VerifyConfig(lmax=0, r3_samples=0), [name], "lmax must be between 1 and 8, got 0")
@@ -179,6 +197,7 @@ def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
         "subadd-pairs",
         "pair-samples",
         "repeated-name",
+        "no-name",
         *(f"lmax-0-{name}" for name in verify.CHECKS),
         *(f"inverted-box-{name}" for name in verify.CHECKS),
     ],
