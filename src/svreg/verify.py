@@ -39,7 +39,7 @@ R3_SLICE = 1000  # seeded r=3 samples per shard
 SUBSET_R = range(4, 13)  # factor counts of the sorted-vs-subsets samples
 SUBSET_SAMPLES = 20  # sorted-vs-subsets samples per factor count
 # the most a run may weigh, in pair instances of 2.3 us (see CHECKS): about
-# 230 CPU-s, 5.2x the 19,307,908 of the reference grid
+# 230 CPU-s, 4.7x the 21,177,908 of the reference grid
 MAX_INSTANCES = 10**8
 # largest lmax and dmax, which set the cost of one instance: the reference
 # grid uses 3; the slowest tate-window instance took 1.3 ms at 8 and 23 ms
@@ -123,14 +123,10 @@ def _width(config: VerifyConfig) -> int:
     return hi - lo + 1
 
 
-def _points(config: VerifyConfig) -> int:
-    """Instances of the point grid: each (E, m), and each r=3 sample."""
-    return _per_embedding(config, _width(config)) + config.r3_samples
-
-
-def _pairs(config: VerifyConfig) -> int:
-    """Instances of the pair grid: each (E, m, p), and each r=3 sample."""
-    return _per_embedding(config, _width(config) ** 2) + config.r3_samples
+def _box(config: VerifyConfig, k: int) -> int:
+    """Box instances of the point grid for k = 1, each (E, m), and of the
+    pair grid for k = 2, each (E, m, p); the r=3 samples come on top."""
+    return _per_embedding(config, _width(config) ** k)
 
 
 def _grid(config: VerifyConfig) -> list[SegreVeronese | range]:
@@ -503,114 +499,102 @@ def _pooled(tasks: list) -> list[list[CheckResult]]:
 
 class _Check(NamedTuple):
     """A check: ``routine(config, unit)`` on each unit of ``units(config)``,
-    one shard each, in iteration order; the ``count(config)`` instances
-    that walk has, in closed form; the ``weight(config)`` of one of them,
-    its cost in pair instances; and what the check replays.  The pair
-    checks share the routine ``_walk_pairs``, and with it one walk."""
+    one shard each, in iteration order; and ``cost(config)``, one
+    ``(instances, weight)`` pair for each kind of instance that walk has:
+    how many, in closed form, and the cost of one, in pair instances.  The
+    pair checks share the routine ``_walk_pairs``, and with it one walk."""
 
     routine: Callable
     units: Callable[[VerifyConfig], Iterable]
-    count: Callable[[VerifyConfig], int]
-    weight: Callable[[VerifyConfig], int]
-    description: str
+    cost: Callable[[VerifyConfig], list[tuple[int, int]]]
 
 
-# A weight is the mean cost of one instance of the check, in pair instances:
-# one formula-vs-oracle pair of the reference grid took 2.3 us.  The costs
-# quoted are CPU time per instance of the check run alone in one process,
-# on one core of a 2-vCPU Xeon VM, at the reference grid unless stated.
+def _scan_weight(config: VerifyConfig) -> int:
+    """The 2 bound + 4 oracle calls the minimal-twist scan of a box point
+    may make, bound = n + max(|m_k| + l_k) + 2 <= 4 lmax + max(|lo|, |hi|)
+    + 2 since n <= 3 lmax: 117 us at the reference's weight 48."""
+    return 2 * (4 * config.lmax + max(map(abs, config.box)) + 2) + 4
+
+
+# A weight prices one kind of instance of a check, such as the box pairs or
+# the r=3 samples of a grid check: the mean cost of one, in pair instances,
+# one formula-vs-oracle pair of the reference grid taking 2.3 us.  The costs
+# quoted are CPU time per instance of the check run alone in one process, on
+# one core of a 2-vCPU Xeon VM, at the reference grid unless stated.  An r=3
+# sample's come from its shards alone, at lmax = dmax in 1, 3, 8 on the boxes
+# 0..0 and -8..8, in pairs timed alternately with them in the same process.
 CHECKS: dict[str, _Check] = {
+    # concentration, Serre duality and the Euler characteristic, replayed
+    # against a full Kunneth convolution, exhaustively for r up to 3
     "cohomology": _Check(
         _cohomology,
         lambda config: [l for r in (1, 2, 3) for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
-        lambda config: sum((config.lmax * _width(config)) ** r for r in (1, 2, 3)),
         # its convolution and duality loops run over up to n + 1 <= 3 lmax + 1
         # degrees: 26 us at lmax 3 (weight 12), 19 us at 1 and 29 us at 8
-        lambda config: 3 * config.lmax + 3,
-        "Concentration, Serre duality and the Euler characteristic, replayed "
-        "against a full Kunneth convolution, exhaustively for r up to 3.",
+        lambda config: [(sum((config.lmax * _width(config)) ** r for r in (1, 2, 3)), 3 * config.lmax + 3)],
     ),
     "formula-vs-oracle": _Check(
         _walk_pairs,
         _grid,
-        _pairs,
-        lambda config: 1,  # 2.3-2.6 us; 5.5 us at lmax = dmax = 8 on the box -1..1
-        "The closed-form regularity test must agree with the cohomology scan on every grid point.",
+        # a pair 2.3-2.6 us, 5.5 us at lmax = dmax = 8 on the box -1..1; an
+        # r=3 sample 22-36 us, 8.5-16.6 pairs
+        lambda config: [(_box(config, 2), 1), (config.r3_samples, 17)],
     ),
     "corner-membership": _Check(
         _walk_pairs,
         _grid,
-        _pairs,
-        lambda config: 1,  # 2.2 us; 3.6 us at lmax = dmax = 8 on the box -1..1
-        "Domination of a corner of regularity_corners must agree with the closed-form test everywhere.",
+        # a pair 2.2 us, 3.6 us at lmax = dmax = 8 on the box -1..1; an r=3
+        # sample 38-47 us, 15.3-22.9 pairs
+        lambda config: [(_box(config, 2), 1), (config.r3_samples, 23)],
     ),
     "sorted-vs-subsets": _Check(
         _sorted_vs_subsets,
         lambda config: SUBSET_R,
-        lambda config: len(SUBSET_R) * SUBSET_SAMPLES,
-        lambda config: 700,  # 1.5-1.6 ms: up to 2^12 - 1 subsets each
-        "cm_regularity and is_regular_formula must agree with the max and the "
-        "test over all 2^r - 1 subsets, on seeded samples with r from 4 to 12.",
+        lambda config: [(len(SUBSET_R) * SUBSET_SAMPLES, 700)],  # 1.5-1.6 ms: up to 2^12 - 1 subsets each
     ),
     "minimal-twist": _Check(
         _minimal_twist,
         _grid,
-        _points,
-        # the 2 bound + 4 oracle calls its scan may make, bound = n +
-        # max(|m_k| + l_k) + 2 <= 4 lmax + max(|lo|, |hi|) + 2 since
-        # n <= 3 lmax: 117 us at the reference's weight 48
-        lambda config: 2 * (4 * config.lmax + max(map(abs, config.box)) + 2) + 4,
-        "cm_regularity must equal the least q with q*d in the regularity set.",
+        # an r=3 point scans as far, with costlier oracle calls: 52 us at
+        # lmax = dmax = 1 to 536 us at 8, 1.3-3.1 times its box weight
+        lambda config: [(_box(config, 1), _scan_weight(config)), (config.r3_samples, 4 * _scan_weight(config))],
     ),
-    "segre-r2": _Check(
-        _segre_closed_form,
-        lambda config: [None],
-        lambda config: 3 * 3 * 11 * 11,
-        lambda config: 3,  # 4.7 us
-        "The two-factor Segre closed form must match cm_regularity.",
-    ),
+    # the two-factor Segre closed form against cm_regularity
+    "segre-r2": _Check(_segre_closed_form, lambda config: [None], lambda config: [(3 * 3 * 11 * 11, 3)]),  # 4.7 us
+    # lambda - 1 bounds reg of the structure sheaf of the image from above,
+    # strictly so at l = (1, 2), d = (1, 1)
     "ideal-bound": _Check(
         _ideal_sheaf_bound,
         lambda config: [None],
-        lambda config: _per_embedding(config, 1) + 1,
-        lambda config: 7,  # 12-16 us
-        "lambda - 1 must bound reg of the structure sheaf of the image from "
-        "above, strictly so at l=(1,2), d=(1,1).",
+        lambda config: [(_per_embedding(config, 1) + 1, 7)],  # 12-16 us
     ),
+    # reg(m) + reg(m2) >= reg(m + m2) on seeded random pairs
     "subadditivity": _Check(
         _subadditivity,
         _embeddings,
-        lambda config: _per_embedding(config, 1) * config.subadd_pairs,
-        lambda config: 7,  # 10-15 us
-        "reg(m) + reg(m2) >= reg(m + m2) on seeded random pairs.",
+        lambda config: [(_per_embedding(config, 1) * config.subadd_pairs, 7)],  # 10-15 us
     ),
+    # the sum of two seeded pairs built from corner points, so meeting the
+    # hypotheses, is regular
     "pair-subadditivity": _Check(
         _pair_subadditivity,
         _embeddings,
-        lambda config: _per_embedding(config, 1) * config.pair_samples,
-        lambda config: 16,  # 25-36 us
-        "For seeded random pairs satisfying the hypotheses (built from corner "
-        "points, so regularity is guaranteed), the sum pair must be regular.",
+        lambda config: [(_per_embedding(config, 1) * config.pair_samples, 16)],  # 25-36 us
     ),
     "tate-endpoints": _Check(
         _tate_endpoints,
         lambda config: [None, *_grid(config)],
-        lambda config: _tate_closed_form_count(config) + _points(config),
-        lambda config: 22,  # 33-46 us; 50 us an r=3 sample
-        "Window length closed forms, the balanced special case, and the "
-        "duality p_minus(m) = -p_plus(dual twist of m), replayed against the "
-        "direct ceiling form of p_minus.",
+        # 33-46 us a closed-form or box instance; an r=3 sample 51-60 us,
+        # 20.6-26.1 pairs
+        lambda config: [(_tate_closed_form_count(config) + _box(config, 1), 22), (config.r3_samples, 27)],
     ),
     "tate-window": _Check(
         _window_structure,
         _embeddings,
-        lambda config: _per_embedding(config, 9),
         # a window's columns and their Kunneth calls grow with l and d:
         # 148 us at lmax = dmax = 1, 196 at 3, 248 at 4, 180 at lmax 1 and
         # dmax 8, 354 at lmax 8 and dmax 1, 463 at lmax 8 and dmax 4
-        lambda config: 50 + config.lmax * (15 + config.dmax),
-        "Column purity must characterize both endpoints exactly: pure H^0 iff "
-        "p >= p_plus, pure H^n iff p <= p_minus, across a padded window.",
+        lambda config: [(_per_embedding(config, 9), 50 + config.lmax * (15 + config.dmax))],
     ),
 }
 
@@ -618,7 +602,7 @@ CHECKS: dict[str, _Check] = {
 def instance_counts(config: VerifyConfig) -> dict[str, int]:
     """The number of instances each check runs on ``config``, in closed
     form: nothing is enumerated, so a grid of any size is sized at once."""
-    return {name: check.count(config) for name, check in CHECKS.items()}
+    return {name: sum(n for n, _ in check.cost(config)) for name, check in CHECKS.items()}
 
 
 def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list[CheckResult]:
@@ -628,38 +612,51 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     The shards of every check named run on one pool, of one worker process
     per available CPU and at most one per shard; with a single CPU they run
     in this process.  The named pair checks share one walk.  Before any grid
-    is built, an empty list of names and a repeated name are refused, and
-    so is a config with lmax or dmax outside 1..MAX_FACTOR_BOUND, an
-    inverted box or a negative sample count, and a run that weighs more
-    than ``MAX_INSTANCES``: the sum of ``count * weight`` over the checks
-    named, each read from its ``CHECKS`` entry."""
+    is built, names given as one string, an empty list of names, an unknown
+    and a repeated name are refused, and so is a config with a field that
+    is not an integer or a box that is not two integers, lmax or dmax
+    outside 1..MAX_FACTOR_BOUND, an inverted box or a negative sample
+    count, and a run that weighs more than ``MAX_INSTANCES``: the sum of
+    ``instances * weight`` over the ``cost`` pairs of the checks named."""
     if names is None:
         selected = list(CHECKS)
     else:
+        if isinstance(names, str):
+            raise ValueError(f"names must be a list of check names, not the string {names!r}")
         if not names:
             raise ValueError(f"no checks named; available: {', '.join(CHECKS)}")
-        unknown = [n for n in names if n not in CHECKS]
+        unknown = [n for n in names if not (isinstance(n, str) and n in CHECKS)]
         if unknown:
             raise ValueError(
-                f"unknown checks: {', '.join(unknown)}; available: {', '.join(CHECKS)}"
+                f"unknown checks: {', '.join(map(str, unknown))}; available: {', '.join(CHECKS)}"
             )
         repeated = sorted({n for n in names if names.count(n) > 1}, key=names.index)
         if repeated:
             raise ValueError(f"checks named more than once: {', '.join(repeated)}")
         selected = list(names)
+    for field in ("lmax", "dmax", "r3_samples", "subadd_pairs", "pair_samples"):
+        if not isinstance(getattr(config, field), int):
+            raise ValueError(f"{field} must be an integer, got {getattr(config, field)!r}")
+    box = config.box
+    if not (isinstance(box, (tuple, list)) and len(box) == 2 and all(isinstance(v, int) for v in box)):
+        raise ValueError(f"box must be two integers lo,hi, got {box!r}")
     for field in ("lmax", "dmax"):
         value = getattr(config, field)
         if not 1 <= value <= MAX_FACTOR_BOUND:
             raise ValueError(f"{field} must be between 1 and {MAX_FACTOR_BOUND}, got {value}")
-    lo, hi = config.box
+    lo, hi = box
     if lo > hi:
         raise ValueError(f"box needs lo <= hi, got {lo},{hi}")
     for field in ("r3_samples", "subadd_pairs", "pair_samples"):
         if getattr(config, field) < 0:
             raise ValueError(f"{field} must be >= 0, got {getattr(config, field)}")
-    total = sum(CHECKS[name].count(config) * CHECKS[name].weight(config) for name in selected)
-    if total > MAX_INSTANCES:
-        raise ValueError(f"the run has {total} instances, over the limit of {MAX_INSTANCES}")
+    costs = [pair for name in selected for pair in CHECKS[name].cost(config)]
+    weighted = sum(n * weight for n, weight in costs)
+    if weighted > MAX_INSTANCES:
+        instances = sum(n for n, _ in costs)
+        raise ValueError(
+            f"the run has {instances} instances, or {weighted} weighted instances, over the limit of {MAX_INSTANCES}"
+        )
     walks: dict[Callable, list[str]] = {}  # routine -> the checks that share its walk
     for name in selected:
         walks.setdefault(CHECKS[name].routine, []).append(name)

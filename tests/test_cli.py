@@ -465,9 +465,12 @@ class TestMain:
         monkeypatch.setattr(verify, "_pooled", refuse_to_start)
         code, out, err = run_cli(["verify", f"--box={-2**63},0", "--checks=cohomology"], capsys)
         # a cohomology instance weighs 3 * lmax + 3 = 12 at the default lmax
-        count = verify.instance_counts(verify.VerifyConfig(box=(-2**63, 0)))["cohomology"] * 12
+        count = verify.instance_counts(verify.VerifyConfig(box=(-2**63, 0)))["cohomology"]
         assert (code, out) == (1, "")
-        assert err == f"svreg: error: the run has {count} instances, over the limit of {verify.MAX_INSTANCES}\n"
+        assert err == (
+            f"svreg: error: the run has {count} instances, or {count * 12} weighted instances, "
+            f"over the limit of {verify.MAX_INSTANCES}\n"
+        )
 
     @pytest.mark.parametrize("flag", ["--lmax", "--dmax"])
     def test_verify_factor_bound_over_limit_exit_one(self, capsys, monkeypatch, flag):
@@ -494,6 +497,23 @@ class TestMain:
             (["--checks=tate-endpoints", "--r3-samples=99000000"], dict(r3_samples=99_000_000), "tate-endpoints"),
             (["--subadd-pairs=1000000", "--checks=subadditivity"], dict(subadd_pairs=1_000_000), "subadditivity"),
             (["--pair-samples=1000000", "--checks=pair-subadditivity"], dict(pair_samples=1_000_000), "pair-subadditivity"),
+            # nearly all r=3 samples, priced apart from the box: about 2,200-3,600,
+            # 3,800-4,700 and 590-700 CPU-s at 22-36, 38-47 and 450-536 us a sample
+            (
+                ["--box=0,0", "--r3-samples=99999000", "--checks=formula-vs-oracle"],
+                dict(box=(0, 0), r3_samples=99_999_000),
+                "formula-vs-oracle",
+            ),
+            (
+                ["--box=0,0", "--r3-samples=99999000", "--checks=corner-membership"],
+                dict(box=(0, 0), r3_samples=99_999_000),
+                "corner-membership",
+            ),
+            (
+                ["--lmax=8", "--dmax=8", "--box=0,0", "--r3-samples=1300000", "--checks=minimal-twist"],
+                dict(lmax=8, dmax=8, box=(0, 0), r3_samples=1_300_000),
+                "minimal-twist",
+            ),
         ],
     )
     def test_verify_long_runs_refused_at_once(self, capsys, monkeypatch, flags, config, name):
@@ -501,10 +521,13 @@ class TestMain:
         started = time.perf_counter()
         code, out, err = run_cli(["verify", *flags], capsys)
         assert time.perf_counter() - started < 1
-        config = verify.VerifyConfig(**config)
-        price = verify.CHECKS[name].count(config) * verify.CHECKS[name].weight(config)
+        cost = verify.CHECKS[name].cost(verify.VerifyConfig(**config))
+        instances, price = sum(n for n, _ in cost), sum(n * weight for n, weight in cost)
         assert (code, out) == (1, "")
-        assert err == f"svreg: error: the run has {price} instances, over the limit of {verify.MAX_INSTANCES}\n"
+        assert err == (
+            f"svreg: error: the run has {instances} instances, or {price} weighted instances, "
+            f"over the limit of {verify.MAX_INSTANCES}\n"
+        )
 
     @pytest.mark.parametrize(
         "flags",
@@ -557,7 +580,10 @@ class TestMain:
         count = verify.instance_counts(verify.VerifyConfig(lmax=8, box=(-28, 28), r3_samples=0))["cohomology"]
         assert count == 95_027_208
         assert (code, out) == (1, "")
-        assert err == f"svreg: error: the run has {count * 27} instances, over the limit of {verify.MAX_INSTANCES}\n"
+        assert err == (
+            f"svreg: error: the run has {count} instances, or {count * 27} weighted instances, "
+            f"over the limit of {verify.MAX_INSTANCES}\n"
+        )
 
     def test_verify_reference_grid_is_admitted(self, capsys, monkeypatch):
         ran = []
@@ -579,7 +605,7 @@ class TestMain:
         assert time.perf_counter() - started < 1
         assert (code, out) == (1, "")
         assert err.startswith("svreg: error: the run has ")
-        assert err.endswith(f" instances, over the limit of {verify.MAX_INSTANCES}\n")
+        assert err.endswith(f" weighted instances, over the limit of {verify.MAX_INSTANCES}\n")
 
     @pytest.mark.parametrize(
         "argv",

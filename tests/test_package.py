@@ -124,3 +124,25 @@ def test_readme_quotes_every_limit(module, name, phrase):
     with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
         readme = " ".join(f.read().split())
     assert phrase.format(written(value)) in readme
+
+
+def test_readme_weight_table_has_one_row_per_check():
+    # a new verify check cannot land without its weight documented
+    from svreg import verify
+
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
+        lines = f.read().split("\n")
+    start = next(i for i, line in enumerate(lines) if line.startswith("| check | weight |"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip().strip("`"))
+    assert sorted(rows) == sorted(verify.CHECKS)
+
+
+def test_every_check_entry_hashes():
+    # bench/tracer.py keys a dict by the CHECKS entries
+    from svreg import verify
+
+    assert len({check: name for name, check in verify.CHECKS.items()}) == len(verify.CHECKS)

@@ -141,13 +141,21 @@ def test_report_follows_the_order_named(monkeypatch):
     assert summary(results) == [summary(run_on(1, monkeypatch, SMALL, [name]))[0] for name in names]
 
 
+def refusal(cost, limit):
+    """The budget's message for a run of these ``(instances, weight)`` pairs."""
+    instances, price = sum(n for n, _ in cost), sum(n * weight for n, weight in cost)
+    return f"^the run has {instances} instances, or {price} weighted instances, over the limit of {limit}$"
+
+
 @pytest.mark.parametrize("name", list(verify.CHECKS))
 def test_each_check_is_priced_by_its_count_and_weight(monkeypatch, name):
-    check = verify.CHECKS[name]
-    price = check.count(SMALL) * check.weight(SMALL)
+    # the price is the sum of instances * weight over the check's cost pairs:
+    # refused one under it, started at it
+    cost = verify.CHECKS[name].cost(SMALL)
+    price = sum(n * weight for n, weight in cost)
     monkeypatch.setattr(verify, "_pooled", refuse_to_start)
     monkeypatch.setattr(verify, "MAX_INSTANCES", price - 1)
-    with pytest.raises(ValueError, match=f"^the run has {price} instances, over the limit of {price - 1}$"):
+    with pytest.raises(ValueError, match=refusal(cost, price - 1)):
         verify.run_checks(SMALL, [name])
     monkeypatch.setattr(verify, "MAX_INSTANCES", price)
     with pytest.raises(AssertionError, match=f"^{name} started$"):
@@ -158,14 +166,24 @@ def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
     # a run weighs the sum over the checks named, each priced by its entry
     monkeypatch.setattr(verify, "_pooled", refuse_to_start)
     names = ["segre-r2", "tate-window"]
-    price = 3 * 1089 + verify.CHECKS["tate-window"].count(SMALL) * verify.CHECKS["tate-window"].weight(SMALL)
+    ((windows, weight),) = verify.CHECKS["tate-window"].cost(SMALL)
+    price = 3 * 1089 + windows * weight
     monkeypatch.setattr(verify, "MAX_INSTANCES", price)
     with pytest.raises(AssertionError, match="^segre-r2, tate-window started$"):
         verify.run_checks(SMALL, names)
-    heavier = verify.CHECKS["segre-r2"]._replace(weight=lambda config: 4)
+    heavier = verify.CHECKS["segre-r2"]._replace(cost=lambda config: [(1089, 4)])
     monkeypatch.setitem(verify.CHECKS, "segre-r2", heavier)
-    with pytest.raises(ValueError, match=f"^the run has {price + 1089} instances, over the limit of {price}$"):
+    with pytest.raises(ValueError, match=refusal([(1089, 4), (windows, weight)], price)):
         verify.run_checks(SMALL, names)
+
+
+def test_two_pair_checks_are_each_charged_their_pairs(monkeypatch):
+    # they share one walk, but each is priced as if run alone
+    cost = [pair for name in PAIR_CHECKS for pair in verify.CHECKS[name].cost(SMALL)]
+    monkeypatch.setattr(verify, "_pooled", refuse_to_start)
+    monkeypatch.setattr(verify, "MAX_INSTANCES", sum(n * weight for n, weight in cost) - 1)
+    with pytest.raises(ValueError, match=refusal(cost, verify.MAX_INSTANCES)):
+        verify.run_checks(SMALL, PAIR_CHECKS)
 
 
 @pytest.mark.parametrize(
@@ -179,6 +197,12 @@ def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
         (verify.VerifyConfig(pair_samples=-1), None, "pair_samples must be >= 0, got -1"),
         (SMALL, ["segre-r2", "cohomology", "segre-r2"], "checks named more than once: segre-r2"),
         (SMALL, [], f"no checks named; available: {', '.join(verify.CHECKS)}"),
+        (SMALL, "segre-r2", "names must be a list of check names, not the string 'segre-r2'"),
+        (SMALL, ["segre-r2", 1, ["x"]], rf"unknown checks: 1, \['x'\]; available: {', '.join(verify.CHECKS)}"),
+        (verify.VerifyConfig(lmax=2.5), None, r"lmax must be an integer, got 2\.5"),
+        (verify.VerifyConfig(r3_samples=1e3), None, r"r3_samples must be an integer, got 1000\.0"),
+        (verify.VerifyConfig(box=(1, 2, 3)), None, r"box must be two integers lo,hi, got \(1, 2, 3\)"),
+        (verify.VerifyConfig(box=(-0.5, 2)), None, r"box must be two integers lo,hi, got \(-0\.5, 2\)"),
         # a check named alone is refused the same way
         *(
             (verify.VerifyConfig(lmax=0, r3_samples=0), [name], "lmax must be between 1 and 8, got 0")
@@ -198,6 +222,12 @@ def test_grid_over_the_limit_is_refused_before_any_check(monkeypatch):
         "pair-samples",
         "repeated-name",
         "no-name",
+        "names-string",
+        "names-not-strings",
+        "lmax-float",
+        "r3-samples-float",
+        "box-three",
+        "box-float",
         *(f"lmax-0-{name}" for name in verify.CHECKS),
         *(f"inverted-box-{name}" for name in verify.CHECKS),
     ],
