@@ -19,7 +19,7 @@ import operator
 from functools import lru_cache
 from typing import Literal, NamedTuple, Sequence
 
-from .cohomology import SegreVeronese, _check_lengths
+from .cohomology import SegreVeronese, _check_dimension, _check_lengths
 
 # Output with one row per permutation or per subset of the factors grows
 # like r! or 2^r; these are the largest r for which it is listed.
@@ -99,7 +99,8 @@ def is_regular_oracle(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> b
     The check is finite and complete because each twist concentrates in a
     single degree, so H^i of the i-th twist is nonzero exactly when that
     concentration degree equals i.  The scan depends on m and p only
-    through m + p, and is memoized on (l, d, m + p).
+    through m + p, and is memoized on (l, d, m + p).  Refuses a product of
+    dimension n over ``cohomology._MAX_DIMENSION`` before it scans.
     """
     l = E.l
     r = len(l)
@@ -116,6 +117,7 @@ def _oracle_scan(l: tuple[int, ...], d: tuple[int, ...], c: tuple[int, ...]) -> 
     the pairs of one embedding share a few thousand sums c."""
     r = len(l)
     n = sum(l)
+    _check_dimension(n)
     for i in range(1, n + 1):
         degree = 0
         alive = True
@@ -257,9 +259,7 @@ def check_pair_subadditivity(
     with a conclusion failure would make the check meaningless.
     """
     _check_lengths(E, m=m, p=p, m2=m2, p2=p2)
-    if not is_regular_formula(E, m, p):
-        return "hypothesis-not-met"
-    if not is_regular_formula(E, m2, p2):
+    if not (is_regular_formula(E, m, p) and is_regular_formula(E, m2, p2)):
         return "hypothesis-not-met"
     m_sum = tuple(a + b for a, b in zip(m, m2))
     p_sum = tuple(a + b for a, b in zip(p, p2))

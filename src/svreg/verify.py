@@ -19,7 +19,8 @@ instance counts and the first counterexample do not depend on the
 number of workers.  The shards look the library functions up through
 their modules, and cache nothing of theirs, so workers run whatever those
 modules hold when the run starts, patched functions included.  The
-second routes the checks replay, such as ``_tate_term``, live only here.
+second routes the checks replay, such as ``_tate_term`` and the Euler
+characteristic's polynomial ``_euler_polynomial``, live only here.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ R3_SLICE = 1000  # seeded r=3 samples per shard
 SUBSET_R = range(4, 13)  # factor counts of the sorted-vs-subsets samples
 SUBSET_SAMPLES = 20  # sorted-vs-subsets samples per factor count
 # the most a run may weigh, in pair instances of 2.3 us (see CHECKS): about
-# 230 CPU-s, 4.7x the 21,177,908 of the reference grid
+# 230 CPU-s, 4.7x the 21,405,029 of the reference grid
 MAX_INSTANCES = 10**8
 # largest lmax and dmax, which set the cost of one instance: the reference
 # grid uses 3; the slowest tate-window instance took 1.3 ms at 8 and 23 ms
@@ -240,6 +241,13 @@ def _factor_table(l: int, j: int) -> list[int]:
     return table
 
 
+def _euler_polynomial(l: Sequence[int], a: Sequence[int]) -> int:
+    """chi(O(a)) by the polynomial, not through the profile: the product of
+    (a_k+1)(a_k+2)...(a_k+l_k) / l_k!, exact since l_k consecutive integers
+    have a product divisible by l_k!, and signed for negative a_k."""
+    return math.prod(math.prod(range(ak + 1, ak + lk + 1)) // math.factorial(lk) for lk, ak in zip(l, a))
+
+
 def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
     n = E.n
     profile = cohomology.product_cohomology(E, a)
@@ -264,13 +272,8 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
     if not profile.vanishes:
         J = [k for k in range(E.r) if a[k] <= -E.l[k] - 1]
         lJ = sum(E.l[k] for k in J)
-        dim = 1
-        for k in range(E.r):
-            # no argument is negative: no factor lies in the vanishing window
-            if k in J:
-                dim *= math.comb(-a[k] - 1, E.l[k])
-            else:
-                dim *= math.comb(a[k] + E.l[k], E.l[k])
+        # no factor lies in the vanishing window, so a_k < 0 only on J
+        dim = math.prod(math.comb(-ak - 1, lk) if ak < 0 else math.comb(ak + lk, lk) for lk, ak in zip(E.l, a))
         if profile.degree != lJ or profile.dimension != dim:
             return _instance(E, a=a, reason="degree law violated", expected=[lJ, dim])
     dual = tuple(-ak - lk - 1 for ak, lk in zip(a, E.l))
@@ -278,10 +281,12 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
     for i in range(n + 1):
         if conv[i] != dual_profile.h(n - i):
             return _instance(E, a=a, reason=f"Serre duality violated at i={i}")
-    chi = cohomology.euler_characteristic(E, a)
     alternating = sum(v if i % 2 == 0 else -v for i, v in enumerate(conv))
-    if chi != alternating:
-        return _instance(E, a=a, reason="Euler characteristic disagrees", chi=chi, alternating=alternating)
+    chi = cohomology.euler_characteristic(E, a)
+    polynomial = _euler_polynomial(E.l, a)
+    if chi != alternating or polynomial != alternating:
+        reason = "Euler characteristic disagrees"
+        return _instance(E, a=a, reason=reason, chi=chi, polynomial=polynomial, alternating=alternating)
     return None
 
 
@@ -524,14 +529,15 @@ def _scan_weight(config: VerifyConfig) -> int:
 # sample's come from its shards alone, at lmax = dmax in 1, 3, 8 on the boxes
 # 0..0 and -8..8, in pairs timed alternately with them in the same process.
 CHECKS: dict[str, _Check] = {
-    # concentration, Serre duality and the Euler characteristic, replayed
-    # against a full Kunneth convolution, exhaustively for r up to 3
+    # concentration, Serre duality and the Euler characteristic, read off the
+    # profile and by the polynomial, replayed against a full Kunneth
+    # convolution, exhaustively for r up to 3
     "cohomology": _Check(
         _cohomology,
         lambda config: [l for r in (1, 2, 3) for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
         # its convolution and duality loops run over up to n + 1 <= 3 lmax + 1
-        # degrees: 26 us at lmax 3 (weight 12), 19 us at 1 and 29 us at 8
-        lambda config: [(sum((config.lmax * _width(config)) ** r for r in (1, 2, 3)), 3 * config.lmax + 3)],
+        # degrees: 30-33 us at lmax 3 (weight 19), 27-30 us at 1 and 32-34 at 8
+        lambda config: [(sum((config.lmax * _width(config)) ** r for r in (1, 2, 3)), 2 * config.lmax + 13)],
     ),
     "formula-vs-oracle": _Check(
         _walk_pairs,
@@ -555,9 +561,12 @@ CHECKS: dict[str, _Check] = {
     "minimal-twist": _Check(
         _minimal_twist,
         _grid,
-        # an r=3 point scans as far, with costlier oracle calls: 52 us at
-        # lmax = dmax = 1 to 536 us at 8, 1.3-3.1 times its box weight
-        lambda config: [(_box(config, 1), _scan_weight(config)), (config.r3_samples, 4 * _scan_weight(config))],
+        # an r=3 point scans as far, with costlier oracle calls: 51-630 us, 1.3-1.8,
+        # 1.5-2.1 and 2.2-3.5 times its box weight at lmax = dmax = 1, 3 and 8
+        lambda config: [
+            (_box(config, 1), _scan_weight(config)),
+            (config.r3_samples, (config.lmax + 7) * _scan_weight(config) // 4),
+        ],
     ),
     # the two-factor Segre closed form against cm_regularity
     "segre-r2": _Check(_segre_closed_form, lambda config: [None], lambda config: [(3 * 3 * 11 * 11, 3)]),  # 4.7 us

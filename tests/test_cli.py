@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from svreg import cli
-from svreg import regularity, tate, verify
+from svreg import cohomology, regularity, tate, verify
 
 
 # a library function each subcommand calls, and an invocation that calls it;
@@ -464,11 +464,11 @@ class TestMain:
     def test_verify_grid_over_limit_exit_one(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "_pooled", refuse_to_start)
         code, out, err = run_cli(["verify", f"--box={-2**63},0", "--checks=cohomology"], capsys)
-        # a cohomology instance weighs 3 * lmax + 3 = 12 at the default lmax
+        # a cohomology instance weighs 2 * lmax + 13 = 19 at the default lmax
         count = verify.instance_counts(verify.VerifyConfig(box=(-2**63, 0)))["cohomology"]
         assert (code, out) == (1, "")
         assert err == (
-            f"svreg: error: the run has {count} instances, or {count * 12} weighted instances, "
+            f"svreg: error: the run has {count} instances, or {count * 19} weighted instances, "
             f"over the limit of {verify.MAX_INSTANCES}\n"
         )
 
@@ -571,7 +571,7 @@ class TestMain:
         assert (code, out, err) == (1, "", f"svreg: error: {message}\n")
 
     def test_verify_cohomology_weight_refuses_a_long_run_at_once(self, capsys, monkeypatch):
-        # 95,027,208 cohomology instances at about 25 us each: 40 CPU-minutes
+        # 95,027,208 cohomology instances at about 33 us each: 52 CPU-minutes
         monkeypatch.setattr(verify, "_pooled", refuse_to_start)
         started_at = time.perf_counter()
         argv = ["verify", "--lmax=8", "--box=-28,28", "--r3-samples=0", "--checks=cohomology"]
@@ -581,7 +581,7 @@ class TestMain:
         assert count == 95_027_208
         assert (code, out) == (1, "")
         assert err == (
-            f"svreg: error: the run has {count} instances, or {count * 27} weighted instances, "
+            f"svreg: error: the run has {count} instances, or {count * 29} weighted instances, "
             f"over the limit of {verify.MAX_INSTANCES}\n"
         )
 
@@ -616,13 +616,14 @@ class TestMain:
         ],
     )
     def test_dimension_over_limit_exit_one(self, capsys, argv):
+        # refused by the library call, which the CLI reports
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
-        assert err.startswith("svreg: error: --l sums to n=")
-        assert err.endswith(f", over the limit of {cli._MAX_DIMENSION}\n")
+        assert err.startswith("svreg: error: the product has dimension n=")
+        assert err.endswith(f", over the limit of {cohomology._MAX_DIMENSION}\n")
 
     def test_dimension_limit_is_inclusive_and_checked_last(self, capsys):
-        n = cli._MAX_DIMENSION
+        n = cohomology._MAX_DIMENSION
         at_limit = [
             ["oracle", f"--l={n}", "--d=1", "--m=0", "--p=0"],
             ["cohomology", f"--l={n // 2},{n - n // 2}", "--a=0,0"],

@@ -1,14 +1,17 @@
 """Unit tests for the exact cohomology engine."""
 import pickle
+import time
 
 import pytest
 
 from svreg.cohomology import (
+    _MAX_DIMENSION,
     CohomologyProfile,
     SegreVeronese,
     euler_characteristic,
     product_cohomology,
 )
+from svreg.regularity import is_regular_oracle
 from svreg.verify import _factor_table
 
 
@@ -148,6 +151,20 @@ class TestSegreVeronese:
         with pytest.raises(ValueError):
             SegreVeronese(l, d)
 
+    @pytest.mark.parametrize(
+        "l, d, message",
+        [
+            ((1.5, 2), (1, 1), r"^l entries must be integers, got l=\(1\.5, 2\)$"),
+            ((1, 2), (1, "2"), r"^d entries must be integers, got d=\(1, '2'\)$"),
+            ((1.5, "2"), (1, True), r"^l entries must be integers, got l=\(1\.5, '2'\)$"),
+            # before the range and length checks
+            ((0, 1.0), (1,), r"^l entries must be integers, got l=\(0, 1\.0\)$"),
+        ],
+    )
+    def test_rejects_entries_that_are_not_int(self, l, d, message):
+        with pytest.raises(ValueError, match=message):
+            SegreVeronese(l, d)
+
     def test_unpickling_runs_the_constructor(self, monkeypatch):
         # verify hands embeddings to forked workers by pickle; an instance
         # built by the constructor keeps the attribute layout the hot loops
@@ -166,3 +183,23 @@ class TestSegreVeronese:
         with pytest.raises(AttributeError):
             E.l = (2, 2)
         assert E.l == (1, 2)
+
+
+class TestDimensionLimit:
+    @pytest.mark.parametrize("l", [(_MAX_DIMENSION + 1,), (1000, _MAX_DIMENSION - 999), (200000,)])
+    def test_over_the_limit_is_refused_at_once(self, l):
+        # at l = a = (200000,) the Kunneth binomial alone took seconds
+        E = SegreVeronese(l, (1,) * len(l))
+        a = (200000,) * len(l)
+        message = f"^the product has dimension n={sum(l)}, over the limit of {_MAX_DIMENSION}$"
+        for call in (product_cohomology, euler_characteristic, lambda E, a: is_regular_oracle(E, a, a)):
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match=message):
+                call(E, a)
+            assert time.perf_counter() - started < 0.1
+
+    def test_at_the_limit_each_call_answers(self):
+        E = SegreVeronese((_MAX_DIMENSION,), (1,))
+        assert product_cohomology(E, (0,)) == CohomologyProfile(0, 1)
+        assert euler_characteristic(E, (-_MAX_DIMENSION - 1,)) == 1
+        assert is_regular_oracle(E, (0,), (0,))

@@ -94,6 +94,21 @@ def test_every_public_function_has_a_caller_outside_verify():
     assert uncalled == []
 
 
+def test_cli_keeps_no_limit():
+    # each cost limit belongs to the library call whose work it bounds, so
+    # a library caller meets it too; the CLI only reads flags and renders
+    with open(os.path.join(SRC, "svreg", "cli.py")) as f:
+        tree = ast.parse(f.read())
+    assigned = [
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.startswith("_MAX_")
+    ]
+    assert assigned == []
+
+
 def written(value):
     """A limit as README writes it: a * 10^k from 10^7 up, else with
     thousands separators."""
@@ -111,7 +126,7 @@ LIMITS = [
     ("tate", "_MAX_COLUMNS", "a window of more than {} columns"),
     ("tate", "_MAX_WORK", "a window of more than {} factor steps"),
     ("tate", "_MAX_DIGIT_WORK", "may take more than {} squared digits"),
-    ("cli", "_MAX_DIMENSION", "dimension `n = sum(l)` above {}"),
+    ("cohomology", "_MAX_DIMENSION", "dimension `n = sum(l)` above {}"),
     ("regularity", "_MAX_CORNER_FACTORS", "`regset` refuses `r > {}`"),
     ("regularity", "_MAX_BREAKDOWN_FACTORS", "`reg --explain` refuses `r > {}`"),
 ]

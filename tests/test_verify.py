@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from svreg import regularity, tate, verify
+from svreg import cohomology, regularity, tate, verify
 from svreg.cohomology import SegreVeronese
 
 SMALL = verify.VerifyConfig(lmax=2, dmax=2, box=(-3, 3), r3_samples=50)
@@ -275,6 +275,23 @@ def test_sorted_vs_subsets_catches_planted_faults(monkeypatch):
     (result,) = run_on(1, monkeypatch, SMALL, ["sorted-vs-subsets"])
     assert result.failures == result.instances == len(verify.SUBSET_R) * verify.SUBSET_SAMPLES
     assert result.counterexample["formula"] != result.counterexample["subsets"]
+
+
+def test_cohomology_catches_planted_chi_faults(monkeypatch):
+    # chi read off the profile and chi by verify's polynomial are each
+    # replayed against the convolution's alternating sum
+    config = verify.VerifyConfig(lmax=2, dmax=1, box=(-3, 3), r3_samples=0)
+    real_chi, real_polynomial = cohomology.euler_characteristic, verify._euler_polynomial
+    monkeypatch.setattr(cohomology, "euler_characteristic", lambda E, a: -real_chi(E, a))
+    (result,) = run_on(2, monkeypatch, config, ["cohomology"])
+    ce = result.counterexample
+    assert result.failures > 0 and ce["chi"] == -ce["alternating"] == -ce["polynomial"]
+    monkeypatch.setattr(cohomology, "euler_characteristic", real_chi)
+    # off by one: the product runs (a_k+2)...(a_k+l_k+1)
+    monkeypatch.setattr(verify, "_euler_polynomial", lambda l, a: real_polynomial(l, tuple(ak + 1 for ak in a)))
+    (result,) = run_on(1, monkeypatch, config, ["cohomology"])
+    ce = result.counterexample
+    assert result.failures > 0 and ce["chi"] == ce["alternating"] != ce["polynomial"]
 
 
 def test_patched_oracle_scan_reaches_forked_workers(monkeypatch):
