@@ -16,11 +16,14 @@ stderr.
 Exit codes: 0 success, 1 usage or input error, 2 a verification check
 found a counterexample, 3 an internal error (a broken invariant the
 library detected, a RuntimeError reported in one line on stderr).
+Output that cannot be written exits 1 as well: quietly when the reader
+closed the pipe (as ``| head`` does), otherwise with one line on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -501,7 +504,17 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()  # so that a write error is raised here, not at exit
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: send what is left
+        # to devnull, so that it fails no second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"svreg: error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

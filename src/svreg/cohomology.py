@@ -119,14 +119,6 @@ class CohomologyProfile(_Profile):
                 raise ValueError(f"dimension must be >= 1, got {dimension}")
         return super().__new__(cls, degree, dimension)
 
-    @classmethod
-    def zero(cls) -> "CohomologyProfile":
-        return cls(None, None)
-
-    @property
-    def vanishes(self) -> bool:
-        return self.degree is None
-
     def h(self, i: int) -> int:
         """dim H^i."""
         return self.dimension if i == self.degree else 0
@@ -154,7 +146,7 @@ def product_cohomology(E: SegreVeronese, a: Sequence[int]) -> CohomologyProfile:
     _check_lengths(E, a=a)
     _check_dimension(E.n)
     found = _kunneth(E.l, a)
-    return CohomologyProfile.zero() if found is None else CohomologyProfile(*found)
+    return CohomologyProfile(None, None) if found is None else CohomologyProfile(*found)
 
 
 def _kunneth(l: Iterable[int], a: Iterable[int]) -> tuple[int, int] | None:

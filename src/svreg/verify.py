@@ -249,9 +249,9 @@ def _euler_polynomial(l: Sequence[int], a: Sequence[int]) -> int:
 
 
 def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
+    """The profile of O(a), the profile of its Serre dual twist and chi,
+    each compared once with a Kunneth convolution of the factor tables."""
     n = E.n
-    profile = cohomology.product_cohomology(E, a)
-    # independent route: full Kunneth convolution of the factor tables
     conv = [1]
     for lk, ak in zip(E.l, a):
         t = _factor_table(lk, ak)
@@ -262,25 +262,14 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
                     if tj:
                         new[i + j] += ci * tj
         conv = new
-    if sum(1 for v in conv if v) > 1:
-        return _instance(E, a=a, reason="concentration violated", table=conv)
-    if profile.table(n) != conv:
-        return _instance(E, a=a, reason="profile disagrees with Kunneth convolution", table=conv)
-    dead = any(-lk <= ak <= -1 for lk, ak in zip(E.l, a))
-    if dead != profile.vanishes:
-        return _instance(E, a=a, reason="vanishing window disagrees with profile")
-    if not profile.vanishes:
-        J = [k for k in range(E.r) if a[k] <= -E.l[k] - 1]
-        lJ = sum(E.l[k] for k in J)
-        # no factor lies in the vanishing window, so a_k < 0 only on J
-        dim = math.prod(math.comb(-ak - 1, lk) if ak < 0 else math.comb(ak + lk, lk) for lk, ak in zip(E.l, a))
-        if profile.degree != lJ or profile.dimension != dim:
-            return _instance(E, a=a, reason="degree law violated", expected=[lJ, dim])
+    profile = cohomology.product_cohomology(E, a)
+    # table(n) refuses a degree over n, which only a library fault yields
+    if (profile.degree or 0) > n or profile.table(n) != conv:
+        return _instance(E, a=a, reason="profile disagrees with Kunneth convolution", profile=profile, table=conv)
     dual = tuple(-ak - lk - 1 for ak, lk in zip(a, E.l))
     dual_profile = cohomology.product_cohomology(E, dual)
-    for i in range(n + 1):
-        if conv[i] != dual_profile.h(n - i):
-            return _instance(E, a=a, reason=f"Serre duality violated at i={i}")
+    if [dual_profile.h(n - i) for i in range(n + 1)] != conv:
+        return _instance(E, a=a, reason="Serre duality violated", dual=dual, dual_profile=dual_profile)
     alternating = sum(v if i % 2 == 0 else -v for i, v in enumerate(conv))
     chi = cohomology.euler_characteristic(E, a)
     polynomial = _euler_polynomial(E.l, a)
@@ -529,14 +518,15 @@ def _scan_weight(config: VerifyConfig) -> int:
 # sample's come from its shards alone, at lmax = dmax in 1, 3, 8 on the boxes
 # 0..0 and -8..8, in pairs timed alternately with them in the same process.
 CHECKS: dict[str, _Check] = {
-    # concentration, Serre duality and the Euler characteristic, read off the
-    # profile and by the polynomial, replayed against a full Kunneth
-    # convolution, exhaustively for r up to 3
+    # the profile, the Serre dual twist's profile and the Euler characteristic,
+    # read off the profile and by the polynomial, each replayed against a full
+    # Kunneth convolution, exhaustively for r up to 3
     "cohomology": _Check(
         _cohomology,
         lambda config: [l for r in (1, 2, 3) for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
         # its convolution and duality loops run over up to n + 1 <= 3 lmax + 1
-        # degrees: 30-33 us at lmax 3 (weight 19), 27-30 us at 1 and 32-34 at 8
+        # degrees: 20-24 us at lmax 3 (weight 19, priced when it took 30-33),
+        # 17-22 us at 1 and 22-25 at 8 on the box -2..2
         lambda config: [(sum((config.lmax * _width(config)) ** r for r in (1, 2, 3)), 2 * config.lmax + 13)],
     ),
     "formula-vs-oracle": _Check(

@@ -1,6 +1,8 @@
 """CLI tests: parsing, exit codes, document shape and output stability."""
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from types import SimpleNamespace
@@ -30,6 +32,11 @@ LIBRARY_CALLS = [
     ("tate_window", ["tate", "--l=1,1", "--d=1,1", "--m=0,0"]),
     ("p_minus", ["endpoints", "--l=1,1", "--d=1,1", "--m=0,2"]),
 ]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# a one-line answer, and a 5,000-column window larger than any pipe buffer
+WRITES = [["reg", "--l=1,1", "--d=1,1", "--m=0,0"], ["tate", "--l=1,1", "--d=1,1", "--m=0,4995", "--format=json"]]
 
 
 def run_cli(argv, capsys):
@@ -211,6 +218,36 @@ class TestMain:
         _, out, _ = run_cli(["reg", "--l", "1,1", "--d", "1,1", "--m", "0,0"], capsys)
         assert "value: 1" in out
         assert "note: Theorem theo_reg" in out
+
+    @pytest.mark.parametrize("argv", WRITES, ids=["short", "long"])
+    def test_closed_pipe_exits_one_quietly(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # the reader has gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "svreg.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("argv", WRITES, ids=["short", "long"])
+    def test_unwritable_output_is_one_error_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "svreg.cli", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "svreg: error: cannot write output: [Errno 28] No space left on device\n"
 
     def test_verify_small_grid_exit_zero(self, capsys):
         code, out, _ = run_cli(

@@ -109,6 +109,37 @@ def test_cli_keeps_no_limit():
     assert assigned == []
 
 
+def literal_parts(node):
+    """The literal text of a string constant or of an f-string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return [part.value for part in node.values if isinstance(part, ast.Constant)]
+    return []
+
+
+def test_every_verify_reason_is_provoked_by_a_test():
+    # a counterexample reason no test names is a replay no test has made
+    # fail: one that no library fault can reach would pass unnoticed
+    with open(os.path.join(SRC, "svreg", "verify.py")) as f:
+        tree = ast.parse(f.read())
+    reasons = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "reason":
+            reasons += literal_parts(node.value)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "reason" for t in node.targets):
+            reasons += literal_parts(node.value)
+    reasons = [text.strip() for text in reasons if text.strip()]
+    tests = os.path.join(os.path.dirname(SRC), "tests")
+    corpus = ""
+    for name in sorted(os.listdir(tests)):
+        if name.endswith(".py"):
+            with open(os.path.join(tests, name)) as f:
+                corpus += f.read()
+    assert reasons
+    assert [text for text in reasons if text not in corpus] == []
+
+
 def written(value):
     """A limit as README writes it: a * 10^k from 10^7 up, else with
     thousands separators."""

@@ -1,11 +1,12 @@
 """Sharded verification: the merge must not depend on the worker count."""
 import inspect
 import itertools
+import json
 import os
 
 import pytest
 
-from svreg import cohomology, regularity, tate, verify
+from svreg import cli, cohomology, regularity, tate, verify
 from svreg.cohomology import SegreVeronese
 
 SMALL = verify.VerifyConfig(lmax=2, dmax=2, box=(-3, 3), r3_samples=50)
@@ -286,6 +287,7 @@ def test_cohomology_catches_planted_chi_faults(monkeypatch):
     (result,) = run_on(2, monkeypatch, config, ["cohomology"])
     ce = result.counterexample
     assert result.failures > 0 and ce["chi"] == -ce["alternating"] == -ce["polynomial"]
+    assert ce["reason"] == "Euler characteristic disagrees"
     monkeypatch.setattr(cohomology, "euler_characteristic", real_chi)
     # off by one: the product runs (a_k+2)...(a_k+l_k+1)
     monkeypatch.setattr(verify, "_euler_polynomial", lambda l, a: real_polynomial(l, tuple(ak + 1 for ak in a)))
@@ -405,3 +407,104 @@ def test_p_minus_disagreement_is_a_counterexample(monkeypatch):
     failure = verify._duality_failure(SegreVeronese((1, 1), (1, 1)), (0, 2))
     assert failure["reason"] == "p_minus presentations disagree"
     assert (failure["p_minus"], failure["dual_p_plus"], failure["ceiling"]) == (-1, 2, -2)
+
+
+def kunneth_dimension(monkeypatch):
+    real = cohomology._kunneth
+    monkeypatch.setattr(cohomology, "_kunneth", lambda l, a: (found := real(l, a)) and (found[0], found[1] + 1))
+
+
+def kunneth_degree(monkeypatch):
+    # H^1 of O(-3) on P^1 lands in degree 2, past the table of n = 1
+    real = cohomology._kunneth
+    monkeypatch.setattr(cohomology, "_kunneth", lambda l, a: (found := real(l, a)) and (found[0] + 1, found[1]))
+
+
+def chi_sign(monkeypatch):
+    real = cohomology.euler_characteristic
+    monkeypatch.setattr(cohomology, "euler_characteristic", lambda E, a: -real(E, a))
+
+
+def dual_twists_only(monkeypatch):
+    # wrong only outside the box -3..3, where no profile but a dual one is read
+    real = cohomology.product_cohomology
+
+    def wrong_outside(E, a):
+        profile = real(E, a)
+        if profile.degree is None or all(-3 <= ak <= 3 for ak in a):
+            return profile
+        return cohomology.CohomologyProfile(profile.degree, profile.dimension + 1)
+
+    monkeypatch.setattr(cohomology, "product_cohomology", wrong_outside)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "plant, first",
+    [
+        (kunneth_dimension, {"a": [-3], "reason": "profile disagrees with Kunneth convolution", "profile": [1, 3]}),
+        (kunneth_degree, {"a": [-3], "reason": "profile disagrees with Kunneth convolution", "profile": [2, 2]}),
+        (chi_sign, {"a": [-3], "reason": "Euler characteristic disagrees", "chi": 2}),
+        (dual_twists_only, {"a": [2], "reason": "Serre duality violated", "dual": [-4], "dual_profile": [1, 4]}),
+    ],
+    ids=["dimension", "degree", "chi", "dual"],
+)
+def test_cohomology_faults_are_counterexamples(capsys, monkeypatch, plant, first, cpus):
+    # a library fault is a counterexample, exit 2, never a usage error
+    plant(monkeypatch)
+    monkeypatch.setattr(verify, "_available_cpus", lambda: cpus)
+    argv = ["verify", "--lmax=2", "--dmax=1", "--box=-3,3", "--r3-samples=0", "--checks=cohomology", "--format=json"]
+    assert cli.main(argv) == 2
+    (check,) = json.loads(capsys.readouterr().out)["result"]["checks"]
+    assert check["failures"] > 0 and check["counterexample"]["l"] == [1]
+    assert {key: check["counterexample"][key] for key in first} == first
+
+
+TINY = verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=0)
+
+
+def not_monotone(E, m, p, real=regularity.is_regular_oracle, reg=regularity.cm_regularity):
+    # regular at the least regular twist, not at the one above it
+    return real(E, m, p) and tuple(p) != tuple((reg(E, m) + 1) * dk for dk in E.d)
+
+
+@pytest.mark.parametrize(
+    "oracle, reason",
+    [
+        (lambda E, m, p: True, "scan lower bound -4 is already regular"),
+        (lambda E, m, p: False, "no regular twist in [-4, 4]"),
+        (not_monotone, "twist 1 above the minimum 0 is not regular"),
+    ],
+    ids=["always", "never", "not-monotone"],
+)
+def test_minimal_twist_catches_planted_oracles(monkeypatch, oracle, reason):
+    monkeypatch.setattr(regularity, "is_regular_oracle", oracle)
+    (result,) = run_on(1, monkeypatch, TINY, ["minimal-twist"])
+    assert result.failures == result.instances == 2
+    assert (result.counterexample["l"], result.counterexample["reason"]) == ([1], reason)
+
+
+def test_ideal_bound_catches_a_lost_strictness_witness(monkeypatch):
+    # one more everywhere still bounds reg, but no longer strictly by one
+    real = regularity.ideal_sheaf_bound
+    monkeypatch.setattr(regularity, "ideal_sheaf_bound", lambda E: real(E)._replace(value=real(E).value + 1))
+    (result,) = run_on(1, monkeypatch, TINY, ["ideal-bound"])
+    assert result.failures == 1
+    assert result.counterexample == {"l": [1, 2], "d": [1, 1], "bound": 4, "reg_zero": 1, "reason": "strictness witness failed"}
+
+
+def test_dual_twist_that_is_not_an_involution_is_a_counterexample(monkeypatch):
+    # a sign flip maps m to m - c, c = n d - l - 1 = (1, 0) here
+    real = tate.dual_twist
+    monkeypatch.setattr(tate, "dual_twist", lambda E, m: tuple(-x for x in real(E, m)))
+    failure = verify._duality_failure(SegreVeronese((1, 2), (1, 1)), (0, 0))
+    assert failure == {"l": [1, 2], "d": [1, 1], "m": [0, 0], "reason": "dual twist is not an involution"}
+
+
+def test_window_endpoint_off_by_one_fails_purity(monkeypatch):
+    # the columns stay right, so only the purity replay sees the endpoint
+    real = tate.tate_window
+    monkeypatch.setattr(tate, "tate_window", lambda E, m, pad=2: (w := real(E, m, pad))._replace(p_plus=w.p_plus + 1))
+    (result,) = run_on(1, monkeypatch, TINY, ["tate-window"])
+    assert result.failures == result.instances == 90
+    assert result.counterexample["reason"] == "purity does not match endpoint"
