@@ -40,7 +40,7 @@ from .regularity import (
     regularity_corners,
     segre_regularity,
 )
-from .tate import balanced_endpoints, dual_twist, p_minus, p_plus, tate_window
+from .tate import balanced_endpoints, dual_twist, p_minus, tate_window
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -226,7 +226,7 @@ def _tate(params: dict, inputs: dict) -> tuple[dict, str]:
 
 def _endpoints(params: dict, inputs: dict) -> tuple[dict, str]:
     E, m = params["E"], params["m"]
-    hi, lo = p_plus(E, m), p_minus(E, m)
+    hi, lo = cm_regularity(E, m), p_minus(E, m)
     result = {"p_plus": hi, "p_minus": lo, "length": hi - lo, "dual_twist": list(dual_twist(E, m))}
     balanced = balanced_endpoints(E, m)
     if balanced is not None:
@@ -319,8 +319,6 @@ _COMMANDS: dict[str, _Command] = {
             _Flag("--lmax", _bounded),
             _Flag("--dmax", _bounded),
             _Flag("--r3-samples", _bounded),
-            _Flag("--subadd-pairs", _bounded),
-            _Flag("--pair-samples", _bounded),
             _Flag("--seed", _seed),
             _Flag("--checks", _check_names, dict(help="comma list; default: all")),
         ),

@@ -6,7 +6,8 @@ A summand is therefore fixed by i and its rank: a column stores the pairs
 (i, rank), and the twist i - p is derived where it is shown.  The
 differentials are not represented.  The interesting part of the
 resolution sits between the endpoints p_minus and p_plus: at or above
-p_plus a column is pure H^0, at or below p_minus it is pure H^n.
+p_plus a column is pure H^0, at or below p_minus it is pure H^n.  p_plus
+is the regularity of the pushforward of O(m), ``cm_regularity``.
 """
 from __future__ import annotations
 
@@ -57,12 +58,6 @@ def dual_twist(E: SegreVeronese, m: Sequence[int]) -> MultiDegree:
     return tuple(-mk + n * dk - lk - 1 for mk, lk, dk in zip(m, E.l, E.d))
 
 
-def p_plus(E: SegreVeronese, m: Sequence[int]) -> int:
-    """Smallest column index from which the resolution is pure H^0; equals
-    the regularity of the pushforward of O(m)."""
-    return cm_regularity(E, m)
-
-
 def p_minus(E: SegreVeronese, m: Sequence[int]) -> int:
     """Largest column index down to which the resolution is pure H^n:
     -reg of the dual twist.  ``svreg verify`` replays it against the direct
@@ -100,7 +95,7 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
     _check_lengths(E, m=m)
-    lo, hi = p_minus(E, m), p_plus(E, m)
+    lo, hi = p_minus(E, m), cm_regularity(E, m)
     first, last = lo - pad, hi + pad
     n, r, l, d = E.n, E.r, E.l, E.d
     columns = last - first + 1

@@ -88,8 +88,14 @@ class TestParseArgs:
             cli.parse_args(["frobnicate"])
 
     def test_caps_flag_is_gone(self):
-        with pytest.raises(ValueError, match="unrecognized arguments: --caps subsets=5"):
-            cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", "0,0", "--caps", "subsets=5"])
+        # and so are verify's sample counts of the subadditivity checks
+        for argv, unrecognized in (
+            (["reg", "--l", "1,1", "--d", "1,1", "--m", "0,0", "--caps", "subsets=5"], "--caps subsets=5"),
+            (["verify", "--subadd-pairs=10"], "--subadd-pairs=10"),
+            (["verify", "--pair-samples=5"], "--pair-samples=5"),
+        ):
+            with pytest.raises(ValueError, match=f"^unrecognized arguments: {unrecognized}$"):
+                cli.parse_args(argv)
 
     def test_negative_entries_with_equals_form(self):
         request = cli.parse_args(["member", "--l=1,1", "--d=1,1", "--m=-2,3", "--p=-1,-1"])
@@ -257,8 +263,6 @@ class TestMain:
                 "--dmax=1",
                 "--box=-2,2",
                 "--r3-samples=10",
-                "--subadd-pairs=10",
-                "--pair-samples=5",
                 "--format=json",
             ],
             capsys,
@@ -530,10 +534,16 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags, config, name",
         [
-            # about 4,500, 1,350 and 2,250 CPU-s at 46, 15 and 25 us an instance
+            # about 4,500 CPU-s at 46 us an instance
             (["--checks=tate-endpoints", "--r3-samples=99000000"], dict(r3_samples=99_000_000), "tate-endpoints"),
-            (["--subadd-pairs=1000000", "--checks=subadditivity"], dict(subadd_pairs=1_000_000), "subadditivity"),
-            (["--pair-samples=1000000", "--checks=pair-subadditivity"], dict(pair_samples=1_000_000), "pair-subadditivity"),
+            # one step past the widest boxes README's weight table admits:
+            # 121.6M units, about 280 CPU-s, and 100.9M units
+            (
+                ["--box=-17,17", "--r3-samples=0", "--checks=formula-vs-oracle"],
+                dict(box=(-17, 17), r3_samples=0),
+                "formula-vs-oracle",
+            ),
+            (["--box=-48,48", "--checks=minimal-twist"], dict(box=(-48, 48)), "minimal-twist"),
             # nearly all r=3 samples, priced apart from the box: about 2,200-3,600,
             # 3,800-4,700 and 590-700 CPU-s at 22-36, 38-47 and 450-536 us a sample
             (
@@ -594,8 +604,6 @@ class TestMain:
             ("--dmax=0", "dmax must be between 1 and 8, got 0"),
             ("--box=3,1", "box needs lo <= hi, got 3,1"),
             ("--r3-samples=-1", "r3_samples must be >= 0, got -1"),
-            ("--subadd-pairs=-1", "subadd_pairs must be >= 0, got -1"),
-            ("--pair-samples=-1", "pair_samples must be >= 0, got -1"),
             ("--checks=nope", f"unknown checks: nope; available: {', '.join(verify.CHECKS)}"),
             ("--checks=segre-r2,segre-r2", "checks named more than once: segre-r2"),
         ],

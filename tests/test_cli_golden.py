@@ -32,9 +32,7 @@ SUBCOMMANDS = (
 )
 BIG = str(2**63)  # one past the signed 64-bit range
 E2 = ["--l=1,1", "--d=1,1"]
-SMALL_VERIFY = [
-    "--lmax=1", "--dmax=1", "--box=-2,2", "--r3-samples=10", "--subadd-pairs=10", "--pair-samples=5"
-]
+SMALL_VERIFY = ["--lmax=1", "--dmax=1", "--box=-2,2", "--r3-samples=10"]
 
 # one valid invocation per subcommand first: its flags are varied below
 VALID = [
@@ -74,9 +72,9 @@ MULTI_ERRORS = [
     ["segre2", "--dims=0,1", "--twist=1"],
     ["segre2", "--dims=1,2,3", "--twist=1"],
     ["verify", "--box=3,1", "--lmax=0", "--checks=nope"],
-    ["verify", "--seed=x", "--subadd-pairs=-1"],
+    ["verify", "--seed=x", "--r3-samples=-1"],
     ["verify", "--checks=nope", "--seed=-1"],
-    ["verify", "--checks=nope", "--pair-samples=-1", "--dmax=0"],
+    ["verify", "--checks=nope", "--r3-samples=-1", "--dmax=0"],
     ["tate", *E2, "--m=0,x", "--pad=-1"],
     ["tate", *E2, "--m=0,0", "--pad=-1", "--caps", "subsets=0"],
     ["reg", *E2, "--m=0,x", "--caps", "nope=1"],
@@ -135,7 +133,7 @@ def _single_errors():
         ("--lmax", ("0", "x", BIG)),
         ("--dmax", ("0", "1.5")),
         ("--r3-samples", ("-1",)),
-        ("--subadd-pairs", ("-1", "x")),
+        ("--subadd-pairs", ("-1",)),  # removed flags, refused as unrecognized
         ("--pair-samples", ("-1",)),
         ("--seed", ("x", "-1", str(2**64))),
         ("--checks", ("nope", "nope,segre-r2,bad")),

@@ -12,21 +12,7 @@ from svreg.cohomology import (
     product_cohomology,
 )
 from svreg.regularity import is_regular_oracle
-from svreg.verify import _factor_table
-
-
-def kunneth_table(l, a):
-    """Independent route: convolve the single-factor tables instead of using
-    the concentration shortcut."""
-    conv = [1]
-    for lk, ak in zip(l, a):
-        t = _factor_table(lk, ak)
-        new = [0] * (len(conv) + lk)
-        for i, ci in enumerate(conv):
-            for j, tj in enumerate(t):
-                new[i + j] += ci * tj
-        conv = new
-    return conv
+from svreg.verify import _factor_table, _kunneth_table
 
 
 class TestFactorCohomology:
@@ -96,7 +82,7 @@ class TestProductCohomology:
         E = SegreVeronese((1, 2), (1, 1))
         for a0 in range(-5, 5):
             for a1 in range(-5, 5):
-                assert product_cohomology(E, (a0, a1)).table(3) == kunneth_table(E.l, (a0, a1))
+                assert product_cohomology(E, (a0, a1)).table(3) == _kunneth_table(E.l, (a0, a1))
 
     def test_length_mismatch(self):
         E = SegreVeronese((1, 1), (1, 1))
@@ -121,7 +107,7 @@ class TestEulerCharacteristic:
         E = SegreVeronese((2, 1), (1, 1))
         for a0 in range(-5, 5):
             for a1 in range(-5, 5):
-                table = kunneth_table(E.l, (a0, a1))
+                table = _kunneth_table(E.l, (a0, a1))
                 alternating = sum(v if i % 2 == 0 else -v for i, v in enumerate(table))
                 assert euler_characteristic(E, (a0, a1)) == alternating
 

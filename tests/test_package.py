@@ -13,26 +13,32 @@ import svreg
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def loaded(statement, modules):
+    """Those of ``modules`` that a fresh interpreter has loaded after running
+    ``statement``."""
+    code = f"import sys; {statement}; print(','.join(m for m in {modules!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_verify_and_pools_unloaded():
     # a one-shot call imports svreg.cli; only `svreg verify` needs the rest,
     # and no record needs dataclasses (or the inspect module it loads)
     modules = ("svreg.verify", "multiprocessing", "concurrent.futures", "dataclasses", "inspect")
-    code = f"import sys, svreg.cli; print(','.join(m for m in {modules!r} if m in sys.modules))"
-    env = {**os.environ, "PYTHONPATH": SRC}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == ""
+    assert loaded("import svreg.cli", modules) == ""
 
 
-@pytest.mark.parametrize("name", ["CHECKS", "CheckResult", "VerifyConfig", "run_checks"])
-def test_verify_names_resolve(name):
-    assert getattr(svreg, name) is getattr(svreg.verify, name)
+def test_star_import_leaves_verify_unloaded():
+    # the package exports no name of svreg.verify, so a star import loads
+    # neither it nor the dataclasses its config is built with
+    assert loaded("from svreg import *", ("svreg.verify", "dataclasses")) == ""
 
 
 def test_star_import_resolves_every_name():
     namespace = {}
     exec("from svreg import *", namespace)
     assert set(svreg.__all__) <= set(namespace)
-    assert namespace["run_checks"] is svreg.verify.run_checks
 
 
 def test_unknown_attribute_raises():
@@ -73,25 +79,53 @@ def names_in(tree):
     return out
 
 
+LIBRARY = ("cohomology", "regularity", "tate")
+
+
+def parsed(module):
+    with open(os.path.join(SRC, "svreg", f"{module}.py")) as f:
+        return ast.parse(f.read())
+
+
+def public_functions(tree):
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
 def test_every_public_function_has_a_caller_outside_verify():
     # a second route that only verify replays the library against belongs
     # in verify: each public function of the library is named in the CLI or
     # in another library module
-    library = ("cohomology", "regularity", "tate")
-    trees = {}
-    for module in (*library, "cli"):
-        with open(os.path.join(SRC, "svreg", f"{module}.py")) as f:
-            trees[module] = ast.parse(f.read())
+    trees = {module: parsed(module) for module in (*LIBRARY, "cli")}
     named = {module: names_in(tree) for module, tree in trees.items()}
     uncalled = [
         f"{module}.{node.name}"
-        for module in library
-        for node in trees[module].body
-        if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
-        and not any(node.name in named[other] for other in trees if other != module)
+        for module in LIBRARY
+        for node in public_functions(trees[module])
+        if not any(node.name in named[other] for other in trees if other != module)
     ]
     assert uncalled == []
+
+
+def test_no_public_library_function_is_an_alias():
+    # an alias is a second name for one route: a public function whose body,
+    # after its docstring, is only ``return g(<its parameters, in order>)``
+    # with g a public library function
+    trees = {module: parsed(module) for module in LIBRARY}
+    public = {node.name for tree in trees.values() for node in public_functions(tree)}
+    aliases = []
+    for module, tree in trees.items():
+        for node in public_functions(tree):
+            body = node.body
+            if ast.get_docstring(node) is not None:
+                body = body[1:]
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            if not isinstance(call, ast.Call) or call.keywords:
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            params = [arg.arg for arg in (*node.args.posonlyargs, *node.args.args)]
+            if callee in public and [getattr(arg, "id", None) for arg in call.args] == params:
+                aliases.append(f"{module}.{node.name}")
+    assert aliases == []
 
 
 def test_cli_keeps_no_limit():

@@ -16,7 +16,7 @@ from svreg.regularity import (
     regularity_corners,
     segre_regularity,
 )
-from svreg.tate import balanced_endpoints, dual_twist, p_minus, p_plus, tate_window
+from svreg.tate import balanced_endpoints, dual_twist, p_minus, tate_window
 from svreg.verify import _euler_polynomial, _factor_table, _tate_term
 
 
@@ -150,7 +150,7 @@ def test_dual_twist_involution_and_endpoint_duality(data):
     E, m = data
     md = dual_twist(E, m)
     assert dual_twist(E, md) == m
-    assert p_minus(E, m) == -p_plus(E, md)
+    assert p_minus(E, m) == -cm_regularity(E, md)
 
 
 @given(embedding_and_vectors(lo=-5, hi=5, max_l=2, max_d=2))
@@ -172,7 +172,7 @@ def test_window_structure_and_positive_length(data):
 def test_balanced_endpoints_match_general_operations(l, ms):
     # ms is drawn in any order: balanced_endpoints sorts it itself
     E = SegreVeronese((l,) * len(ms), (1,) * len(ms))
-    assert balanced_endpoints(E, ms) == (p_plus(E, ms), p_minus(E, ms))
+    assert balanced_endpoints(E, ms) == (cm_regularity(E, ms), p_minus(E, ms))
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(-5, 5), st.integers(-5, 5))

@@ -6,11 +6,11 @@ import pytest
 
 from svreg import tate
 from svreg.cohomology import SegreVeronese, product_cohomology
+from svreg.regularity import cm_regularity
 from svreg.tate import (
     balanced_endpoints,
     dual_twist,
     p_minus,
-    p_plus,
     tate_window,
 )
 from svreg.verify import _p_minus_ceiling, _tate_term
@@ -35,14 +35,15 @@ class TestDualTwist:
 
 
 class TestEndpoints:
+    # p_plus is cm_regularity, which tate_window reports as the window's p_plus
     def test_p_plus_origin(self):
-        assert p_plus(P1P1, (0, 0)) == 1
+        assert tate_window(P1P1, (0, 0)).p_plus == 1
 
     def test_p_plus_unbalanced(self):
-        assert p_plus(P1P1, (0, 2)) == 0
+        assert tate_window(P1P1, (0, 2)).p_plus == 0
 
     def test_p_plus_projective_space(self):
-        assert p_plus(SegreVeronese((3,), (1,)), (0,)) == 0
+        assert tate_window(SegreVeronese((3,), (1,)), (0,)).p_plus == 0
 
     def test_p_minus_origin(self):
         assert p_minus(P1P1, (0, 0)) == -1
@@ -53,17 +54,17 @@ class TestEndpoints:
     def test_constant_window_length(self):
         # (r-1)l + 1 = 2 here, whatever the constant twist is
         for m in range(-6, 7):
-            assert p_plus(P1P1, (m, m)) - p_minus(P1P1, (m, m)) == 2
+            assert cm_regularity(P1P1, (m, m)) - p_minus(P1P1, (m, m)) == 2
 
     def test_growing_window_length(self):
         # m = (0, M) with M >= l: length M - l + 1
         for M in range(1, 9):
-            assert p_plus(P1P1, (0, M)) - p_minus(P1P1, (0, M)) == M
+            assert cm_regularity(P1P1, (0, M)) - p_minus(P1P1, (0, M)) == M
 
     def test_duality(self):
         E = SegreVeronese((2, 1), (1, 2))
         for m in ((0, 0), (3, -2), (-4, 5)):
-            assert p_minus(E, m) == -p_plus(E, dual_twist(E, m))
+            assert p_minus(E, m) == -cm_regularity(E, dual_twist(E, m))
 
     def test_ceiling_route_agrees(self):
         # the direct form that verify replays p_minus against
@@ -102,7 +103,7 @@ class TestTateTerm:
                 for d in itertools.product((1, 2), repeat=r):
                     E = SegreVeronese(l, d)
                     for m in itertools.product(range(-3, 4), repeat=r):
-                        for p in range(p_minus(E, m) - 2, p_plus(E, m) + 3):
+                        for p in range(p_minus(E, m) - 2, cm_regularity(E, m) + 3):
                             term = _tate_term(E, m, p)
                             assert term.p == p
                             assert list(term.entries) == reference(E, m, p)
@@ -233,17 +234,17 @@ class TestBalancedEndpoints:
 
     def test_matches_general_operations(self):
         for ms in ((0, 0, 0), (-3, 0, 2), (5, 5, 5), (-6, -6, 6)):
-            assert balanced_endpoints(P2P2P2, ms) == (p_plus(P2P2P2, ms), p_minus(P2P2P2, ms))
+            assert balanced_endpoints(P2P2P2, ms) == (cm_regularity(P2P2P2, ms), p_minus(P2P2P2, ms))
 
     def test_balanced_length_independent_of_twist(self):
         E = SegreVeronese((2, 2, 2), (1, 1, 1))
         m = (5, 5, 5)
-        assert p_plus(E, m) - p_minus(E, m) == 5
+        assert cm_regularity(E, m) - p_minus(E, m) == 5
 
     def test_unsorted_m_matches_sorted(self):
         for ms in ((2, 0, -3), (6, -6, -6), (0, 5, 1)):
             assert balanced_endpoints(P2P2P2, ms) == balanced_endpoints(P2P2P2, sorted(ms))
-            assert balanced_endpoints(P2P2P2, ms) == (p_plus(P2P2P2, ms), p_minus(P2P2P2, ms))
+            assert balanced_endpoints(P2P2P2, ms) == (cm_regularity(P2P2P2, ms), p_minus(P2P2P2, ms))
 
     def test_unbalanced_embedding_returns_none(self):
         for E in (SegreVeronese((1, 2), (1, 1)), SegreVeronese((1, 1), (1, 2)), SegreVeronese((2,), (3,))):

@@ -1,4 +1,5 @@
 """Sharded verification: the merge must not depend on the worker count."""
+import dataclasses
 import inspect
 import itertools
 import json
@@ -34,13 +35,24 @@ def test_parallel_matches_serial(monkeypatch):
 @pytest.mark.parametrize(
     "config",
     [
-        verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=3, subadd_pairs=2, pair_samples=1),
-        verify.VerifyConfig(lmax=2, dmax=1, box=(-1, 2), r3_samples=0, subadd_pairs=0, pair_samples=3),
+        verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=3),
+        verify.VerifyConfig(lmax=2, dmax=1, box=(-1, 2), r3_samples=0),
     ],
 )
 def test_instance_counts_match_the_runs(monkeypatch, config):
     results = run_on(1, monkeypatch, config)
     assert {r.name: r.instances for r in results} == verify.instance_counts(config)
+
+
+def test_subadditivity_sample_counts_are_constants():
+    # no caller varies them; bench/workloads.py reads them off a config to
+    # size the reference run
+    config = verify.VerifyConfig()
+    assert (config.subadd_pairs, config.pair_samples) == (1000, 200)
+    assert [f.name for f in dataclasses.fields(config)] == ["lmax", "dmax", "box", "r3_samples", "seed"]
+    for field in ("subadd_pairs", "pair_samples"):
+        with pytest.raises(TypeError):
+            verify.VerifyConfig(**{field: 5})
 
 
 def test_run_checks_is_the_one_route_to_a_check(monkeypatch):
@@ -52,7 +64,7 @@ def test_run_checks_is_the_one_route_to_a_check(monkeypatch):
         if inspect.isfunction(value) and not name.startswith("_") and value.__module__ == verify.__name__
     }
     assert public == {"run_checks", "instance_counts"}
-    tiny = verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=3, subadd_pairs=2, pair_samples=1)
+    tiny = verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=3)
     for name in verify.CHECKS:
         (result,) = run_on(1, monkeypatch, tiny, [name])
         assert isinstance(result, verify.CheckResult) and result.name == name
@@ -194,16 +206,20 @@ def test_two_pair_checks_are_each_charged_their_pairs(monkeypatch):
         (verify.VerifyConfig(lmax=0), None, "lmax must be between 1 and 8, got 0"),
         (verify.VerifyConfig(dmax=9), None, "dmax must be between 1 and 8, got 9"),
         (verify.VerifyConfig(r3_samples=-1), None, "r3_samples must be >= 0, got -1"),
-        (verify.VerifyConfig(subadd_pairs=-1), None, "subadd_pairs must be >= 0, got -1"),
-        (verify.VerifyConfig(pair_samples=-1), None, "pair_samples must be >= 0, got -1"),
         (SMALL, ["segre-r2", "cohomology", "segre-r2"], "checks named more than once: segre-r2"),
         (SMALL, [], f"no checks named; available: {', '.join(verify.CHECKS)}"),
-        (SMALL, "segre-r2", "names must be a list of check names, not the string 'segre-r2'"),
+        (SMALL, "segre-r2", "names must be a list or tuple of check names, got 'segre-r2'"),
+        (SMALL, {"segre-r2"}, r"names must be a list or tuple of check names, got \{'segre-r2'\}"),
+        (SMALL, {"segre-r2": 1}, r"names must be a list or tuple of check names, got \{'segre-r2': 1\}"),
+        (SMALL, iter(["segre-r2"]), "names must be a list or tuple of check names, got <list_iterator object at .*>"),
         (SMALL, ["segre-r2", 1, ["x"]], rf"unknown checks: 1, \['x'\]; available: {', '.join(verify.CHECKS)}"),
         (verify.VerifyConfig(lmax=2.5), None, r"lmax must be an integer, got 2\.5"),
         (verify.VerifyConfig(r3_samples=1e3), None, r"r3_samples must be an integer, got 1000\.0"),
         (verify.VerifyConfig(box=(1, 2, 3)), None, r"box must be two integers lo,hi, got \(1, 2, 3\)"),
         (verify.VerifyConfig(box=(-0.5, 2)), None, r"box must be two integers lo,hi, got \(-0\.5, 2\)"),
+        # a bool is an int to isinstance, but not a grid bound
+        (verify.VerifyConfig(lmax=True), None, "lmax must be an integer, got True"),
+        (verify.VerifyConfig(box=(False, 1)), None, r"box must be two integers lo,hi, got \(False, 1\)"),
         # a check named alone is refused the same way
         *(
             (verify.VerifyConfig(lmax=0, r3_samples=0), [name], "lmax must be between 1 and 8, got 0")
@@ -219,16 +235,19 @@ def test_two_pair_checks_are_each_charged_their_pairs(monkeypatch):
         "lmax-0",
         "dmax-9",
         "r3-samples",
-        "subadd-pairs",
-        "pair-samples",
         "repeated-name",
         "no-name",
         "names-string",
+        "names-set",
+        "names-dict",
+        "names-iterator",
         "names-not-strings",
         "lmax-float",
         "r3-samples-float",
         "box-three",
         "box-float",
+        "lmax-bool",
+        "box-bool",
         *(f"lmax-0-{name}" for name in verify.CHECKS),
         *(f"inverted-box-{name}" for name in verify.CHECKS),
     ],
@@ -406,7 +425,7 @@ def test_p_minus_disagreement_is_a_counterexample(monkeypatch):
     monkeypatch.setattr(tate, "p_minus", lambda E, m: real(E, m) + 1)
     failure = verify._duality_failure(SegreVeronese((1, 1), (1, 1)), (0, 2))
     assert failure["reason"] == "p_minus presentations disagree"
-    assert (failure["p_minus"], failure["dual_p_plus"], failure["ceiling"]) == (-1, 2, -2)
+    assert (failure["p_minus"], failure["ceiling"]) == (-1, -2)
 
 
 def kunneth_dimension(monkeypatch):
