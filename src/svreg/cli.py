@@ -2,9 +2,12 @@
 
 Every invocation produces a single report document, rendered either as a
 human-readable table (default) or as one line of JSON, so batch runs can
-concatenate documents line by line.  Dimensions, ranks and other values
-that can outgrow 64 bits are serialized as decimal strings; everything is
-exact; the only floats are the per-check timings of ``verify``.
+concatenate documents line by line.  The document echoes every flag it
+read.  The table is rendered from the document by one rule set, the same
+for every subcommand (``render_table``).  Dimensions, ranks and other
+values that can outgrow 64 bits are serialized as decimal strings;
+everything is exact; the only floats are the per-check timings of
+``verify``.
 
 This module only reads the flags, checking how they are written
 (integers, list lengths, required flags), and renders the library's
@@ -15,7 +18,8 @@ stderr.
 
 Exit codes: 0 success, 1 usage or input error, 2 a verification check
 found a counterexample, 3 an internal error (a broken invariant the
-library detected, a RuntimeError reported in one line on stderr).
+library detected, a RuntimeError reported in one line on stderr; a
+ValueError raised while a ``verify`` check runs is one too).
 Output that cannot be written exits 1 as well: quietly when the reader
 closed the pipe (as ``| head`` does), otherwise with one line on stderr.
 """
@@ -104,13 +108,6 @@ def _bounded(text: str, flag: str) -> int:
     if not INT64_MIN <= v <= INT64_MAX:
         raise ValueError(f"{flag} value {v} is outside the signed 64-bit range")
     return v
-
-
-def _seed(text: str, flag: str) -> int:
-    seed = _integer(text, flag)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{flag} expects an unsigned 64-bit integer, got {seed}")
-    return seed
 
 
 def _two(text: str, flag: str) -> tuple[int, ...]:
@@ -267,7 +264,6 @@ class _Command(NamedTuple):
     vectors: tuple[str, ...] = ()  # length-r vectors, read after --l/--d and echoed in order
     pair: tuple[str, ...] = ()  # optional length-r vectors that must be given together
     flags: tuple[_Flag, ...] = ()  # in --help and parsing order
-    echo: tuple[str, ...] = ()  # the flags, by dest, echoed after the vectors
     d: dict[str, Any] | None = {"required": True}  # argparse keywords of --d; None: no embedding
 
 
@@ -286,7 +282,6 @@ _COMMANDS: dict[str, _Command] = {
         flags=(
             _Flag("--antichain", None, dict(action="store_true", help="no effect: the corners always form an antichain")),
         ),
-        echo=("antichain",),
     ),
     "reg": _Command(
         "Castelnuovo-Mumford regularity of the pushforward of O(m)", _reg, ("m",),
@@ -300,7 +295,6 @@ _COMMANDS: dict[str, _Command] = {
             _Flag("--dims", _two, dict(required=True, help="a,b: the two factor dimensions")),
             _Flag("--twist", _two, dict(required=True, help="k,l: the two twist entries")),
         ),
-        echo=("dims", "twist"),
     ),
     "lambda": _Command("regularity bound for the ideal sheaf of the image", _lambda),
     "subadd": _Command(
@@ -308,7 +302,7 @@ _COMMANDS: dict[str, _Command] = {
         pair=("p", "p2"),
     ),
     "tate": _Command(
-        "Tate resolution columns around the interesting window", _tate, ("m",), echo=("pad",),
+        "Tate resolution columns around the interesting window", _tate, ("m",),
         flags=(_Flag("--pad", _bounded, dict(default="2")),),
     ),
     "endpoints": _Command("window endpoints p+ and p-", _endpoints, ("m",)),
@@ -319,7 +313,7 @@ _COMMANDS: dict[str, _Command] = {
             _Flag("--lmax", _bounded),
             _Flag("--dmax", _bounded),
             _Flag("--r3-samples", _bounded),
-            _Flag("--seed", _seed),
+            _Flag("--seed", _integer),
             _Flag("--checks", _check_names, dict(help="comma list; default: all")),
         ),
     ),
@@ -393,90 +387,65 @@ def parse_args(argv: list[str]) -> CliRequest:
 
 
 def run(request: CliRequest) -> tuple[ReportDocument, int]:
-    """Execute a validated request; returns the report and the exit code."""
-    command = _COMMANDS[request.command]
+    """Execute a validated request; returns the report and the exit code.
+    The inputs echo every parsed parameter, the embedding as l and d."""
     params = request.params
     inputs: dict[str, Any] = {}
-    if command.d is not None:
-        inputs.update(l=list(params["E"].l), d=list(params["E"].d))
-    for key in (*command.vectors, *command.pair, *command.echo):
-        if key in params:
-            value = params[key]
+    for key, value in params.items():
+        if key == "E":
+            inputs.update(l=list(value.l), d=list(value.d))
+        else:
             inputs[key] = list(value) if isinstance(value, tuple) else value
-    result, note = command.build(params, inputs)
+    result, note = _COMMANDS[request.command].build(params, inputs)
     code = 2 if result.get("ok") is False else 0  # a verify check found a counterexample
     return ReportDocument(request.command, inputs, result, note, __version__), code
 
 
-def _fmt_scalar(value: Any) -> str:
+def _cell(value: Any) -> str:
     if value is None:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    if isinstance(value, dict):
+        return " ".join(f"{k}={_cell(v)}" for k, v in value.items())
     if isinstance(value, (list, tuple)):
-        return ",".join(_fmt_scalar(v) for v in value)
+        return ",".join(_cell(v) for v in value)
     return str(value)
 
 
-def _table_rows(rows: list[list[str]], header: list[str]) -> list[str]:
-    widths = [max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i]) for i in range(len(header))]
-    lines = ["  " + "  ".join(header[i].ljust(widths[i]) for i in range(len(header)))]
-    for row in rows:
-        lines.append("  " + "  ".join(row[i].ljust(widths[i]) for i in range(len(header))))
-    return lines
+def _records(value: Any) -> bool:
+    return isinstance(value, list) and bool(value) and all(isinstance(v, dict) for v in value)
+
+
+def _rows(record: dict) -> list[dict]:
+    """The table rows of a record: one per entry of a list of records it
+    holds, each with the record's other fields, or else the record itself."""
+    for key, value in record.items():
+        if _records(value):
+            rest = {k: v for k, v in record.items() if k != key}
+            return [{**rest, **entry} for entry in value]
+    return [record]
 
 
 def render_table(doc: ReportDocument) -> str:
-    """Human-readable rendering of a report document."""
+    """Human-readable rendering of a report document, by one rule set for
+    every subcommand: a list of records is a table headed by their keys,
+    with one row per entry of a list of records a record holds; any other
+    value is a ``key: value`` line, a list comma-joined, a record as
+    ``k=v`` pairs, a float to 3 decimals."""
     lines = [f"command: {doc.command}"]
-    for key, value in doc.inputs.items():
-        lines.append(f"{key}: {_fmt_scalar(value)}")
-    result = doc.result
-    for key, value in result.items():
-        if key == "corners":
-            lines.append("corners:")
-            lines.extend(
-                _table_rows(
-                    [[_fmt_scalar(c["sigma"]), _fmt_scalar(c["corner"])] for c in value],
-                    ["sigma", "corner"],
-                )
-            )
-        elif key == "subsets":
-            lines.append("subsets:")
-            rows = [
-                [_fmt_scalar(row["J"]), str(row["l_J"]), str(row["value"]), "*" if row["max"] else ""]
-                for row in value
-            ]
-            lines.extend(_table_rows(rows, ["J", "l_J", "value", "max"]))
-        elif key == "terms":
-            lines.append("columns:")
-            rows = []
-            for term in value:
-                if not term["entries"]:
-                    rows.append([str(term["p"]), "-", "-", "0"])
-                for e in term["entries"]:
-                    rows.append([str(term["p"]), str(e["i"]), str(e["twist"]), e["rank"]])
-            lines.extend(_table_rows(rows, ["p", "i", "twist", "rank"]))
-        elif key == "checks":
-            lines.append("checks:")
-            rows = [
-                [
-                    c["name"],
-                    str(c["instances"]),
-                    str(c["failures"]),
-                    f"{c['elapsed_s']:.3f}",
-                    "ok" if c["failures"] == 0 else "FAIL",
-                ]
-                for c in value
-            ]
-            lines.extend(_table_rows(rows, ["check", "instances", "failures", "seconds", "status"]))
-            bad = next((c for c in value if c["counterexample"]), None)
-            if bad is not None:
-                lines.append(f"counterexample ({bad['name']}): {json.dumps(bad['counterexample'], sort_keys=True)}")
-        elif key == "balanced":
-            lines.append(f"balanced: p_plus={value['p_plus']} p_minus={value['p_minus']}")
-        else:
-            lines.append(f"{key}: {_fmt_scalar(value)}")
+    for key, value in (*doc.inputs.items(), *doc.result.items()):
+        if not _records(value):
+            lines.append(f"{key}: {_cell(value)}")
+            continue
+        rows = [row for record in value for row in _rows(record)]
+        header = list(dict.fromkeys(k for row in rows for k in row))
+        cells = [header, *([_cell(row.get(k)) for k in header] for row in rows)]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines.append(f"{key}:")
+        lines.extend("  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells)
     lines.append(f"note: {doc.note}")
     return "\n".join(lines)
 

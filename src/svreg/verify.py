@@ -46,6 +46,7 @@ MAX_INSTANCES = 10**8
 # grid uses 3; the slowest tate-window instance took 1.3 ms at 8 and 23 ms
 # at 32 on one 2-vCPU Xeon core
 MAX_FACTOR_BOUND = 8
+MAX_SEED = 2**64 - 1  # seeds are unsigned 64-bit integers
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class CheckResult:
             "name": self.name,
             "instances": self.instances,
             "failures": self.failures,
-            "counterexample": self.counterexample,
             "elapsed_s": round(self.elapsed_s, 3),
+            "counterexample": self.counterexample,
         }
 
 
@@ -449,18 +450,25 @@ def _run_shard(task: tuple[tuple[str, ...], Callable, Any, VerifyConfig]) -> lis
     """Tally one shard for each check the task names, in its order.  The
     pair walk tallies its checks itself; any other routine serves one
     check and yields None for an instance that holds and a counterexample
-    for one that fails.  Runs in a worker process or in-process."""
+    for one that fails.  Runs in a worker process or in-process.
+
+    ``run_checks`` refuses every bad input before a shard starts, so a
+    ValueError raised here is a library fault: it is raised again as a
+    RuntimeError naming the checks and the shard's unit."""
     names, routine, unit, config = task
-    if routine is _walk_pairs:
-        return _walk_pairs(config, unit, names)
-    started = time.perf_counter()
-    instances = failures = 0
-    counterexample = None
-    for outcome in routine(config, unit):
-        instances += 1
-        if outcome is not None:
-            failures += 1
-            counterexample = counterexample or outcome
+    try:
+        if routine is _walk_pairs:
+            return _walk_pairs(config, unit, names)
+        started = time.perf_counter()
+        instances = failures = 0
+        counterexample = None
+        for outcome in routine(config, unit):
+            instances += 1
+            if outcome is not None:
+                failures += 1
+                counterexample = counterexample or outcome
+    except ValueError as exc:
+        raise RuntimeError(f"{', '.join(names)} failed on shard {unit!r}: {exc}") from exc
     return [CheckResult(names[0], instances, failures, counterexample, time.perf_counter() - started)]
 
 
@@ -619,9 +627,10 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     in this process.  The named pair checks share one walk.  Before any grid
     is built, names that are not a list or tuple, an empty list of names,
     an unknown and a repeated name are refused with ValueError, and so is a
-    config whose lmax, dmax or r3_samples is not an int (a bool is not one)
-    or whose box is not two ints, lmax or dmax outside 1..MAX_FACTOR_BOUND,
-    an inverted box or a negative r3_samples, and a run that weighs more
+    config whose lmax, dmax, r3_samples or seed is not an int (a bool is
+    not one) or whose box is not two ints, lmax or dmax outside
+    1..MAX_FACTOR_BOUND, an inverted box, a negative r3_samples, a seed
+    outside 0..MAX_SEED, and a run that weighs more
     than ``MAX_INSTANCES``: the sum of ``instances * weight`` over the
     ``cost`` pairs of the checks named."""
     if names is None:
@@ -640,7 +649,7 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
         if repeated:
             raise ValueError(f"checks named more than once: {', '.join(repeated)}")
         selected = list(names)
-    for field in ("lmax", "dmax", "r3_samples"):
+    for field in ("lmax", "dmax", "r3_samples", "seed"):
         if type(getattr(config, field)) is not int:
             raise ValueError(f"{field} must be an integer, got {getattr(config, field)!r}")
     box = config.box
@@ -655,6 +664,8 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
         raise ValueError(f"box needs lo <= hi, got {lo},{hi}")
     if config.r3_samples < 0:
         raise ValueError(f"r3_samples must be >= 0, got {config.r3_samples}")
+    if not 0 <= config.seed <= MAX_SEED:
+        raise ValueError(f"seed must be between 0 and {MAX_SEED}, got {config.seed}")
     costs = [pair for name in selected for pair in CHECKS[name].cost(config)]
     weighted = sum(n * weight for n, weight in costs)
     if weighted > MAX_INSTANCES:

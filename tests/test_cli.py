@@ -330,6 +330,56 @@ class TestMain:
             "oracle": False,
         }
 
+    def test_verify_table_shows_each_counterexample_on_its_row(self, capsys, monkeypatch):
+        # both pair checks fail on the same planted pair; each row carries it
+        real = regularity.is_regular_formula
+        target = ((1,), (1,), (-2,), (-2,))
+
+        def broken(E, m, p):
+            value = real(E, m, p)
+            return not value if (E.l, E.d, tuple(m), tuple(p)) == target else value
+
+        monkeypatch.setattr(regularity, "is_regular_formula", broken)
+        argv = ["verify", "--checks=formula-vs-oracle,corner-membership,segre-r2", "--lmax=1", "--dmax=1"]
+        code, out, _ = run_cli([*argv, "--box=-2,2", "--r3-samples=0"], capsys)
+        assert code == 2
+        rows = {line.split()[0]: line.rstrip() for line in out.splitlines() if line.startswith("  ")}
+        assert rows["formula-vs-oracle"].endswith("l=1 d=1 m=-2 p=-2 formula=true oracle=false")
+        assert rows["corner-membership"].endswith("l=1 d=1 m=-2 p=-2 formula=true corners=false")
+        assert rows["segre-r2"].endswith(" -")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "plant, checks, message",
+        [
+            ("dimension", "cohomology", "cohomology failed on shard (1,): dimension must be >= 1, got 0"),
+            ("dual-twist", "tate-endpoints", "tate-endpoints failed on shard None: m has 2 entries, expected 1"),
+        ],
+    )
+    def test_library_value_error_in_a_shard_exit_three(self, capsys, monkeypatch, plant, checks, message, cpus):
+        # run_checks refuses every bad input before a shard starts, so a
+        # ValueError a shard raises is the library's fault, not the caller's
+        if plant == "dimension":
+            real = cohomology._kunneth
+
+            def zero(l, a):
+                l, a = tuple(l), tuple(a)
+                found = real(l, a)
+                return (found[0], 0) if (l, a) == ((1,), (2,)) else found
+
+            monkeypatch.setattr(cohomology, "_kunneth", zero)
+        else:
+            real = tate.dual_twist
+
+            def longer(E, m):
+                return real(E, m) + ((0,) if tuple(m) == (0,) else ())
+
+            monkeypatch.setattr(tate, "dual_twist", longer)
+        monkeypatch.setattr(verify, "_available_cpus", lambda: cpus)
+        argv = ["verify", f"--checks={checks}", "--lmax=1", "--dmax=1", "--box=-2,2", "--r3-samples=0"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (3, "", f"svreg: internal error: {message}\n")
+
     def test_verify_output_independent_of_workers(self, capsys, monkeypatch):
         argv = ["verify", "--lmax=1", "--dmax=2", "--box=-2,2", "--r3-samples=20", "--format=json"]
         documents = []
@@ -606,6 +656,8 @@ class TestMain:
             ("--r3-samples=-1", "r3_samples must be >= 0, got -1"),
             ("--checks=nope", f"unknown checks: nope; available: {', '.join(verify.CHECKS)}"),
             ("--checks=segre-r2,segre-r2", "checks named more than once: segre-r2"),
+            ("--seed=-1", f"seed must be between 0 and {2**64 - 1}, got -1"),
+            (f"--seed={2**64}", f"seed must be between 0 and {2**64 - 1}, got {2**64}"),
         ],
     )
     def test_verify_domain_is_refused_by_run_checks(self, capsys, monkeypatch, flag, message):

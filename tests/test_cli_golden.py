@@ -199,6 +199,18 @@ def test_outputs_match_golden(group):
                 assert [record["argv"], capture(record["argv"])] == [record["argv"], want]
 
 
+@pytest.mark.parametrize("argv", VALID, ids=lambda argv: " ".join(argv))
+def test_table_shows_every_result_key(argv):
+    # the table is rendered from the document: no result key is renamed or
+    # left out on the way
+    with _contract_env():
+        code, table, _ = capture(argv)
+        _, document, _ = capture([*argv, "--format=json"])
+    assert code == 0
+    labels = {line.split(":")[0] for line in table.splitlines() if not line.startswith(" ")}
+    assert set(json.loads(document)["result"]) <= labels
+
+
 if __name__ == "__main__":
     recorded = {tuple(record["argv"]): record for record in _load()} if os.path.exists(GOLDEN) else {}
     with _contract_env():

@@ -220,6 +220,12 @@ def test_two_pair_checks_are_each_charged_their_pairs(monkeypatch):
         # a bool is an int to isinstance, but not a grid bound
         (verify.VerifyConfig(lmax=True), None, "lmax must be an integer, got True"),
         (verify.VerifyConfig(box=(False, 1)), None, r"box must be two integers lo,hi, got \(False, 1\)"),
+        # True would seed other samples than 1, its key reading "True|..."
+        (verify.VerifyConfig(seed=True), None, "seed must be an integer, got True"),
+        (verify.VerifyConfig(seed=1.5), None, r"seed must be an integer, got 1\.5"),
+        (verify.VerifyConfig(seed="x"), None, "seed must be an integer, got 'x'"),
+        (verify.VerifyConfig(seed=-1), None, f"seed must be between 0 and {2**64 - 1}, got -1"),
+        (verify.VerifyConfig(seed=2**70), None, f"seed must be between 0 and {2**64 - 1}, got {2**70}"),
         # a check named alone is refused the same way
         *(
             (verify.VerifyConfig(lmax=0, r3_samples=0), [name], "lmax must be between 1 and 8, got 0")
@@ -248,6 +254,11 @@ def test_two_pair_checks_are_each_charged_their_pairs(monkeypatch):
         "box-float",
         "lmax-bool",
         "box-bool",
+        "seed-bool",
+        "seed-float",
+        "seed-string",
+        "seed-negative",
+        "seed-2**70",
         *(f"lmax-0-{name}" for name in verify.CHECKS),
         *(f"inverted-box-{name}" for name in verify.CHECKS),
     ],
