@@ -10,11 +10,11 @@ everything is exact; the only floats are the per-check timings of
 ``verify``.
 
 This module only reads the flags, checking how they are written
-(integers, list lengths, required flags), and renders the library's
-answers.  A value outside the domain of the library call it feeds, or
-over that call's cost limits, is refused by that call before it does any
-work.  Both kinds of refusal are a ValueError, reported in one line on
-stderr.
+(integers, list entries in signed 64 bits, list lengths, required flags),
+and renders the library's answers.  A value outside the domain of the
+record or call it feeds (``VerifyConfig``, ``tate_window``), or over its
+cost limits, is refused by it before any work is done.  Both kinds of
+refusal are a ValueError, reported in one line on stderr.
 
 Exit codes: 0 success, 1 usage or input error, 2 a verification check
 found a counterexample, 3 an internal error (a broken invariant the
@@ -101,13 +101,6 @@ def _integer(text: str, flag: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"{flag} expects an integer, got {text!r}") from None
-
-
-def _bounded(text: str, flag: str) -> int:
-    v = _integer(text, flag)
-    if not INT64_MIN <= v <= INT64_MAX:
-        raise ValueError(f"{flag} value {v} is outside the signed 64-bit range")
-    return v
 
 
 def _two(text: str, flag: str) -> tuple[int, ...]:
@@ -270,7 +263,7 @@ class _Command(NamedTuple):
 _COMMANDS: dict[str, _Command] = {
     "cohomology": _Command(
         "cohomology profile of O(a)", _cohomology, ("a",),
-        d=dict(help="defaults to 1,...,1; irrelevant to cohomology"),
+        d=dict(help="defaults to 1,...,1; sets only ambient_dim"),
     ),
     "regular": _Command("closed-form test that O(m) is O(p)-regular", _regular, ("m", "p")),
     "oracle": _Command(
@@ -303,16 +296,16 @@ _COMMANDS: dict[str, _Command] = {
     ),
     "tate": _Command(
         "Tate resolution columns around the interesting window", _tate, ("m",),
-        flags=(_Flag("--pad", _bounded, dict(default="2")),),
+        flags=(_Flag("--pad", _integer, dict(default="2")),),
     ),
     "endpoints": _Command("window endpoints p+ and p-", _endpoints, ("m",)),
     "verify": _Command(
         "replay the closed forms against the cohomology oracle", _verify, d=None,
         flags=(
-            _Flag("--box", _two),
-            _Flag("--lmax", _bounded),
-            _Flag("--dmax", _bounded),
-            _Flag("--r3-samples", _bounded),
+            _Flag("--box", _int_list),
+            _Flag("--lmax", _integer),
+            _Flag("--dmax", _integer),
+            _Flag("--r3-samples", _integer),
             _Flag("--seed", _integer),
             _Flag("--checks", _check_names, dict(help="comma list; default: all")),
         ),
@@ -356,10 +349,10 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
 
 def parse_args(argv: list[str]) -> CliRequest:
     """Read argv into a CliRequest; raises ValueError naming the flag that
-    is missing or badly written.  Values outside a library call's domain,
-    or over its cost limits, are refused by that call before it does any
-    work, with a ValueError too: SegreVeronese here, the others when the
-    payload builders run."""
+    is missing or badly written.  Values outside the domain of a record or
+    library call, or over its cost limits, are refused by it before any
+    work is done, with a ValueError too: SegreVeronese here, the others
+    (VerifyConfig among them) when the payload builders run."""
     # the top-level parser has no option that takes a value, so its first
     # positional argument is the subcommand; an argv that starts with it can
     # reach neither the top-level help nor the invalid-choice error

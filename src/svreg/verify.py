@@ -53,7 +53,9 @@ MAX_SEED = 2**64 - 1  # seeds are unsigned 64-bit integers
 class VerifyConfig:
     """Grid bounds, the r=3 sample count and the seed; the defaults are the
     reference grid.  The seeded pairs per embedding of the two
-    subadditivity checks are constants, not fields."""
+    subadditivity checks are constants, not fields.  A config outside the
+    grid's domain (a bool is not an int) is refused with ValueError when it
+    is built, by ``dataclasses.replace`` too, so every config can be run."""
 
     lmax: int = 3
     dmax: int = 3
@@ -62,6 +64,25 @@ class VerifyConfig:
     seed: int = 1729
     subadd_pairs: ClassVar[int] = 1000
     pair_samples: ClassVar[int] = 200
+
+    def __post_init__(self) -> None:
+        for field in ("lmax", "dmax", "r3_samples", "seed"):
+            if type(getattr(self, field)) is not int:
+                raise ValueError(f"{field} must be an integer, got {getattr(self, field)!r}")
+        box = self.box
+        if not (isinstance(box, (tuple, list)) and len(box) == 2 and all(type(v) is int for v in box)):
+            raise ValueError(f"box must be two integers lo,hi, got {box!r}")
+        for field in ("lmax", "dmax"):
+            value = getattr(self, field)
+            if not 1 <= value <= MAX_FACTOR_BOUND:
+                raise ValueError(f"{field} must be between 1 and {MAX_FACTOR_BOUND}, got {value}")
+        lo, hi = box
+        if lo > hi:
+            raise ValueError(f"box needs lo <= hi, got {lo},{hi}")
+        if self.r3_samples < 0:
+            raise ValueError(f"r3_samples must be >= 0, got {self.r3_samples}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must be between 0 and {MAX_SEED}, got {self.seed}")
 
 
 @dataclass
@@ -452,9 +473,9 @@ def _run_shard(task: tuple[tuple[str, ...], Callable, Any, VerifyConfig]) -> lis
     check and yields None for an instance that holds and a counterexample
     for one that fails.  Runs in a worker process or in-process.
 
-    ``run_checks`` refuses every bad input before a shard starts, so a
-    ValueError raised here is a library fault: it is raised again as a
-    RuntimeError naming the checks and the shard's unit."""
+    ``VerifyConfig`` and ``run_checks`` refuse every bad input before a
+    shard starts, so a ValueError raised here is a library fault: it is
+    raised again as a RuntimeError naming the checks and the shard's unit."""
     names, routine, unit, config = task
     try:
         if routine is _walk_pairs:
@@ -614,7 +635,8 @@ CHECKS: dict[str, _Check] = {
 
 def instance_counts(config: VerifyConfig) -> dict[str, int]:
     """The number of instances each check runs on ``config``, in closed
-    form: nothing is enumerated, so a grid of any size is sized at once."""
+    form: nothing is enumerated, so a grid of any size is sized at once.
+    ``config`` is in the grid's domain, as every ``VerifyConfig`` is."""
     return {name: sum(n for n, _ in check.cost(config)) for name, check in CHECKS.items()}
 
 
@@ -627,12 +649,9 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     in this process.  The named pair checks share one walk.  Before any grid
     is built, names that are not a list or tuple, an empty list of names,
     an unknown and a repeated name are refused with ValueError, and so is a
-    config whose lmax, dmax, r3_samples or seed is not an int (a bool is
-    not one) or whose box is not two ints, lmax or dmax outside
-    1..MAX_FACTOR_BOUND, an inverted box, a negative r3_samples, a seed
-    outside 0..MAX_SEED, and a run that weighs more
-    than ``MAX_INSTANCES``: the sum of ``instances * weight`` over the
-    ``cost`` pairs of the checks named."""
+    config that is not a ``VerifyConfig`` (one that is lies in the grid's
+    domain) and a run that weighs more than ``MAX_INSTANCES``: the sum of
+    ``instances * weight`` over the ``cost`` pairs of the checks named."""
     if names is None:
         selected = list(CHECKS)
     else:
@@ -649,23 +668,8 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
         if repeated:
             raise ValueError(f"checks named more than once: {', '.join(repeated)}")
         selected = list(names)
-    for field in ("lmax", "dmax", "r3_samples", "seed"):
-        if type(getattr(config, field)) is not int:
-            raise ValueError(f"{field} must be an integer, got {getattr(config, field)!r}")
-    box = config.box
-    if not (isinstance(box, (tuple, list)) and len(box) == 2 and all(type(v) is int for v in box)):
-        raise ValueError(f"box must be two integers lo,hi, got {box!r}")
-    for field in ("lmax", "dmax"):
-        value = getattr(config, field)
-        if not 1 <= value <= MAX_FACTOR_BOUND:
-            raise ValueError(f"{field} must be between 1 and {MAX_FACTOR_BOUND}, got {value}")
-    lo, hi = box
-    if lo > hi:
-        raise ValueError(f"box needs lo <= hi, got {lo},{hi}")
-    if config.r3_samples < 0:
-        raise ValueError(f"r3_samples must be >= 0, got {config.r3_samples}")
-    if not 0 <= config.seed <= MAX_SEED:
-        raise ValueError(f"seed must be between 0 and {MAX_SEED}, got {config.seed}")
+    if not isinstance(config, VerifyConfig):
+        raise ValueError(f"config must be a VerifyConfig, got {config!r}")
     costs = [pair for name in selected for pair in CHECKS[name].cost(config)]
     weighted = sum(n * weight for n, weight in costs)
     if weighted > MAX_INSTANCES:

@@ -357,8 +357,8 @@ class TestMain:
         ],
     )
     def test_library_value_error_in_a_shard_exit_three(self, capsys, monkeypatch, plant, checks, message, cpus):
-        # run_checks refuses every bad input before a shard starts, so a
-        # ValueError a shard raises is the library's fault, not the caller's
+        # VerifyConfig and run_checks refuse every bad input before a shard
+        # starts, so a ValueError a shard raises is the library's fault
         if plant == "dimension":
             real = cohomology._kunneth
 
@@ -661,8 +661,9 @@ class TestMain:
         ],
     )
     def test_verify_domain_is_refused_by_run_checks(self, capsys, monkeypatch, flag, message):
-        # the CLI reads these flags as integers and names only; run_checks
-        # refuses the values before any check starts
+        # the CLI reads these flags as integers and names only; VerifyConfig
+        # refuses the values when it is built, and run_checks the names,
+        # before any check starts
         monkeypatch.setattr(verify, "_pooled", refuse_to_start)
         code, out, err = run_cli(["verify", flag], capsys)
         assert (code, out, err) == (1, "", f"svreg: error: {message}\n")

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import os
+import types
 
 import pytest
 
@@ -57,7 +58,7 @@ def test_subadditivity_sample_counts_are_constants():
 
 def test_run_checks_is_the_one_route_to_a_check(monkeypatch):
     # CHECKS describes the checks and runs none: a check runs through
-    # run_checks, which refuses a config outside the domain before any work
+    # run_checks, and a config outside the domain is refused when built
     public = {
         name
         for name, value in vars(verify).items()
@@ -202,10 +203,10 @@ def test_two_pair_checks_are_each_charged_their_pairs(monkeypatch):
 @pytest.mark.parametrize(
     "config, names, message",
     [
-        (verify.VerifyConfig(box=(3, 1)), None, "box needs lo <= hi, got 3,1"),
-        (verify.VerifyConfig(lmax=0), None, "lmax must be between 1 and 8, got 0"),
-        (verify.VerifyConfig(dmax=9), None, "dmax must be between 1 and 8, got 9"),
-        (verify.VerifyConfig(r3_samples=-1), None, "r3_samples must be >= 0, got -1"),
+        (dict(box=(3, 1)), None, "box needs lo <= hi, got 3,1"),
+        (dict(lmax=0), None, "lmax must be between 1 and 8, got 0"),
+        (dict(dmax=9), None, "dmax must be between 1 and 8, got 9"),
+        (dict(r3_samples=-1), None, "r3_samples must be >= 0, got -1"),
         (SMALL, ["segre-r2", "cohomology", "segre-r2"], "checks named more than once: segre-r2"),
         (SMALL, [], f"no checks named; available: {', '.join(verify.CHECKS)}"),
         (SMALL, "segre-r2", "names must be a list or tuple of check names, got 'segre-r2'"),
@@ -213,26 +214,26 @@ def test_two_pair_checks_are_each_charged_their_pairs(monkeypatch):
         (SMALL, {"segre-r2": 1}, r"names must be a list or tuple of check names, got \{'segre-r2': 1\}"),
         (SMALL, iter(["segre-r2"]), "names must be a list or tuple of check names, got <list_iterator object at .*>"),
         (SMALL, ["segre-r2", 1, ["x"]], rf"unknown checks: 1, \['x'\]; available: {', '.join(verify.CHECKS)}"),
-        (verify.VerifyConfig(lmax=2.5), None, r"lmax must be an integer, got 2\.5"),
-        (verify.VerifyConfig(r3_samples=1e3), None, r"r3_samples must be an integer, got 1000\.0"),
-        (verify.VerifyConfig(box=(1, 2, 3)), None, r"box must be two integers lo,hi, got \(1, 2, 3\)"),
-        (verify.VerifyConfig(box=(-0.5, 2)), None, r"box must be two integers lo,hi, got \(-0\.5, 2\)"),
+        (dict(lmax=2.5), None, r"lmax must be an integer, got 2\.5"),
+        (dict(r3_samples=1e3), None, r"r3_samples must be an integer, got 1000\.0"),
+        (dict(box=(1, 2, 3)), None, r"box must be two integers lo,hi, got \(1, 2, 3\)"),
+        (dict(box=(-0.5, 2)), None, r"box must be two integers lo,hi, got \(-0\.5, 2\)"),
         # a bool is an int to isinstance, but not a grid bound
-        (verify.VerifyConfig(lmax=True), None, "lmax must be an integer, got True"),
-        (verify.VerifyConfig(box=(False, 1)), None, r"box must be two integers lo,hi, got \(False, 1\)"),
+        (dict(lmax=True), None, "lmax must be an integer, got True"),
+        (dict(box=(False, 1)), None, r"box must be two integers lo,hi, got \(False, 1\)"),
         # True would seed other samples than 1, its key reading "True|..."
-        (verify.VerifyConfig(seed=True), None, "seed must be an integer, got True"),
-        (verify.VerifyConfig(seed=1.5), None, r"seed must be an integer, got 1\.5"),
-        (verify.VerifyConfig(seed="x"), None, "seed must be an integer, got 'x'"),
-        (verify.VerifyConfig(seed=-1), None, f"seed must be between 0 and {2**64 - 1}, got -1"),
-        (verify.VerifyConfig(seed=2**70), None, f"seed must be between 0 and {2**64 - 1}, got {2**70}"),
-        # a check named alone is refused the same way
+        (dict(seed=True), None, "seed must be an integer, got True"),
+        (dict(seed=1.5), None, r"seed must be an integer, got 1\.5"),
+        (dict(seed="x"), None, "seed must be an integer, got 'x'"),
+        (dict(seed=-1), None, f"seed must be between 0 and {2**64 - 1}, got -1"),
+        (dict(seed=2**70), None, f"seed must be between 0 and {2**64 - 1}, got {2**70}"),
+        # with a check named alone too: the config is refused before the names
         *(
-            (verify.VerifyConfig(lmax=0, r3_samples=0), [name], "lmax must be between 1 and 8, got 0")
+            (dict(lmax=0, r3_samples=0), [name], "lmax must be between 1 and 8, got 0")
             for name in verify.CHECKS
         ),
         *(
-            (verify.VerifyConfig(box=(3, 1), lmax=1, dmax=1), [name], "box needs lo <= hi, got 3,1")
+            (dict(box=(3, 1), lmax=1, dmax=1), [name], "box needs lo <= hi, got 3,1")
             for name in verify.CHECKS
         ),
     ],
@@ -264,9 +265,43 @@ def test_two_pair_checks_are_each_charged_their_pairs(monkeypatch):
     ],
 )
 def test_config_outside_the_domain_is_refused_before_any_check(monkeypatch, config, names, message):
+    # a config case is given as keyword arguments: VerifyConfig refuses it
+    # when it is built, so run_checks never sees it; run_checks refuses names
     monkeypatch.setattr(verify, "_pooled", refuse_to_start)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        verify.run_checks(config, names)
+        if isinstance(config, dict):
+            verify.VerifyConfig(**config)
+        else:
+            verify.run_checks(config, names)
+
+
+def test_replace_refuses_a_config_outside_the_domain():
+    with pytest.raises(ValueError, match="^lmax must be between 1 and 8, got 0$"):
+        dataclasses.replace(verify.VerifyConfig(), lmax=0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(box=(3, 1)), "box needs lo <= hi, got 3,1"),
+        (dict(lmax=2.5, r3_samples=0), r"lmax must be an integer, got 2\.5"),
+        (dict(r3_samples=-5), "r3_samples must be >= 0, got -5"),
+    ],
+    ids=["inverted-box", "lmax-float", "r3-samples-negative"],
+)
+def test_instance_counts_never_sees_a_config_outside_the_domain(fields, message):
+    # when a config was not checked until run_checks, these were sized as
+    # -21 cohomology instances, 4700223.75 pairs and 6,767,797 pairs
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify.instance_counts(verify.VerifyConfig(**fields))
+
+
+def test_run_checks_refuses_a_config_that_is_not_a_verify_config(monkeypatch):
+    monkeypatch.setattr(verify, "_pooled", refuse_to_start)
+    fields = vars(verify.VerifyConfig())
+    config = types.SimpleNamespace(**fields, subadd_pairs=1000, pair_samples=200)
+    with pytest.raises(ValueError, match=r"^config must be a VerifyConfig, got namespace\(lmax=3, .*\)$"):
+        verify.run_checks(config)
 
 
 def test_first_counterexample_in_iteration_order(monkeypatch):
