@@ -9,13 +9,7 @@ against the other; see :mod:`svreg.verify` and the ``svreg verify``
 subcommand.  ``svreg.verify`` is loaded on first use and exports nothing
 here: run its checks as ``svreg.verify.run_checks``.
 """
-from .cohomology import (
-    CohomologyProfile,
-    MultiDegree,
-    SegreVeronese,
-    euler_characteristic,
-    product_cohomology,
-)
+from .cohomology import CohomologyProfile, SegreVeronese, product_cohomology
 from .regularity import (
     IdealSheafBound,
     RegularityCorner,
@@ -56,7 +50,6 @@ def __getattr__(name: str):
 __all__ = [
     "CohomologyProfile",
     "IdealSheafBound",
-    "MultiDegree",
     "RegularityCorner",
     "SegreVeronese",
     "SubadditivityReport",
@@ -68,7 +61,6 @@ __all__ = [
     "cm_regularity",
     "cm_regularity_breakdown",
     "dual_twist",
-    "euler_characteristic",
     "ideal_sheaf_bound",
     "is_regular_formula",
     "is_regular_oracle",

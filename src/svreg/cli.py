@@ -4,10 +4,13 @@ Every invocation produces a single report document, rendered either as a
 human-readable table (default) or as one line of JSON, so batch runs can
 concatenate documents line by line.  The document echoes every flag it
 read.  The table is rendered from the document by one rule set, the same
-for every subcommand (``render_table``).  Dimensions, ranks and other
-values that can outgrow 64 bits are serialized as decimal strings;
-everything is exact; the only floats are the per-check timings of
-``verify``.
+for every subcommand (``render_table``).  Everything is exact; the only
+floats are the per-check timings of ``verify``.  The values that grow
+fastest, a cohomology dimension, table, Euler characteristic and
+ambient dimension and a Tate rank, are serialized as decimal strings.
+Every other integer is a JSON number, which can outgrow 64 bits as well
+(a ``regset`` corner, a ``reg`` value on int64 inputs), so read it with
+a parser that keeps integers exact.
 
 This module only reads the flags, checking how they are written
 (integers, list entries in signed 64 bits, list lengths, required flags),
@@ -32,7 +35,7 @@ import sys
 from typing import Any, Callable, NamedTuple
 
 from . import __version__
-from .cohomology import SegreVeronese, euler_characteristic, product_cohomology
+from .cohomology import SegreVeronese, product_cohomology
 from .regularity import (
     check_pair_subadditivity,
     check_subadditivity,
@@ -137,13 +140,13 @@ def _vector(ns: argparse.Namespace, name: str, r: int) -> tuple[int, ...]:
 
 
 def _cohomology(params: dict, inputs: dict) -> tuple[dict, str]:
-    E, a = params["E"], params["a"]
-    profile = product_cohomology(E, a)
+    E = params["E"]
+    profile = product_cohomology(E, params["a"])
     result = {
         "degree": profile.degree,
         "dimension": None if profile.dimension is None else str(profile.dimension),
         "table": [str(h) for h in profile.table(E.n)],
-        "euler_characteristic": str(euler_characteristic(E, a)),
+        "euler_characteristic": str(profile.euler_characteristic),
         "n": E.n,
         "ambient_dim": str(E.ambient_dim),
     }

@@ -12,9 +12,7 @@ from __future__ import annotations
 from math import comb, prod
 from typing import Iterable, NamedTuple, Sequence
 
-MultiDegree = tuple[int, ...]
-
-# n = sum(l) for product_cohomology, euler_characteristic and is_regular_oracle:
+# n = sum(l) for product_cohomology and is_regular_oracle:
 # the oracle scans up to n*r <= n^2 factor windows, 0.4 s at n = r = 2,000
 # on one 2-vCPU Xeon core
 _MAX_DIMENSION = 2_000
@@ -129,6 +127,12 @@ class CohomologyProfile(_Profile):
             raise ValueError(f"profile degree {self.degree} exceeds table size {n}")
         return [self.h(i) for i in range(n + 1)]
 
+    @property
+    def euler_characteristic(self) -> int:
+        """chi, the alternating sum of the h^i: the dimension signed by the
+        degree, or 0 for a profile with no cohomology."""
+        return 0 if self.degree is None else (-1) ** self.degree * self.dimension
+
 
 def _check_dimension(n: int) -> None:
     if n > _MAX_DIMENSION:
@@ -165,9 +169,3 @@ def _kunneth(l: Iterable[int], a: Iterable[int]) -> tuple[int, int] | None:
             return None
     return degree, dimension
 
-
-def euler_characteristic(E: SegreVeronese, a: Sequence[int]) -> int:
-    """chi(O(a)), the alternating sum of the h^i: the signed dimension of the
-    one nonzero group, or 0.  Refuses what product_cohomology refuses."""
-    degree, dimension = product_cohomology(E, a)
-    return 0 if degree is None else (-1) ** degree * dimension

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .cohomology import MultiDegree, SegreVeronese, _check_lengths, _kunneth
+from .cohomology import SegreVeronese, _check_lengths, _kunneth
 from .regularity import cm_regularity
 
 # Limits of one window; times are ``svreg tate`` in JSON on one 2-vCPU Xeon core.
@@ -38,7 +38,8 @@ class TateTerm(NamedTuple):
 
 
 class TateWindow(NamedTuple):
-    """Consecutive columns covering [p_minus - pad, p_plus + pad].
+    """The endpoints and the consecutive columns covering
+    [p_minus - pad, p_plus + pad], for the pad ``tate_window`` was given.
 
     p_minus <= p_plus is not asserted; an inverted window simply yields no
     columns and is reported as-is.
@@ -46,11 +47,10 @@ class TateWindow(NamedTuple):
 
     p_minus: int
     p_plus: int
-    pad: int
     terms: tuple[TateTerm, ...]
 
 
-def dual_twist(E: SegreVeronese, m: Sequence[int]) -> MultiDegree:
+def dual_twist(E: SegreVeronese, m: Sequence[int]) -> tuple[int, ...]:
     """The multidegree Serre duality pairs with m when columns are read
     backwards: componentwise -m_k + n*d_k - l_k - 1.  An involution."""
     _check_lengths(E, m=m)
@@ -114,7 +114,7 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
         if found is not None and first <= q + found[0] <= last:
             summands[q + found[0] - first].append(found)
     terms = tuple(TateTerm(p, tuple(entries)) for p, entries in enumerate(summands, first))
-    return TateWindow(lo, hi, pad, terms)
+    return TateWindow(lo, hi, terms)
 
 
 def balanced_endpoints(E: SegreVeronese, m: Sequence[int]) -> tuple[int, int] | None:

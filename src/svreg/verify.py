@@ -54,8 +54,9 @@ class VerifyConfig:
     """Grid bounds, the r=3 sample count and the seed; the defaults are the
     reference grid.  The seeded pairs per embedding of the two
     subadditivity checks are constants, not fields.  A config outside the
-    grid's domain (a bool is not an int) is refused with ValueError when it
-    is built, by ``dataclasses.replace`` too, so every config can be run."""
+    grid's domain (a bool is not an int, and a box is a tuple, so that the
+    config hashes) is refused with ValueError when it is built, by
+    ``dataclasses.replace`` too, so every config can be run."""
 
     lmax: int = 3
     dmax: int = 3
@@ -70,7 +71,7 @@ class VerifyConfig:
             if type(getattr(self, field)) is not int:
                 raise ValueError(f"{field} must be an integer, got {getattr(self, field)!r}")
         box = self.box
-        if not (isinstance(box, (tuple, list)) and len(box) == 2 and all(type(v) is int for v in box)):
+        if not (isinstance(box, tuple) and len(box) == 2 and all(type(v) is int for v in box)):
             raise ValueError(f"box must be two integers lo,hi, got {box!r}")
         for field in ("lmax", "dmax"):
             value = getattr(self, field)
@@ -290,7 +291,8 @@ def _kunneth_table(l: Sequence[int], a: Sequence[int]) -> list[int]:
 
 def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
     """The profile of O(a), the profile of its Serre dual twist and chi,
-    each compared once with a Kunneth convolution of the factor tables."""
+    read off the first profile and by the polynomial, each compared once
+    with a Kunneth convolution of the factor tables."""
     n = E.n
     conv = _kunneth_table(E.l, a)
     profile = cohomology.product_cohomology(E, a)
@@ -302,7 +304,7 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
     if [dual_profile.h(n - i) for i in range(n + 1)] != conv:
         return _instance(E, a=a, reason="Serre duality violated", dual=dual, dual_profile=dual_profile)
     alternating = sum(v if i % 2 == 0 else -v for i, v in enumerate(conv))
-    chi = cohomology.euler_characteristic(E, a)
+    chi = profile.euler_characteristic
     polynomial = _euler_polynomial(E.l, a)
     if chi != alternating or polynomial != alternating:
         reason = "Euler characteristic disagrees"

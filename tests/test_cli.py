@@ -196,6 +196,29 @@ class TestMain:
         assert code == 0
         assert json.loads(out)["result"]["value"] == 1
 
+    def test_cohomology_makes_one_kunneth_call(self, capsys, monkeypatch):
+        # chi is read off the profile the payload already holds
+        calls = []
+        real = cohomology._kunneth
+        monkeypatch.setattr(cohomology, "_kunneth", lambda l, a: calls.append(a) or real(l, a))
+        code, out, _ = run_cli(["cohomology", "--l=1,2", "--a=-2,-4", "--format=json"], capsys)
+        assert (code, json.loads(out)["result"]["euler_characteristic"]) == (0, "-3")
+        assert len(calls) == 1
+
+    def test_integers_past_64_bits_read_back_exactly(self, capsys):
+        # only the cohomology and Tate values that grow fastest are strings;
+        # these are JSON numbers past 64 bits, exact for an exact parser
+        E = cohomology.SegreVeronese((2, 1), (2**63 - 1, 1))
+        code, out, _ = run_cli(["regset", "--l=2,1", f"--d={2**63 - 1},1", "--m=0,0", "--format=json"], capsys)
+        corners = [c["corner"] for c in json.loads(out)["result"]["corners"]]
+        assert code == 0 and corners == [list(c.corner) for c in regularity.regularity_corners(E, (0, 0))]
+        assert corners[0][0] == 27670116110564327419
+        big, low = 2**63 - 1, -(2**63)
+        E = cohomology.SegreVeronese((big, big), (1, 1))
+        code, out, _ = run_cli(["reg", f"--l={big},{big}", "--d=1,1", f"--m={low},{low}", "--format=json"], capsys)
+        value = json.loads(out)["result"]["value"]
+        assert code == 0 and value == regularity.cm_regularity(E, (low, low)) == 18446744073709551615
+
     def test_usage_error_exit_one(self, capsys):
         code, _, err = run_cli(["reg", "--l", "1,1", "--d", "1"], capsys)
         assert code == 1

@@ -66,6 +66,19 @@ def test_second_routes_are_not_exported():
     assert [name for name in removed if hasattr(svreg, name)] == []
 
 
+def test_names_nothing_reads_are_gone():
+    # chi is a property of the profile, dual_twist returns a plain tuple and
+    # a window's pad is the one its caller passed
+    from svreg import cohomology
+
+    for namespace in (svreg, cohomology):
+        for name in ("euler_characteristic", "MultiDegree"):
+            with pytest.raises(AttributeError):
+                getattr(namespace, name)
+    assert len(svreg.__all__) == len(set(svreg.__all__)) == 21
+    assert svreg.TateWindow._fields == ("p_minus", "p_plus", "terms")
+
+
 def names_in(tree):
     """Every name a module reads, imports or reaches as an attribute."""
     out = set()

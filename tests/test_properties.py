@@ -6,7 +6,7 @@ import math
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from svreg.cohomology import SegreVeronese, euler_characteristic, product_cohomology
+from svreg.cohomology import SegreVeronese, product_cohomology
 from svreg.regularity import (
     check_subadditivity,
     cm_regularity,
@@ -130,7 +130,7 @@ def test_serre_duality(data):
 def test_euler_characteristic_is_the_alternating_sum(data):
     # chi read off the profile against verify's polynomial route
     E, a = data
-    assert euler_characteristic(E, a) == _euler_polynomial(E.l, a)
+    assert product_cohomology(E, a).euler_characteristic == _euler_polynomial(E.l, a)
 
 
 @given(st.integers(1, 4), st.integers(-12, 12))
@@ -140,7 +140,7 @@ def test_factor_cohomology_euler_and_serre(l, j):
     table = _factor_table(l, j)
     assert _factor_table(l, -j - l - 1) == table[::-1]
     assert sum(1 for v in table if v) <= 1
-    chi = euler_characteristic(SegreVeronese((l,), (1,)), (j,))
+    chi = product_cohomology(SegreVeronese((l,), (1,)), (j,)).euler_characteristic
     assert chi == sum(v if i % 2 == 0 else -v for i, v in enumerate(table))
 
 

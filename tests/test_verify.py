@@ -221,6 +221,8 @@ def test_two_pair_checks_are_each_charged_their_pairs(monkeypatch):
         # a bool is an int to isinstance, but not a grid bound
         (dict(lmax=True), None, "lmax must be an integer, got True"),
         (dict(box=(False, 1)), None, r"box must be two integers lo,hi, got \(False, 1\)"),
+        # a list would leave the frozen config unhashable and unequal to the tuple's
+        (dict(box=[-1, 1]), None, r"box must be two integers lo,hi, got \[-1, 1\]"),
         # True would seed other samples than 1, its key reading "True|..."
         (dict(seed=True), None, "seed must be an integer, got True"),
         (dict(seed=1.5), None, r"seed must be an integer, got 1\.5"),
@@ -255,6 +257,7 @@ def test_two_pair_checks_are_each_charged_their_pairs(monkeypatch):
         "box-float",
         "lmax-bool",
         "box-bool",
+        "box-list",
         "seed-bool",
         "seed-float",
         "seed-string",
@@ -278,6 +281,8 @@ def test_config_outside_the_domain_is_refused_before_any_check(monkeypatch, conf
 def test_replace_refuses_a_config_outside_the_domain():
     with pytest.raises(ValueError, match="^lmax must be between 1 and 8, got 0$"):
         dataclasses.replace(verify.VerifyConfig(), lmax=0)
+    with pytest.raises(ValueError, match=r"^box must be two integers lo,hi, got \[-1, 1\]$"):
+        dataclasses.replace(verify.VerifyConfig(), box=[-1, 1])
 
 
 @pytest.mark.parametrize(
@@ -347,18 +352,30 @@ def test_cohomology_catches_planted_chi_faults(monkeypatch):
     # chi read off the profile and chi by verify's polynomial are each
     # replayed against the convolution's alternating sum
     config = verify.VerifyConfig(lmax=2, dmax=1, box=(-3, 3), r3_samples=0)
-    real_chi, real_polynomial = cohomology.euler_characteristic, verify._euler_polynomial
-    monkeypatch.setattr(cohomology, "euler_characteristic", lambda E, a: -real_chi(E, a))
+    real_chi, real_polynomial = cohomology.CohomologyProfile.euler_characteristic, verify._euler_polynomial
+    monkeypatch.setattr(cohomology.CohomologyProfile, "euler_characteristic", property(lambda self: -real_chi.fget(self)))
     (result,) = run_on(2, monkeypatch, config, ["cohomology"])
     ce = result.counterexample
     assert result.failures > 0 and ce["chi"] == -ce["alternating"] == -ce["polynomial"]
     assert ce["reason"] == "Euler characteristic disagrees"
-    monkeypatch.setattr(cohomology, "euler_characteristic", real_chi)
+    monkeypatch.setattr(cohomology.CohomologyProfile, "euler_characteristic", real_chi)
     # off by one: the product runs (a_k+2)...(a_k+l_k+1)
     monkeypatch.setattr(verify, "_euler_polynomial", lambda l, a: real_polynomial(l, tuple(ak + 1 for ak in a)))
     (result,) = run_on(1, monkeypatch, config, ["cohomology"])
     ce = result.counterexample
     assert result.failures > 0 and ce["chi"] == ce["alternating"] != ce["polynomial"]
+
+
+def test_cohomology_instance_makes_two_kunneth_calls(monkeypatch):
+    # chi is read off the profile already compared, not from a third
+    # evaluation: one Kunneth call for O(a), one for its Serre dual twist
+    calls = []
+    real = cohomology._kunneth
+    monkeypatch.setattr(cohomology, "_kunneth", lambda l, a: calls.append(a) or real(l, a))
+    E = SegreVeronese((1, 2), (1, 1))
+    twists = list(itertools.product(range(-5, 3), repeat=2))
+    assert [verify._cohomology_failure(E, a) for a in twists] == [None] * len(twists)
+    assert len(calls) == 2 * len(twists)
 
 
 def test_patched_oracle_scan_reaches_forked_workers(monkeypatch):
@@ -486,8 +503,8 @@ def kunneth_degree(monkeypatch):
 
 
 def chi_sign(monkeypatch):
-    real = cohomology.euler_characteristic
-    monkeypatch.setattr(cohomology, "euler_characteristic", lambda E, a: -real(E, a))
+    real = cohomology.CohomologyProfile.euler_characteristic
+    monkeypatch.setattr(cohomology.CohomologyProfile, "euler_characteristic", property(lambda self: -real.fget(self)))
 
 
 def dual_twists_only(monkeypatch):
