@@ -22,7 +22,6 @@ from .regularity import (
     is_regular_formula,
     is_regular_oracle,
     regularity_corners,
-    segre_regularity,
 )
 from .tate import (
     TateTerm,
@@ -67,6 +66,5 @@ __all__ = [
     "p_minus",
     "product_cohomology",
     "regularity_corners",
-    "segre_regularity",
     "tate_window",
 ]

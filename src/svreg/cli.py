@@ -45,7 +45,6 @@ from .regularity import (
     is_regular_formula,
     is_regular_oracle,
     regularity_corners,
-    segre_regularity,
 )
 from .tate import balanced_endpoints, dual_twist, p_minus, tate_window
 
@@ -186,7 +185,9 @@ def _reg(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _segre2(params: dict, inputs: dict) -> tuple[dict, str]:
-    return {"value": segre_regularity(*params["dims"], *params["twist"])}, "Theorem theo_reg, r=2 Segre specialization"
+    # reg on P^a x P^b under the Segre embedding, whose dimensions it refuses
+    E = SegreVeronese(params["dims"], (1, 1))
+    return _reg({"E": E, "m": params["twist"], "explain": False}, inputs)
 
 
 def _lambda(params: dict, inputs: dict) -> tuple[dict, str]:
@@ -286,7 +287,7 @@ _COMMANDS: dict[str, _Command] = {
         ),
     ),
     "segre2": _Command(
-        "two-factor Segre regularity closed form", _segre2, d=None,
+        "Castelnuovo-Mumford regularity of O(k, l) under the Segre embedding of P^a x P^b", _segre2, d=None,
         flags=(
             _Flag("--dims", _two, dict(required=True, help="a,b: the two factor dimensions")),
             _Flag("--twist", _two, dict(required=True, help="k,l: the two twist entries")),
@@ -354,8 +355,9 @@ def parse_args(argv: list[str]) -> CliRequest:
     """Read argv into a CliRequest; raises ValueError naming the flag that
     is missing or badly written.  Values outside the domain of a record or
     library call, or over its cost limits, are refused by it before any
-    work is done, with a ValueError too: SegreVeronese here, the others
-    (VerifyConfig among them) when the payload builders run."""
+    work is done, with a ValueError too: SegreVeronese here (segre2's in
+    its payload builder), the others (VerifyConfig among them) when the
+    payload builders run."""
     # the top-level parser has no option that takes a value, so its first
     # positional argument is the subcommand; an argv that starts with it can
     # reach neither the top-level help nor the invalid-choice error

@@ -197,14 +197,6 @@ def cm_regularity_breakdown(E: SegreVeronese, m: Sequence[int]) -> list[tuple[tu
     return [(J, lJ, lJ - max(f[k] for k in J)) for J, lJ in _subsets(E.l)]
 
 
-def segre_regularity(a: int, b: int, k: int, l: int) -> int:
-    """Regularity of the pushforward of O(k, l) under the Segre embedding of
-    P^a x P^b: max(-min(k, l), min(b - k, a - l))."""
-    if a < 1 or b < 1:
-        raise ValueError(f"factor dimensions must be >= 1, got a={a}, b={b}")
-    return max(-min(k, l), min(b - k, a - l))
-
-
 def ideal_sheaf_bound(E: SegreVeronese) -> IdealSheafBound:
     """Regularity bound lambda for the ideal sheaf of the embedded image.
 

@@ -19,8 +19,9 @@ instance counts and the first counterexample do not depend on the
 number of workers.  The shards look the library functions up through
 their modules, and cache nothing of theirs, so workers run whatever those
 modules hold when the run starts, patched functions included.  The
-second routes the checks replay, such as ``_tate_term`` and the Euler
-characteristic's polynomial ``_euler_polynomial``, live only here.
+second routes the checks replay, such as ``_tate_term``, the Euler
+characteristic's polynomial ``_euler_polynomial`` and the two-factor Segre
+formula ``_segre_regularity``, live only here.
 """
 from __future__ import annotations
 
@@ -317,13 +318,19 @@ def _cohomology(config: VerifyConfig, l: tuple[int, ...]) -> Iterator[dict | Non
     return (_cohomology_failure(E, a) for a in _box_points(config, E.r))
 
 
+def _segre_regularity(a: int, b: int, k: int, l: int) -> int:
+    """Regularity of the pushforward of O(k, l) under the Segre embedding of
+    P^a x P^b, a, b >= 1: max(-min(k, l), min(b - k, a - l))."""
+    return max(-min(k, l), min(b - k, a - l))
+
+
 def _segre_closed_form(config: VerifyConfig, _unit: None) -> Iterator[dict | None]:
     for a in range(1, 4):
         for b in range(1, 4):
             E = SegreVeronese((a, b), (1, 1))
             for k in range(-5, 6):
                 for twist_l in range(-5, 6):
-                    special = regularity.segre_regularity(a, b, k, twist_l)
+                    special = _segre_regularity(a, b, k, twist_l)
                     general = regularity.cm_regularity(E, (k, twist_l))
                     if special == general:
                         yield None

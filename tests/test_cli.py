@@ -14,7 +14,8 @@ from svreg import cohomology, regularity, tate, verify
 
 
 # a library function each subcommand calls, and an invocation that calls it;
-# member calls the function regular does, and goes by its command
+# member calls the function regular does and segre2 the one reg does, and
+# each goes by its command
 LIBRARY_CALLS = [
     ("product_cohomology", ["cohomology", "--l=1,1", "--a=0,0"]),
     ("is_regular_formula", ["regular", "--l=1,1", "--d=1,1", "--m=0,0", "--p=0,0"]),
@@ -22,7 +23,7 @@ LIBRARY_CALLS = [
     ("is_regular_formula", ["member", "--l=1,1", "--d=1,1", "--m=0,0", "--p=0,0"]),
     ("regularity_corners", ["regset", "--l=1,1", "--d=1,1", "--m=0,0"]),
     ("cm_regularity", ["reg", "--l=1,1", "--d=1,1", "--m=0,0"]),
-    ("segre_regularity", ["segre2", "--dims=2,3", "--twist=0,0"]),
+    ("cm_regularity", ["segre2", "--dims=2,3", "--twist=0,0"]),
     ("ideal_sheaf_bound", ["lambda", "--l=1,1", "--d=1,1"]),
     ("check_subadditivity", ["subadd", "--l=1,1", "--d=1,1", "--m=0,0", "--m2=0,0"]),
     (
@@ -218,6 +219,33 @@ class TestMain:
         code, out, _ = run_cli(["reg", f"--l={big},{big}", "--d=1,1", f"--m={low},{low}", "--format=json"], capsys)
         value = json.loads(out)["result"]["value"]
         assert code == 0 and value == regularity.cm_regularity(E, (low, low)) == 18446744073709551615
+
+    @pytest.mark.parametrize(
+        "a, b, k, l",
+        [
+            (1, 1, 0, 0),
+            (2, 3, 0, 0),
+            (1, 4, -3, 2),
+            (3, 1, 5, -7),
+            (2**63 - 1, 2**63 - 1, -(2**63), -(2**63)),
+            (1, 2**63 - 1, 2**63 - 1, -(2**63)),
+            (2**63 - 1, 1, 2**63 - 1, 2**63 - 1),
+        ],
+    )
+    def test_segre2_is_reg_on_two_factors(self, capsys, a, b, k, l):
+        # the same answer and note as reg on P^a x P^b, and the formula's
+        results = []
+        for argv in (["segre2", f"--dims={a},{b}", f"--twist={k},{l}"], ["reg", f"--l={a},{b}", "--d=1,1", f"--m={k},{l}"]):
+            code, out, _ = run_cli([*argv, "--format=json"], capsys)
+            doc = json.loads(out)
+            assert code == 0
+            results.append((doc["result"], doc["note"]))
+        assert results[0] == results[1] == ({"value": verify._segre_regularity(a, b, k, l)}, "Theorem theo_reg")
+
+    def test_segre2_dimensions_are_refused_by_the_embedding(self, capsys):
+        code, out, err = run_cli(["segre2", "--dims=0,1", "--twist=0,0"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "svreg: error: factor dimensions must all be >= 1, got l=(0, 1)\n"
 
     def test_usage_error_exit_one(self, capsys):
         code, _, err = run_cli(["reg", "--l", "1,1", "--d", "1"], capsys)
@@ -417,7 +445,9 @@ class TestMain:
         assert documents[0] == documents[1]
 
     @pytest.mark.parametrize(
-        "name, argv", LIBRARY_CALLS, ids=["member" if argv[0] == "member" else name for name, argv in LIBRARY_CALLS]
+        "name, argv",
+        LIBRARY_CALLS,
+        ids=[argv[0] if argv[0] in ("member", "segre2") else name for name, argv in LIBRARY_CALLS],
     )
     def test_internal_error_exit_three(self, capsys, monkeypatch, name, argv):
         # each subcommand calls its library function through the cli module

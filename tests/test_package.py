@@ -67,15 +67,19 @@ def test_second_routes_are_not_exported():
 
 
 def test_names_nothing_reads_are_gone():
-    # chi is a property of the profile, dual_twist returns a plain tuple and
-    # a window's pad is the one its caller passed
-    from svreg import cohomology
+    # chi is a property of the profile, dual_twist returns a plain tuple, a
+    # window's pad is the one its caller passed, and the two-factor Segre
+    # formula is a second route that only verify replays
+    from svreg import cohomology, regularity
 
     for namespace in (svreg, cohomology):
         for name in ("euler_characteristic", "MultiDegree"):
             with pytest.raises(AttributeError):
                 getattr(namespace, name)
-    assert len(svreg.__all__) == len(set(svreg.__all__)) == 21
+    for namespace in (svreg, regularity):
+        with pytest.raises(AttributeError):
+            namespace.segre_regularity
+    assert len(svreg.__all__) == len(set(svreg.__all__)) == 20
     assert svreg.TateWindow._fields == ("p_minus", "p_plus", "terms")
 
 

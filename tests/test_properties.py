@@ -14,10 +14,9 @@ from svreg.regularity import (
     is_regular_formula,
     is_regular_oracle,
     regularity_corners,
-    segre_regularity,
 )
 from svreg.tate import balanced_endpoints, dual_twist, p_minus, tate_window
-from svreg.verify import _euler_polynomial, _factor_table, _tate_term
+from svreg.verify import _euler_polynomial, _factor_table, _segre_regularity, _tate_term
 
 
 @st.composite
@@ -179,7 +178,7 @@ def test_balanced_endpoints_match_general_operations(l, ms):
 @settings(max_examples=300)
 def test_segre_closed_form_matches_general(a, b, k, l):
     E = SegreVeronese((a, b), (1, 1))
-    assert segre_regularity(a, b, k, l) == cm_regularity(E, (k, l))
+    assert _segre_regularity(a, b, k, l) == cm_regularity(E, (k, l))
 
 
 @given(embeddings(max_r=4, max_l=4, max_d=4))

@@ -575,6 +575,17 @@ def test_ideal_bound_catches_a_lost_strictness_witness(monkeypatch):
     assert result.counterexample == {"l": [1, 2], "d": [1, 1], "bound": 4, "reg_zero": 1, "reason": "strictness witness failed"}
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_segre_r2_catches_a_planted_formula_fault(monkeypatch, cpus):
+    # the formula lives in verify, and its fault is a counterexample of the
+    # check that replays it; a second check's shard makes two workers
+    real = verify._segre_regularity
+    monkeypatch.setattr(verify, "_segre_regularity", lambda a, b, k, l: real(a, b, k, l) + 1)
+    result, other = run_on(cpus, monkeypatch, TINY, ["segre-r2", "ideal-bound"])
+    assert result.failures == result.instances == 1089 and other.ok
+    assert result.counterexample == {"l": [1, 1], "d": [1, 1], "m": [-5, -5], "special": 7, "general": 6}
+
+
 def test_dual_twist_that_is_not_an_involution_is_a_counterexample(monkeypatch):
     # a sign flip maps m to m - c, c = n d - l - 1 = (1, 0) here
     real = tate.dual_twist
