@@ -11,7 +11,6 @@ here: run its checks as ``svreg.verify.run_checks``.
 """
 from .cohomology import CohomologyProfile, SegreVeronese, product_cohomology
 from .regularity import (
-    IdealSheafBound,
     RegularityCorner,
     SubadditivityReport,
     check_pair_subadditivity,
@@ -26,7 +25,6 @@ from .regularity import (
 from .tate import (
     TateTerm,
     TateWindow,
-    balanced_endpoints,
     dual_twist,
     p_minus,
     tate_window,
@@ -48,13 +46,11 @@ def __getattr__(name: str):
 
 __all__ = [
     "CohomologyProfile",
-    "IdealSheafBound",
     "RegularityCorner",
     "SegreVeronese",
     "SubadditivityReport",
     "TateTerm",
     "TateWindow",
-    "balanced_endpoints",
     "check_pair_subadditivity",
     "check_subadditivity",
     "cm_regularity",

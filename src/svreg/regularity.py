@@ -51,14 +51,6 @@ class SubadditivityReport(NamedTuple):
     holds: bool
 
 
-class IdealSheafBound(NamedTuple):
-    """Twist from which the ideal sheaf of the embedded image is regular,
-    computed through two presentations that must agree."""
-
-    value: int
-    case_split_value: int
-
-
 @lru_cache(maxsize=4096)
 def _regularity(l: tuple[int, ...], d: tuple[int, ...], c: tuple[int, ...]) -> int:
     """max over nonempty J of (l_J - max_{k in J} f_k), f_k = floor((c_k + l_k)/d_k),
@@ -197,29 +189,11 @@ def cm_regularity_breakdown(E: SegreVeronese, m: Sequence[int]) -> list[tuple[tu
     return [(J, lJ, lJ - max(f[k] for k in J)) for J, lJ in _subsets(E.l)]
 
 
-def ideal_sheaf_bound(E: SegreVeronese) -> IdealSheafBound:
-    """Regularity bound lambda for the ideal sheaf of the embedded image.
-
-    Evaluates both presentations: the simple form
-    n + 1 - min_k floor(l_k/d_k), and the case split on
-    q_k = floor((l_k+1)/d_k) which adds one more when the minimum q_0 is
-    attained by a k with d_k | l_k + 1.  The two always coincide, so a
-    disagreement can only mean an implementation bug and raises.
-    """
-    n = E.n
-    simple = n + 1 - min(lk // dk for lk, dk in zip(E.l, E.d))
-    q = [(lk + 1) // dk for lk, dk in zip(E.l, E.d)]
-    q0 = min(q)
-    bumped = any(
-        qk == q0 and (lk + 1) % dk == 0 for qk, lk, dk in zip(q, E.l, E.d)
-    )
-    case_split = n + 2 - q0 if bumped else n + 1 - q0
-    if simple != case_split:
-        raise RuntimeError(
-            f"ideal sheaf bound presentations disagree on l={E.l}, d={E.d}: "
-            f"{simple} vs {case_split}"
-        )
-    return IdealSheafBound(simple, case_split)
+def ideal_sheaf_bound(E: SegreVeronese) -> int:
+    """Regularity bound lambda for the ideal sheaf of the embedded image:
+    n + 1 - min_k floor(l_k/d_k).  ``svreg verify`` replays it against
+    the case split on q_k = floor((l_k+1)/d_k)."""
+    return E.n + 1 - min(lk // dk for lk, dk in zip(E.l, E.d))
 
 
 def check_subadditivity(E: SegreVeronese, m: Sequence[int], m2: Sequence[int]) -> SubadditivityReport:

@@ -116,16 +116,3 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     terms = tuple(TateTerm(p, tuple(entries)) for p, entries in enumerate(summands, first))
     return TateWindow(lo, hi, terms)
 
-
-def balanced_endpoints(E: SegreVeronese, m: Sequence[int]) -> tuple[int, int] | None:
-    """Window endpoints (p_plus, p_minus) in the special case d = (1,...,1)
-    and l = (l,...,l), None for any other embedding.  With m sorted
-    nondecreasing,
-
-        p_plus = max_i ((i-1)*l - m_i),   p_minus = min_i ((i-1)*l - m_i) - 1.
-    """
-    _check_lengths(E, m=m)
-    if set(E.d) != {1} or len(set(E.l)) != 1:
-        return None
-    values = [i * E.l[0] - mi for i, mi in enumerate(sorted(m))]
-    return max(values), min(values) - 1

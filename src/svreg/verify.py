@@ -20,8 +20,10 @@ number of workers.  The shards look the library functions up through
 their modules, and cache nothing of theirs, so workers run whatever those
 modules hold when the run starts, patched functions included.  The
 second routes the checks replay, such as ``_tate_term``, the Euler
-characteristic's polynomial ``_euler_polynomial`` and the two-factor Segre
-formula ``_segre_regularity``, live only here.
+characteristic's polynomial ``_euler_polynomial``, the two-factor Segre
+formula ``_segre_regularity``, the balanced closed form of the window
+endpoints ``_balanced_endpoints`` and the case split of the ideal-sheaf
+bound ``_case_split_lambda``, live only here.
 """
 from __future__ import annotations
 
@@ -338,18 +340,32 @@ def _segre_closed_form(config: VerifyConfig, _unit: None) -> Iterator[dict | Non
                         yield _instance(E, m=(k, twist_l), special=special, general=general)
 
 
+def _case_split_lambda(E: SegreVeronese) -> int:
+    """The ideal-sheaf bound lambda by its case split on
+    q_k = floor((l_k+1)/d_k): n + 1 - min q, plus one more when the
+    minimum is attained by a k with d_k | l_k + 1."""
+    q = [(lk + 1) // dk for lk, dk in zip(E.l, E.d)]
+    q0 = min(q)
+    bumped = any(qk == q0 and (lk + 1) % dk == 0 for qk, lk, dk in zip(q, E.l, E.d))
+    return E.n + 1 - q0 + bumped
+
+
 def _ideal_sheaf_bound(config: VerifyConfig, _unit: None) -> Iterator[dict | None]:
     for E in _embeddings(config):
         bound = regularity.ideal_sheaf_bound(E)
+        case_split = _case_split_lambda(E)
         reg_zero = regularity.cm_regularity(E, (0,) * E.r)
-        yield _instance(E, bound=bound.value, reg_zero=reg_zero) if bound.value - 1 < reg_zero else None
+        if bound == case_split and bound - 1 >= reg_zero:
+            yield None
+        else:
+            yield _instance(E, bound=bound, case_split=case_split, reg_zero=reg_zero)
     witness = SegreVeronese((1, 2), (1, 1))
     bound = regularity.ideal_sheaf_bound(witness)
     reg_zero = regularity.cm_regularity(witness, (0, 0))
-    if bound.value - 1 == 2 and reg_zero == 1 and bound.value - 1 > reg_zero:
+    if bound - 1 == 2 and reg_zero == 1 and bound - 1 > reg_zero:
         yield None
     else:
-        yield _instance(witness, bound=bound.value, reg_zero=reg_zero, reason="strictness witness failed")
+        yield _instance(witness, bound=bound, reg_zero=reg_zero, reason="strictness witness failed")
 
 
 def _subadditivity(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | None]:
@@ -399,6 +415,17 @@ def _duality_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
     return None
 
 
+def _balanced_endpoints(E: SegreVeronese, m: Sequence[int]) -> tuple[int, int]:
+    """Window endpoints (p_plus, p_minus) on a balanced embedding,
+    d = (1,...,1) and l = (l,...,l), by their closed form: with m sorted
+    nondecreasing,
+
+        p_plus = max_i ((i-1)*l - m_i),   p_minus = min_i ((i-1)*l - m_i) - 1.
+    """
+    values = [i * E.l[0] - mi for i, mi in enumerate(sorted(m))]
+    return max(values), min(values) - 1
+
+
 def _tate_closed_forms(config: VerifyConfig) -> Iterator[dict | None]:
     # constant m: window length is (r-1)l + 1 whatever m is
     for r in (1, 2, 3):
@@ -414,7 +441,7 @@ def _tate_closed_forms(config: VerifyConfig) -> Iterator[dict | None]:
         for l in range(1, config.lmax + 1):
             E = SegreVeronese((l,) * r, (1,) * r)
             for ms in itertools.combinations_with_replacement(range(-6, 7), r):
-                got = tate.balanced_endpoints(E, ms)
+                got = _balanced_endpoints(E, ms)
                 want = (regularity.cm_regularity(E, ms), tate.p_minus(E, ms))
                 yield None if got == want else _instance(E, m=ms, balanced=list(got), general=list(want))
     # m = (0, ..., 0, M) with M >= (r-1)l: window length grows as M - l + 1
@@ -604,8 +631,8 @@ CHECKS: dict[str, _Check] = {
     ),
     # the two-factor Segre closed form against cm_regularity
     "segre-r2": _Check(_segre_closed_form, lambda config: [None], lambda config: [(3 * 3 * 11 * 11, 3)]),  # 4.7 us
-    # lambda - 1 bounds reg of the structure sheaf of the image from above,
-    # strictly so at l = (1, 2), d = (1, 1)
+    # lambda agrees with its case split, and lambda - 1 bounds reg of the
+    # structure sheaf of the image from above, strictly so at l = (1, 2), d = (1, 1)
     "ideal-bound": _Check(
         _ideal_sheaf_bound,
         lambda config: [None],

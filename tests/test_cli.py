@@ -158,20 +158,24 @@ class TestRun:
         assert doc.result["value"] == 2
 
     def test_lambda(self):
+        # case_split_value repeats the one value the library computes
         doc, _ = cli.run(cli.parse_args(["lambda", "--l=1,2", "--d=1,1"]))
-        assert doc.result["value"] == 3
-        assert doc.result["case_split_value"] == 3
-        assert doc.result["reg_zero"] == 1
+        assert doc.result == {"value": 3, "case_split_value": 3, "reg_zero": 1}
 
     def test_endpoints_with_balanced_cross_check(self):
+        # on a balanced embedding, balanced repeats the endpoints
         doc, _ = cli.run(cli.parse_args(["endpoints", "--l=1,1", "--d=1,1", "--m=0,2"]))
         assert doc.result["p_plus"] == 0
         assert doc.result["p_minus"] == -2
         assert doc.result["balanced"] == {"p_plus": 0, "p_minus": -2}
+        doc, _ = cli.run(cli.parse_args(["endpoints", "--l=2,2,2", "--d=1,1,1", "--m=-3,0,2"]))
+        assert doc.result["balanced"] == {"p_plus": doc.result["p_plus"], "p_minus": doc.result["p_minus"]}
 
     def test_endpoints_skips_balanced_when_inapplicable(self):
-        doc, _ = cli.run(cli.parse_args(["endpoints", "--l=1,2", "--d=1,1", "--m=0,0"]))
-        assert "balanced" not in doc.result
+        # l not constant, d not all 1, and both
+        for l, d, m in (("1,2", "1,1", "0,0"), ("1,1", "1,2", "0,0"), ("2", "3", "0")):
+            doc, _ = cli.run(cli.parse_args(["endpoints", f"--l={l}", f"--d={d}", f"--m={m}"]))
+            assert "balanced" not in doc.result
 
     @pytest.mark.parametrize(
         "command, vectors",

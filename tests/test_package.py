@@ -68,18 +68,22 @@ def test_second_routes_are_not_exported():
 
 def test_names_nothing_reads_are_gone():
     # chi is a property of the profile, dual_twist returns a plain tuple, a
-    # window's pad is the one its caller passed, and the two-factor Segre
-    # formula is a second route that only verify replays
-    from svreg import cohomology, regularity
+    # window's pad is the one its caller passed, ideal_sheaf_bound returns
+    # an int, and the two-factor Segre formula and the balanced endpoints are
+    # second routes that only verify replays
+    from svreg import cohomology, regularity, tate
 
-    for namespace in (svreg, cohomology):
-        for name in ("euler_characteristic", "MultiDegree"):
-            with pytest.raises(AttributeError):
-                getattr(namespace, name)
-    for namespace in (svreg, regularity):
-        with pytest.raises(AttributeError):
-            namespace.segre_regularity
-    assert len(svreg.__all__) == len(set(svreg.__all__)) == 20
+    gone = {
+        cohomology: ("euler_characteristic", "MultiDegree"),
+        regularity: ("segre_regularity", "IdealSheafBound"),
+        tate: ("balanced_endpoints",),
+    }
+    for module, names in gone.items():
+        for namespace in (svreg, module):
+            for name in names:
+                with pytest.raises(AttributeError):
+                    getattr(namespace, name)
+    assert len(svreg.__all__) == len(set(svreg.__all__)) == 18
     assert svreg.TateWindow._fields == ("p_minus", "p_plus", "terms")
 
 

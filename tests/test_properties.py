@@ -15,8 +15,15 @@ from svreg.regularity import (
     is_regular_oracle,
     regularity_corners,
 )
-from svreg.tate import balanced_endpoints, dual_twist, p_minus, tate_window
-from svreg.verify import _euler_polynomial, _factor_table, _segre_regularity, _tate_term
+from svreg.tate import dual_twist, p_minus, tate_window
+from svreg.verify import (
+    _balanced_endpoints,
+    _case_split_lambda,
+    _euler_polynomial,
+    _factor_table,
+    _segre_regularity,
+    _tate_term,
+)
 
 
 @st.composite
@@ -169,9 +176,9 @@ def test_window_structure_and_positive_length(data):
 @given(st.integers(1, 3), st.lists(st.integers(-6, 6), min_size=1, max_size=3))
 @settings(max_examples=300)
 def test_balanced_endpoints_match_general_operations(l, ms):
-    # ms is drawn in any order: balanced_endpoints sorts it itself
+    # ms is drawn in any order: _balanced_endpoints sorts it itself
     E = SegreVeronese((l,) * len(ms), (1,) * len(ms))
-    assert balanced_endpoints(E, ms) == (cm_regularity(E, ms), p_minus(E, ms))
+    assert _balanced_endpoints(E, ms) == (cm_regularity(E, ms), p_minus(E, ms))
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(-5, 5), st.integers(-5, 5))
@@ -185,5 +192,5 @@ def test_segre_closed_form_matches_general(a, b, k, l):
 @settings(max_examples=300)
 def test_ideal_sheaf_bound_dominates_structure_sheaf(E):
     bound = ideal_sheaf_bound(E)
-    assert bound.value == bound.case_split_value
-    assert bound.value - 1 >= cm_regularity(E, (0,) * E.r)
+    assert bound == _case_split_lambda(E)
+    assert bound - 1 >= cm_regularity(E, (0,) * E.r)

@@ -567,12 +567,42 @@ def test_minimal_twist_catches_planted_oracles(monkeypatch, oracle, reason):
 
 
 def test_ideal_bound_catches_a_lost_strictness_witness(monkeypatch):
-    # one more everywhere still bounds reg, but no longer strictly by one
-    real = regularity.ideal_sheaf_bound
-    monkeypatch.setattr(regularity, "ideal_sheaf_bound", lambda E: real(E)._replace(value=real(E).value + 1))
+    # one more everywhere, by both routes, still bounds reg, but no longer
+    # strictly by one
+    real, split = regularity.ideal_sheaf_bound, verify._case_split_lambda
+    monkeypatch.setattr(regularity, "ideal_sheaf_bound", lambda E: real(E) + 1)
+    monkeypatch.setattr(verify, "_case_split_lambda", lambda E: split(E) + 1)
     (result,) = run_on(1, monkeypatch, TINY, ["ideal-bound"])
     assert result.failures == 1
     assert result.counterexample == {"l": [1, 2], "d": [1, 1], "bound": 4, "reg_zero": 1, "reason": "strictness witness failed"}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ideal_bound_catches_a_planted_case_split_fault(capsys, monkeypatch, cpus):
+    # the case split lives in verify; its disagreement with the library's
+    # lambda fails every embedding, not the witness, which reads lambda alone,
+    # and is a counterexample (exit 2), not an internal error.  A second
+    # check's shard makes two workers
+    real = verify._case_split_lambda
+    monkeypatch.setattr(verify, "_case_split_lambda", lambda E: real(E) + 1)
+    result, other = run_on(cpus, monkeypatch, verify.VerifyConfig(), ["ideal-bound", "segre-r2"])
+    assert (result.failures, result.instances) == (90, 91) and other.ok
+    assert result.counterexample == {"l": [1], "d": [1], "bound": 1, "case_split": 2, "reg_zero": 0}
+    assert cli.main(["verify", "--checks=ideal-bound", "--format=json"]) == 2
+    (check,) = json.loads(capsys.readouterr().out)["result"]["checks"]
+    assert check["counterexample"] == result.counterexample
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_tate_endpoints_catches_a_planted_balanced_fault(monkeypatch, cpus):
+    # the balanced closed form lives in verify, and only its block of the
+    # closed-form shard fails: at lmax 1, the 13 + 91 + 455 multisets of
+    # r = 1, 2, 3 entries in -6..6
+    real = verify._balanced_endpoints
+    monkeypatch.setattr(verify, "_balanced_endpoints", lambda E, m: (real(E, m)[0], real(E, m)[1] + 1))
+    (result,) = run_on(cpus, monkeypatch, TINY, ["tate-endpoints"])
+    assert (result.failures, result.instances) == (559, 618)
+    assert result.counterexample == {"l": [1], "d": [1], "m": [-6], "balanced": [6, 6], "general": [6, 5]}
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
