@@ -445,7 +445,7 @@ def render_table(doc: ReportDocument) -> str:
         cells = [header, *([_cell(row.get(k)) for k in header] for row in rows)]
         widths = [max(map(len, column)) for column in zip(*cells)]
         lines.append(f"{key}:")
-        lines.extend("  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells)
+        lines.extend(("  " + "  ".join(c.ljust(w) for c, w in zip(row, widths))).rstrip() for row in cells)
     lines.append(f"note: {doc.note}")
     return "\n".join(lines)
 

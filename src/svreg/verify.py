@@ -13,9 +13,9 @@ each drawn from a seed of its own; one per (r, l) for cohomology; one per
 factor count for sorted-vs-subsets; a single shard for the small checks.
 The two pair checks share one walk of the pair grid, which calls the
 closed form once per pair and compares it with each route named.  The
-shards of every check named run on a pool of forked worker processes,
-one pool per run, and each check's are merged in shard order, so
-instance counts and the first counterexample do not depend on the
+shards of every check named run on one pool of forked workers per run,
+one worker on a single CPU, and each check's are merged in shard order,
+so instance counts and the first counterexample do not depend on the
 number of workers.  The shards look the library functions up through
 their modules, and cache nothing of theirs, so workers run whatever those
 modules hold when the run starts, patched functions included.  The
@@ -93,7 +93,7 @@ class VerifyConfig:
 class CheckResult:
     """A check's (or one shard's) tally, as ``run_checks`` reports it;
     ``elapsed_s`` is the sum of the wall times of its shards, measured
-    where they ran.  The two pair checks named in one run share a walk and
+    in the workers.  The two pair checks named in one run share a walk and
     each reports the walk's: do not add the two."""
 
     name: str
@@ -186,7 +186,6 @@ def _walk_pairs(config: VerifyConfig, unit: SegreVeronese | range, names: Sequen
     order.  Each (E, m, p) gets one closed-form call, compared with the
     cohomology scan for formula-vs-oracle and with domination of a corner
     of O(m), built once per m, for corner-membership."""
-    started = time.perf_counter()
     formula, oracle, ge = regularity.is_regular_formula, regularity.is_regular_oracle, operator.ge
     checks = {name: CheckResult(name, 0, 0) for name in names}
     fo, cm = checks.get("formula-vs-oracle"), checks.get("corner-membership")
@@ -208,9 +207,8 @@ def _walk_pairs(config: VerifyConfig, unit: SegreVeronese | range, names: Sequen
                 if dominated != regular:
                     cm.failures += 1
                     cm.counterexample = cm.counterexample or _instance(E, m=m, p=p, formula=regular, corners=dominated)
-    elapsed = time.perf_counter() - started
     for result in checks.values():
-        result.instances, result.elapsed_s = instances, elapsed
+        result.instances = instances
     return [checks[name] for name in names]
 
 
@@ -427,32 +425,29 @@ def _balanced_endpoints(E: SegreVeronese, m: Sequence[int]) -> tuple[int, int]:
 
 
 def _tate_closed_forms(config: VerifyConfig) -> Iterator[dict | None]:
+    balanced = [(r, l, SegreVeronese((l,) * r, (1,) * r)) for r in (1, 2, 3) for l in range(1, config.lmax + 1)]
     # constant m: window length is (r-1)l + 1 whatever m is
-    for r in (1, 2, 3):
-        for l in range(1, config.lmax + 1):
-            E = SegreVeronese((l,) * r, (1,) * r)
-            for m_val in range(-6, 7):
-                m = (m_val,) * r
-                length = regularity.cm_regularity(E, m) - tate.p_minus(E, m)
-                expected = (r - 1) * l + 1
-                yield None if length == expected else _instance(E, m=m, length=length, expected=expected)
+    for r, l, E in balanced:
+        for m_val in range(-6, 7):
+            m = (m_val,) * r
+            length = regularity.cm_regularity(E, m) - tate.p_minus(E, m)
+            expected = (r - 1) * l + 1
+            yield None if length == expected else _instance(E, m=m, length=length, expected=expected)
     # balanced closed form against the general operations
-    for r in (1, 2, 3):
-        for l in range(1, config.lmax + 1):
-            E = SegreVeronese((l,) * r, (1,) * r)
-            for ms in itertools.combinations_with_replacement(range(-6, 7), r):
-                got = _balanced_endpoints(E, ms)
-                want = (regularity.cm_regularity(E, ms), tate.p_minus(E, ms))
-                yield None if got == want else _instance(E, m=ms, balanced=list(got), general=list(want))
-    # m = (0, ..., 0, M) with M >= (r-1)l: window length grows as M - l + 1
-    for r in (2, 3):
-        for l in range(1, config.lmax + 1):
-            E = SegreVeronese((l,) * r, (1,) * r)
-            for M in range((r - 1) * l, (r - 1) * l + 9):
-                m = (0,) * (r - 1) + (M,)
-                length = regularity.cm_regularity(E, m) - tate.p_minus(E, m)
-                expected = M - l + 1
-                yield None if length == expected else _instance(E, m=m, length=length, expected=expected)
+    for r, l, E in balanced:
+        for ms in itertools.combinations_with_replacement(range(-6, 7), r):
+            got = _balanced_endpoints(E, ms)
+            want = (regularity.cm_regularity(E, ms), tate.p_minus(E, ms))
+            yield None if got == want else _instance(E, m=ms, balanced=list(got), general=list(want))
+    # m = (0, ..., 0, M) with M >= (r-1)l and r >= 2: window length grows as M - l + 1
+    for r, l, E in balanced:
+        if r == 1:
+            continue
+        for M in range((r - 1) * l, (r - 1) * l + 9):
+            m = (0,) * (r - 1) + (M,)
+            length = regularity.cm_regularity(E, m) - tate.p_minus(E, m)
+            expected = M - l + 1
+            yield None if length == expected else _instance(E, m=m, length=length, expected=expected)
 
 
 def _tate_closed_form_count(config: VerifyConfig) -> int:
@@ -507,26 +502,32 @@ def _run_shard(task: tuple[tuple[str, ...], Callable, Any, VerifyConfig]) -> lis
     """Tally one shard for each check the task names, in its order.  The
     pair walk tallies its checks itself; any other routine serves one
     check and yields None for an instance that holds and a counterexample
-    for one that fails.  Runs in a worker process or in-process.
+    for one that fails.  Runs in a worker process, and each result it
+    returns reports the shard's wall time, timed from before the routine.
 
     ``VerifyConfig`` and ``run_checks`` refuse every bad input before a
     shard starts, so a ValueError raised here is a library fault: it is
     raised again as a RuntimeError naming the checks and the shard's unit."""
     names, routine, unit, config = task
+    started = time.perf_counter()
     try:
         if routine is _walk_pairs:
-            return _walk_pairs(config, unit, names)
-        started = time.perf_counter()
-        instances = failures = 0
-        counterexample = None
-        for outcome in routine(config, unit):
-            instances += 1
-            if outcome is not None:
-                failures += 1
-                counterexample = counterexample or outcome
+            results = _walk_pairs(config, unit, names)
+        else:
+            instances = failures = 0
+            counterexample = None
+            for outcome in routine(config, unit):
+                instances += 1
+                if outcome is not None:
+                    failures += 1
+                    counterexample = counterexample or outcome
+            results = [CheckResult(names[0], instances, failures, counterexample)]
     except ValueError as exc:
         raise RuntimeError(f"{', '.join(names)} failed on shard {unit!r}: {exc}") from exc
-    return [CheckResult(names[0], instances, failures, counterexample, time.perf_counter() - started)]
+    elapsed = time.perf_counter() - started
+    for result in results:
+        result.elapsed_s = elapsed
+    return results
 
 
 def _available_cpus() -> int:
@@ -544,10 +545,8 @@ def _worker_count(shards: int) -> int:
 
 
 def _pooled(tasks: list) -> list[list[CheckResult]]:
-    """``_run_shard`` on every task, in task order, on ``_worker_count`` processes."""
-    workers = _worker_count(len(tasks))
-    if workers == 1:
-        return list(map(_run_shard, tasks))
+    """``_run_shard`` on every task, in task order, on ``_worker_count``
+    forked processes: one when the run has one shard or one CPU."""
     # deferred: one-shot CLI calls never need them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -555,7 +554,7 @@ def _pooled(tasks: list) -> list[list[CheckResult]]:
     # fork, not spawn: workers must run the caller's modules as they are
     # now, patched functions included, without importing anew.  A worker
     # that dies raises BrokenProcessPool, a RuntimeError.
-    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    executor = ProcessPoolExecutor(_worker_count(len(tasks)), mp_context=multiprocessing.get_context("fork"))
     try:
         return list(executor.map(_run_shard, tasks))
     finally:
@@ -680,14 +679,14 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     """Run the named checks (all of them by default; ``CHECKS`` lists them)
     and report them in the order named.  This is the one way to run a check.
 
-    The shards of every check named run on one pool, of one worker process
-    per available CPU and at most one per shard; with a single CPU they run
-    in this process.  The named pair checks share one walk.  Before any grid
-    is built, names that are not a list or tuple, an empty list of names,
-    an unknown and a repeated name are refused with ValueError, and so is a
-    config that is not a ``VerifyConfig`` (one that is lies in the grid's
-    domain) and a run that weighs more than ``MAX_INSTANCES``: the sum of
-    ``instances * weight`` over the ``cost`` pairs of the checks named."""
+    The shards of every check named run on one pool of forked worker
+    processes, one per available CPU and at most one per shard.  The named
+    pair checks share one walk.  Before any grid is built, names that are
+    not a list or tuple, an empty list of names, an unknown and a repeated
+    name are refused with ValueError, and so is a config that is not a
+    ``VerifyConfig`` (one that is lies in the grid's domain) and a run that
+    weighs more than ``MAX_INSTANCES``: the sum of ``instances * weight``
+    over the ``cost`` pairs of the checks named."""
     if names is None:
         selected = list(CHECKS)
     else:

@@ -438,7 +438,7 @@ class TestMain:
     def test_verify_output_independent_of_workers(self, capsys, monkeypatch):
         argv = ["verify", "--lmax=1", "--dmax=2", "--box=-2,2", "--r3-samples=20", "--format=json"]
         documents = []
-        for cpus in (1, 2):  # in-process, then two forked workers
+        for cpus in (1, 2):  # one forked worker, then two
             monkeypatch.setattr(verify, "_available_cpus", lambda cpus=cpus: cpus)
             code, out, _ = run_cli(argv, capsys)
             assert code == 0

@@ -12,8 +12,8 @@ which prints the argv of each case whose recorded output changed, with
 the streams (code, stdout, stderr) that differ.
 
 Help texts are rendered at ``COLUMNS=80`` so argparse wraps them the same
-way on every terminal.  ``verify`` runs in-process on small grids, and the
-per-check timings it reports are masked.
+way on every terminal.  ``verify`` runs on one forked worker on small
+grids, and the per-check timings it reports are masked.
 """
 import contextlib
 import io

@@ -3,6 +3,7 @@ one route per library call, and the limits README quotes."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -27,6 +28,14 @@ def test_cli_import_leaves_verify_and_pools_unloaded():
     # and no record needs dataclasses (or the inspect module it loads)
     modules = ("svreg.verify", "multiprocessing", "concurrent.futures", "dataclasses", "inspect")
     assert loaded("import svreg.cli", modules) == ""
+
+
+def test_version_matches_pyproject():
+    # the installed metadata and ``svreg --version`` read two copies of the
+    # version; Python 3.10 has no tomllib, so the pyproject is read by a regex
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as f:
+        (version,) = re.findall(r'(?m)^version = "([^"]+)"$', f.read())
+    assert svreg.__version__ == version
 
 
 def test_star_import_leaves_verify_unloaded():

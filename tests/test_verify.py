@@ -20,8 +20,8 @@ def summary(results):
 
 
 def run_on(cpus, monkeypatch, *args):
-    """run_checks as it runs with ``cpus`` available CPUs: in-process for
-    one, on that many forked workers otherwise, whatever this machine has."""
+    """run_checks as it runs with ``cpus`` available CPUs: on that many
+    forked workers, whatever this machine has."""
     monkeypatch.setattr(verify, "_available_cpus", lambda: cpus)
     return verify.run_checks(*args)
 
@@ -454,7 +454,23 @@ def test_worker_error_reaches_the_caller(monkeypatch):
         run_on(2, monkeypatch, SMALL, ["formula-vs-oracle"])
 
 
-def test_dead_worker_is_an_error(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_every_shard_runs_in_a_worker(monkeypatch, cpus):
+    # one CPU makes a pool of one worker, not a run in this process
+    real = regularity.is_regular_formula
+    parent = os.getpid()
+
+    def in_worker(E, m, p):
+        assert os.getpid() != parent, "shard ran in-process"
+        return real(E, m, p)
+
+    monkeypatch.setattr(regularity, "is_regular_formula", in_worker)
+    (result,) = run_on(cpus, monkeypatch, SMALL, ["formula-vs-oracle"])
+    assert result.ok and result.instances == verify.instance_counts(SMALL)["formula-vs-oracle"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_dead_worker_is_an_error(monkeypatch, cpus):
     parent = os.getpid()
 
     def dies(E, m, p):
@@ -464,7 +480,7 @@ def test_dead_worker_is_an_error(monkeypatch):
 
     monkeypatch.setattr(regularity, "is_regular_formula", dies)
     with pytest.raises(RuntimeError, match="terminated abruptly"):
-        run_on(2, monkeypatch, SMALL, ["formula-vs-oracle"])
+        run_on(cpus, monkeypatch, SMALL, ["formula-vs-oracle"])
 
 
 def test_window_replay_does_not_share_the_windows_route(monkeypatch):
