@@ -326,6 +326,7 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
     ``alone``: building them would be wasted on a one-shot call."""
     parser = _Parser(
         prog="svreg",
+        usage=f"%(prog)s [-h] [--version] {{{','.join(_COMMANDS)}}} ...",
         description=(
             "Exact regularity, cohomology and Tate-resolution windows for "
             "line bundles on products of projective spaces under a "
@@ -334,7 +335,7 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"svreg {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, prog="svreg")
     for name, command in _COMMANDS.items():
         if name == invoked or not alone:
             p = sub.add_parser(name, help=command.help, description=command.help)

@@ -29,19 +29,29 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 import operator
 import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from . import cohomology, regularity, tate
 from .cohomology import SegreVeronese
 
+EMBEDDING_R = (1, 2)  # factor counts of the exhaustive embedding grids
+COHOMOLOGY_R = (1, 2, 3)  # factor counts of the cohomology grid
 R3_SLICE = 1000  # seeded r=3 samples per shard
 SUBSET_R = range(4, 13)  # factor counts of the sorted-vs-subsets samples
 SUBSET_SAMPLES = 20  # sorted-vs-subsets samples per factor count
+SEGRE_DIMS = range(1, 4)  # a and b of P^a x P^b in segre-r2
+SEGRE_TWISTS = range(-5, 6)  # k and l of its twists O(k, l)
+TATE_R = (1, 2, 3)  # factor counts of the balanced embeddings of tate-endpoints
+TATE_TWISTS = range(-6, 7)  # entries of its constant twists and its multisets
+TATE_LONG_M = 9  # values of M in its twists (0, ..., 0, M), from (r-1)l up
+WINDOW_BOX = range(-4, 5)  # tate-window twist entries; small, as a column's replay sweeps its cohomology
 # the most a run may weigh, in pair instances of 2.3 us (see CHECKS): about
 # 230 CPU-s, 4.7x the 21,405,029 of the reference grid
 MAX_INSTANCES = 10**8
@@ -117,7 +127,7 @@ class CheckResult:
 
 
 def _embeddings(config: VerifyConfig) -> Iterator[SegreVeronese]:
-    for r in (1, 2):
+    for r in EMBEDDING_R:
         for l in itertools.product(range(1, config.lmax + 1), repeat=r):
             for d in itertools.product(range(1, config.dmax + 1), repeat=r):
                 yield SegreVeronese(l, d)
@@ -142,9 +152,9 @@ def _samples(config: VerifyConfig, key: str, r: int, count: int) -> Iterator[tup
 
 
 def _per_embedding(config: VerifyConfig, instances: int) -> int:
-    """Instances over every embedding with r in {1, 2}, ``instances ** r``
-    on each: one per embedding for 1, one per box point for the box width."""
-    return sum((config.lmax * config.dmax * instances) ** r for r in (1, 2))
+    """Instances over every embedding, ``instances ** r`` on one with r
+    factors: one per embedding for 1, one per box point for the box width."""
+    return sum((config.lmax * config.dmax * instances) ** r for r in EMBEDDING_R)
 
 
 def _width(config: VerifyConfig) -> int:
@@ -160,7 +170,7 @@ def _box(config: VerifyConfig, k: int) -> int:
 
 def _grid(config: VerifyConfig) -> list[SegreVeronese | range]:
     """Shards of the pair and point grids in iteration order: every
-    embedding with r in {1, 2}, then consecutive ranges of the r=3 samples."""
+    embedding, then consecutive ranges of the r=3 samples."""
     n = config.r3_samples
     return [*_embeddings(config), *(range(i, min(i + R3_SLICE, n)) for i in range(0, n, R3_SLICE))]
 
@@ -325,17 +335,12 @@ def _segre_regularity(a: int, b: int, k: int, l: int) -> int:
 
 
 def _segre_closed_form(config: VerifyConfig, _unit: None) -> Iterator[dict | None]:
-    for a in range(1, 4):
-        for b in range(1, 4):
-            E = SegreVeronese((a, b), (1, 1))
-            for k in range(-5, 6):
-                for twist_l in range(-5, 6):
-                    special = _segre_regularity(a, b, k, twist_l)
-                    general = regularity.cm_regularity(E, (k, twist_l))
-                    if special == general:
-                        yield None
-                    else:
-                        yield _instance(E, m=(k, twist_l), special=special, general=general)
+    for a, b in itertools.product(SEGRE_DIMS, repeat=2):
+        E = SegreVeronese((a, b), (1, 1))
+        for k, twist_l in itertools.product(SEGRE_TWISTS, repeat=2):
+            special = _segre_regularity(a, b, k, twist_l)
+            general = regularity.cm_regularity(E, (k, twist_l))
+            yield None if special == general else _instance(E, m=(k, twist_l), special=special, general=general)
 
 
 def _case_split_lambda(E: SegreVeronese) -> int:
@@ -353,17 +358,13 @@ def _ideal_sheaf_bound(config: VerifyConfig, _unit: None) -> Iterator[dict | Non
         bound = regularity.ideal_sheaf_bound(E)
         case_split = _case_split_lambda(E)
         reg_zero = regularity.cm_regularity(E, (0,) * E.r)
-        if bound == case_split and bound - 1 >= reg_zero:
-            yield None
-        else:
-            yield _instance(E, bound=bound, case_split=case_split, reg_zero=reg_zero)
+        holds = bound == case_split and bound - 1 >= reg_zero
+        yield None if holds else _instance(E, bound=bound, case_split=case_split, reg_zero=reg_zero)
     witness = SegreVeronese((1, 2), (1, 1))
     bound = regularity.ideal_sheaf_bound(witness)
     reg_zero = regularity.cm_regularity(witness, (0, 0))
-    if bound - 1 == 2 and reg_zero == 1 and bound - 1 > reg_zero:
-        yield None
-    else:
-        yield _instance(witness, bound=bound, reg_zero=reg_zero, reason="strictness witness failed")
+    holds = bound - 1 == 2 and reg_zero == 1 and bound - 1 > reg_zero
+    yield None if holds else _instance(witness, bound=bound, reg_zero=reg_zero, reason="strictness witness failed")
 
 
 def _subadditivity(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | None]:
@@ -425,25 +426,23 @@ def _balanced_endpoints(E: SegreVeronese, m: Sequence[int]) -> tuple[int, int]:
 
 
 def _tate_closed_forms(config: VerifyConfig) -> Iterator[dict | None]:
-    balanced = [(r, l, SegreVeronese((l,) * r, (1,) * r)) for r in (1, 2, 3) for l in range(1, config.lmax + 1)]
+    balanced = [(r, l, SegreVeronese((l,) * r, (1,) * r)) for r in TATE_R for l in range(1, config.lmax + 1)]
     # constant m: window length is (r-1)l + 1 whatever m is
     for r, l, E in balanced:
-        for m_val in range(-6, 7):
+        for m_val in TATE_TWISTS:
             m = (m_val,) * r
             length = regularity.cm_regularity(E, m) - tate.p_minus(E, m)
             expected = (r - 1) * l + 1
             yield None if length == expected else _instance(E, m=m, length=length, expected=expected)
     # balanced closed form against the general operations
     for r, l, E in balanced:
-        for ms in itertools.combinations_with_replacement(range(-6, 7), r):
+        for ms in itertools.combinations_with_replacement(TATE_TWISTS, r):
             got = _balanced_endpoints(E, ms)
             want = (regularity.cm_regularity(E, ms), tate.p_minus(E, ms))
             yield None if got == want else _instance(E, m=ms, balanced=list(got), general=list(want))
     # m = (0, ..., 0, M) with M >= (r-1)l and r >= 2: window length grows as M - l + 1
     for r, l, E in balanced:
-        if r == 1:
-            continue
-        for M in range((r - 1) * l, (r - 1) * l + 9):
+        for M in range((r - 1) * l, (r - 1) * l + TATE_LONG_M * (r > 1)):
             m = (0,) * (r - 1) + (M,)
             length = regularity.cm_regularity(E, m) - tate.p_minus(E, m)
             expected = M - l + 1
@@ -451,9 +450,8 @@ def _tate_closed_forms(config: VerifyConfig) -> Iterator[dict | None]:
 
 
 def _tate_closed_form_count(config: VerifyConfig) -> int:
-    # per l: 13 constant twists for each r in 1..3, the multisets of r
-    # entries in -6..6, and 9 values of M for r in (2, 3)
-    return config.lmax * (3 * 13 + sum(math.comb(12 + r, r) for r in (1, 2, 3)) + 2 * 9)
+    twists = len(TATE_TWISTS)
+    return config.lmax * sum(twists + math.comb(twists + r - 1, r) + TATE_LONG_M * (r > 1) for r in TATE_R)
 
 
 def _tate_endpoints(config: VerifyConfig, unit: SegreVeronese | range | None) -> Iterator[dict | None]:
@@ -493,9 +491,7 @@ def _window_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
 
 
 def _window_structure(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | None]:
-    # the _tate_term replay costs a full cohomology sweep per column, hence
-    # the small box
-    return (_window_failure(E, m) for m in itertools.product(range(-4, 5), repeat=E.r))
+    return (_window_failure(E, m) for m in itertools.product(WINDOW_BOX, repeat=E.r))
 
 
 def _run_shard(task: tuple[tuple[str, ...], Callable, Any, VerifyConfig]) -> list[CheckResult]:
@@ -547,10 +543,6 @@ def _worker_count(shards: int) -> int:
 def _pooled(tasks: list) -> list[list[CheckResult]]:
     """``_run_shard`` on every task, in task order, on ``_worker_count``
     forked processes: one when the run has one shard or one CPU."""
-    # deferred: one-shot CLI calls never need them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     # fork, not spawn: workers must run the caller's modules as they are
     # now, patched functions included, without importing anew.  A worker
     # that dies raises BrokenProcessPool, a RuntimeError.
@@ -593,11 +585,11 @@ CHECKS: dict[str, _Check] = {
     # Kunneth convolution, exhaustively for r up to 3
     "cohomology": _Check(
         _cohomology,
-        lambda config: [l for r in (1, 2, 3) for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
+        lambda config: [l for r in COHOMOLOGY_R for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
         # its convolution and duality loops run over up to n + 1 <= 3 lmax + 1
         # degrees: 20-24 us at lmax 3 (weight 19, priced when it took 30-33),
         # 17-22 us at 1 and 22-25 at 8 on the box -2..2
-        lambda config: [(sum((config.lmax * _width(config)) ** r for r in (1, 2, 3)), 2 * config.lmax + 13)],
+        lambda config: [(sum((config.lmax * _width(config)) ** r for r in COHOMOLOGY_R), 2 * config.lmax + 13)],
     ),
     "formula-vs-oracle": _Check(
         _walk_pairs,
@@ -629,7 +621,11 @@ CHECKS: dict[str, _Check] = {
         ],
     ),
     # the two-factor Segre closed form against cm_regularity
-    "segre-r2": _Check(_segre_closed_form, lambda config: [None], lambda config: [(3 * 3 * 11 * 11, 3)]),  # 4.7 us
+    "segre-r2": _Check(
+        _segre_closed_form,
+        lambda config: [None],
+        lambda config: [((len(SEGRE_DIMS) * len(SEGRE_TWISTS)) ** 2, 3)],  # 4.7 us
+    ),
     # lambda agrees with its case split, and lambda - 1 bounds reg of the
     # structure sheaf of the image from above, strictly so at l = (1, 2), d = (1, 1)
     "ideal-bound": _Check(
@@ -663,7 +659,7 @@ CHECKS: dict[str, _Check] = {
         # a window's columns and their Kunneth calls grow with l and d:
         # 148 us at lmax = dmax = 1, 196 at 3, 248 at 4, 180 at lmax 1 and
         # dmax 8, 354 at lmax 8 and dmax 1, 463 at lmax 8 and dmax 4
-        lambda config: [(_per_embedding(config, 9), 50 + config.lmax * (15 + config.dmax))],
+        lambda config: [(_per_embedding(config, len(WINDOW_BOX)), 50 + config.lmax * (15 + config.dmax))],
     ),
 }
 

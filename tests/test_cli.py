@@ -435,19 +435,6 @@ class TestMain:
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (3, "", f"svreg: internal error: {message}\n")
 
-    def test_verify_output_independent_of_workers(self, capsys, monkeypatch):
-        argv = ["verify", "--lmax=1", "--dmax=2", "--box=-2,2", "--r3-samples=20", "--format=json"]
-        documents = []
-        for cpus in (1, 2):  # one forked worker, then two
-            monkeypatch.setattr(verify, "_available_cpus", lambda cpus=cpus: cpus)
-            code, out, _ = run_cli(argv, capsys)
-            assert code == 0
-            document = json.loads(out)
-            for check in document["result"]["checks"]:
-                assert check.pop("elapsed_s") >= 0
-            documents.append(document)
-        assert documents[0] == documents[1]
-
     @pytest.mark.parametrize(
         "name, argv",
         LIBRARY_CALLS,

@@ -26,13 +26,6 @@ def run_on(cpus, monkeypatch, *args):
     return verify.run_checks(*args)
 
 
-def test_parallel_matches_serial(monkeypatch):
-    serial = run_on(1, monkeypatch, SMALL)
-    assert all(r.ok for r in serial)
-    assert {r.name: r.instances for r in serial} == verify.instance_counts(SMALL)
-    assert summary(run_on(2, monkeypatch, SMALL)) == summary(serial)
-
-
 @pytest.mark.parametrize(
     "config",
     [
@@ -89,7 +82,10 @@ def test_one_pool_per_run(monkeypatch):
     walk = [names for names, routine, *_ in tasks if routine is verify._walk_pairs]
     assert walk == [tuple(PAIR_CHECKS)] * len(verify._grid(SMALL))
     monkeypatch.setattr(verify, "_pooled", real)
-    assert summary(pooled) == summary(run_on(1, monkeypatch, SMALL))
+    serial = run_on(1, monkeypatch, SMALL)
+    assert all(r.ok for r in serial)
+    assert {r.name: r.instances for r in serial} == verify.instance_counts(SMALL)
+    assert summary(pooled) == summary(serial)
 
 
 def refuse_to_start(tasks):
@@ -559,6 +555,33 @@ def test_cohomology_faults_are_counterexamples(capsys, monkeypatch, plant, first
 
 
 TINY = verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=0)
+EMBEDDING_CHECKS = [
+    "formula-vs-oracle", "corner-membership", "minimal-twist", "ideal-bound",
+    "subadditivity", "pair-subadditivity", "tate-endpoints", "tate-window",
+]
+NARROWED_GRIDS = [
+    ("EMBEDDING_R", (1,), EMBEDDING_CHECKS),
+    ("COHOMOLOGY_R", (1, 2), ["cohomology"]),
+    ("SEGRE_DIMS", range(2, 4), ["segre-r2"]),
+    ("SEGRE_TWISTS", range(-1, 2), ["segre-r2"]),
+    ("TATE_R", (1, 2), ["tate-endpoints"]),
+    ("TATE_TWISTS", range(-1, 2), ["tate-endpoints"]),
+    ("TATE_LONG_M", 2, ["tate-endpoints"]),
+    ("WINDOW_BOX", range(-1, 2), ["tate-window"]),
+]
+
+
+@pytest.mark.parametrize("constant, narrowed, names", NARROWED_GRIDS, ids=[c for c, *_ in NARROWED_GRIDS])
+def test_each_fixed_grid_is_counted_from_the_constant_its_walk_reads(monkeypatch, constant, narrowed, names):
+    # narrowing a grid's constant shrinks the count of exactly the checks
+    # whose walk reads it, and their runs still match the count
+    before = verify.instance_counts(TINY)
+    monkeypatch.setattr(verify, constant, narrowed)
+    after = verify.instance_counts(TINY)
+    assert [name for name in verify.CHECKS if after[name] != before[name]] == names
+    assert all(after[name] < before[name] for name in names)
+    results = run_on(2, monkeypatch, TINY, names)
+    assert {r.name: r.instances for r in results} == {name: after[name] for name in names}
 
 
 def not_monotone(E, m, p, real=regularity.is_regular_oracle, reg=regularity.cm_regularity):
