@@ -132,8 +132,9 @@ def regularity_corners(E: SegreVeronese, m: Sequence[int]) -> list[RegularityCor
     lexicographic order.  Refuses more than ``_MAX_CORNER_FACTORS`` factors.
 
     No corner lies below another.  Corner k of a permutation is
-    -m_k - l_k + s_k d_k with s_k the l-sum of k and the factors after it;
-    if the corner of tau lies below that of sigma, every s_k under tau is
+    -m_k - l_k + s_k d_k with s_k the l-sum of k and the factors after it,
+    so each permutation's corner(m) = corner(0) - m: twisting by m
+    translates the regularity set by -m.  If the corner of tau lies below that of sigma, every s_k under tau is
     at most its value under sigma, the first factor of tau has s = n under
     both, so it comes first in sigma too, and by induction tau = sigma.
     """
@@ -223,6 +224,10 @@ def check_pair_subadditivity(
     Returns "hypothesis-not-met" when either input pair fails its own
     regularity test; the theorem is conditional and lumping that case in
     with a conclusion failure would make the check meaningless.
+
+    It is a corollary of ``check_subadditivity``: is_regular_formula(m, p)
+    is reg(m + p) <= 0, so with c = m + p and c2 = m2 + p2 both hypotheses
+    give reg(c + c2) <= reg(c) + reg(c2) <= 0.
     """
     _check_lengths(E, m=m, p=p, m2=m2, p2=p2)
     if not (is_regular_formula(E, m, p) and is_regular_formula(E, m2, p2)):

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-import operator
 import os
 import random
 import time
@@ -52,8 +51,8 @@ TATE_R = (1, 2, 3)  # factor counts of the balanced embeddings of tate-endpoints
 TATE_TWISTS = range(-6, 7)  # entries of its constant twists and its multisets
 TATE_LONG_M = 9  # values of M in its twists (0, ..., 0, M), from (r-1)l up
 WINDOW_BOX = range(-4, 5)  # tate-window twist entries; small, as a column's replay sweeps its cohomology
-# the most a run may weigh, in pair instances of 2.3 us (see CHECKS): about
-# 230 CPU-s, 4.7x the 21,405,029 of the reference grid
+# the most a run may weigh, in units of 2.3 us (see CHECKS): about 230 CPU-s
+# or less, 4.7x the 21,405,029 of the reference grid
 MAX_INSTANCES = 10**8
 # largest lmax and dmax, which set the cost of one instance: the reference
 # grid uses 3; the slowest tate-window instance took 1.3 ms at 8 and 23 ms
@@ -175,13 +174,20 @@ def _grid(config: VerifyConfig) -> list[SegreVeronese | range]:
     return [*_embeddings(config), *(range(i, min(i + R3_SLICE, n)) for i in range(0, n, R3_SLICE))]
 
 
-def _pair_groups(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[tuple[SegreVeronese, tuple, Sequence]]:
-    """(E, m, ps) over one shard of the pair grid: each (E, m) of the point
-    grid with every box point p of E, or with one seeded r=3 sample's p."""
+def _pair_groups(
+    config: VerifyConfig, unit: SegreVeronese | range
+) -> Iterator[tuple[SegreVeronese, tuple, Sequence, tuple[range, ...]]]:
+    """(E, m, ps, span) over one shard of the pair grid: each (E, m) of the
+    point grid with every box point p of E, or with one seeded r=3 sample's
+    p.  The span holds one range per factor, and ps is its product: the box,
+    or the sample's point."""
     if isinstance(unit, range):
-        return ((E, m, (p,)) for E, m, p in _samples(config, f"r3|{unit.start}", 3, len(unit)))
-    pts = _box_points(config, unit.r)
-    return ((unit, m, pts) for m in pts)
+        samples = _samples(config, f"r3|{unit.start}", 3, len(unit))
+        return ((E, m, (p,), tuple(range(pk, pk + 1) for pk in p)) for E, m, p in samples)
+    lo, hi = config.box
+    span = (range(lo, hi + 1),) * unit.r
+    pts = list(itertools.product(*span))
+    return ((unit, m, pts, span) for m in pts)
 
 
 def _instance(E: SegreVeronese, **extra) -> dict:
@@ -191,32 +197,49 @@ def _instance(E: SegreVeronese, **extra) -> dict:
     return out
 
 
+def _orthants(corners: Iterable[Sequence[int]], span: Sequence[range]) -> set[tuple[int, ...]]:
+    """The points of the span that dominate some corner c, p_k >= c_k for
+    every k: the union of the corners' orthants, each enumerated within the
+    span."""
+    starts, stops = [s.start for s in span], [s.stop for s in span]
+    inside: set[tuple[int, ...]] = set()
+    for corner in corners:
+        inside.update(itertools.product(*map(range, map(max, corner, starts), stops)))
+    return inside
+
+
+def _tally(
+    result: CheckResult, E: SegreVeronese, m: tuple, ps: Sequence, regular: list[bool], answers: list[bool], key: str
+) -> None:
+    """Count the pairs whose answer by a route differs from the closed
+    form's, and keep the first as the counterexample."""
+    mismatches = [(p, f, a) for p, f, a in zip(ps, regular, answers) if f != a]
+    result.failures += len(mismatches)
+    p, f, a = mismatches[0]
+    result.counterexample = result.counterexample or _instance(E, m=m, p=p, formula=f, **{key: a})
+
+
 def _walk_pairs(config: VerifyConfig, unit: SegreVeronese | range, names: Sequence[str]) -> list[CheckResult]:
     """Tally one shard of the pair grid for each pair check named, in that
-    order.  Each (E, m, p) gets one closed-form call, compared with the
-    cohomology scan for formula-vs-oracle and with domination of a corner
-    of O(m), built once per m, for corner-membership."""
-    formula, oracle, ge = regularity.is_regular_formula, regularity.is_regular_oracle, operator.ge
+    order.  Each (E, m, ps) group is answered as one list per route, in the
+    order of ps: the closed form, called once per pair; the cohomology scan
+    for formula-vs-oracle; and for corner-membership, membership in the
+    orthants of the corners of O(m), enumerated once per m over the
+    group's span.  Only a list that differs from the closed form's is
+    searched for its mismatches."""
+    formula, oracle = regularity.is_regular_formula, regularity.is_regular_oracle
     checks = {name: CheckResult(name, 0, 0) for name in names}
     fo, cm = checks.get("formula-vs-oracle"), checks.get("corner-membership")
     instances = 0
-    for E, m, ps in _pair_groups(config, unit):
-        corners = [c.corner for c in regularity.regularity_corners(E, m)] if cm else ()
+    for E, m, ps, span in _pair_groups(config, unit):
         instances += len(ps)
-        for p in ps:
-            regular = formula(E, m, p)
-            if fo and (answer := oracle(E, m, p)) != regular:
-                fo.failures += 1
-                fo.counterexample = fo.counterexample or _instance(E, m=m, p=p, formula=regular, oracle=answer)
-            if cm:
-                dominated = False
-                for corner in corners:  # a loop: any() over a generator costs twice the time
-                    if all(map(ge, p, corner)):
-                        dominated = True
-                        break
-                if dominated != regular:
-                    cm.failures += 1
-                    cm.counterexample = cm.counterexample or _instance(E, m=m, p=p, formula=regular, corners=dominated)
+        regular = [formula(E, m, p) for p in ps]
+        if fo and (answers := [oracle(E, m, p) for p in ps]) != regular:
+            _tally(fo, E, m, ps, regular, answers, "oracle")
+        if cm:
+            inside = _orthants((c.corner for c in regularity.regularity_corners(E, m)), span)
+            if (dominated := [p in inside for p in ps]) != regular:
+                _tally(cm, E, m, ps, regular, dominated, "corners")
     for result in checks.values():
         result.instances = instances
     return [checks[name] for name in names]
@@ -263,7 +286,7 @@ def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
 
 
 def _minimal_twist(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[dict | None]:
-    return (_minimal_twist_failure(E, m) for E, m, _ in _pair_groups(config, unit))
+    return (_minimal_twist_failure(E, m) for E, m, *_ in _pair_groups(config, unit))
 
 
 def _factor_table(l: int, j: int) -> list[int]:
@@ -457,7 +480,7 @@ def _tate_closed_form_count(config: VerifyConfig) -> int:
 def _tate_endpoints(config: VerifyConfig, unit: SegreVeronese | range | None) -> Iterator[dict | None]:
     if unit is None:
         return _tate_closed_forms(config)
-    return (_duality_failure(E, m) for E, m, _ in _pair_groups(config, unit))
+    return (_duality_failure(E, m) for E, m, *_ in _pair_groups(config, unit))
 
 
 def _pure(term: tate.TateTerm, degree: int) -> bool:
@@ -557,7 +580,7 @@ class _Check(NamedTuple):
     """A check: ``routine(config, unit)`` on each unit of ``units(config)``,
     one shard each, in iteration order; and ``cost(config)``, one
     ``(instances, weight)`` pair for each kind of instance that walk has:
-    how many, in closed form, and the cost of one, in pair instances.  The
+    how many, in closed form, and the cost of one, in units of 2.3 us.  The
     pair checks share the routine ``_walk_pairs``, and with it one walk."""
 
     routine: Callable
@@ -573,9 +596,9 @@ def _scan_weight(config: VerifyConfig) -> int:
 
 
 # A weight prices one kind of instance of a check, such as the box pairs or
-# the r=3 samples of a grid check: the mean cost of one, in pair instances,
-# one formula-vs-oracle pair of the reference grid taking 2.3 us.  The costs
-# quoted are CPU time per instance of the check run alone in one process, on
+# the r=3 samples of a grid check: the mean cost of one, in units of 2.3 us,
+# what one formula-vs-oracle pair of the reference grid took when the weights
+# were set (0.89 us now).  The costs quoted are CPU time per instance of the check run alone in one process, on
 # one core of a 2-vCPU Xeon VM, at the reference grid unless stated.  An r=3
 # sample's come from its shards alone, at lmax = dmax in 1, 3, 8 on the boxes
 # 0..0 and -8..8, in pairs timed alternately with them in the same process.
@@ -594,15 +617,16 @@ CHECKS: dict[str, _Check] = {
     "formula-vs-oracle": _Check(
         _walk_pairs,
         _grid,
-        # a pair 2.3-2.6 us, 5.5 us at lmax = dmax = 8 on the box -1..1; an
-        # r=3 sample 22-36 us, 8.5-16.6 pairs
+        # a pair 0.89 us, 2.0 us at lmax = dmax = 8 on the box -1..1; an r=3
+        # sample 9.2-15.7 us, 10.2-17.8 pairs
         lambda config: [(_box(config, 2), 1), (config.r3_samples, 17)],
     ),
     "corner-membership": _Check(
         _walk_pairs,
         _grid,
-        # a pair 2.2 us, 3.6 us at lmax = dmax = 8 on the box -1..1; an r=3
-        # sample 38-47 us, 15.3-22.9 pairs
+        # a pair 0.51-0.52 us, 1.5 us at lmax = dmax = 8 on the box -1..1; an
+        # r=3 sample 23-25 us, 45-49 pairs, as its six orthants are enumerated
+        # for one point
         lambda config: [(_box(config, 2), 1), (config.r3_samples, 23)],
     ),
     "sorted-vs-subsets": _Check(

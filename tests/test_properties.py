@@ -100,6 +100,16 @@ def test_corners_are_regular_and_form_an_antichain(data):
         assert not all(x <= y for x, y in zip(c.corner, o.corner))
 
 
+@given(embedding_and_vectors(max_r=5))
+@settings(max_examples=200)
+def test_corners_translate_by_minus_m(data):
+    # corner(m) = corner(0) - m for each permutation, in the same order
+    E, m = data
+    at_zero = regularity_corners(E, (0,) * E.r)
+    shifted = [c._replace(corner=tuple(ck - mk for ck, mk in zip(c.corner, m))) for c in at_zero]
+    assert regularity_corners(E, m) == shifted
+
+
 @given(embedding_and_vectors())
 @settings(max_examples=200)
 def test_cm_regularity_is_the_minimal_twist(data):

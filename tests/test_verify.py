@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import os
+import random
 import types
 
 import pytest
@@ -99,13 +100,19 @@ def flip_oracle(monkeypatch):
     monkeypatch.setattr(regularity, "_oracle_scan", lambda l, d, c: real(l, d, c) != ((l, d, c) == ((2,), (1,), (-2,))))
 
 
-def shift_corners(monkeypatch):
+def shift_corners(monkeypatch, by=1):
     real = regularity.regularity_corners
     monkeypatch.setattr(
         regularity,
         "regularity_corners",
-        lambda E, m: [c._replace(corner=tuple(x + 1 for x in c.corner)) for c in real(E, m)],
+        lambda E, m: [c._replace(corner=tuple(x + by for x in c.corner)) for c in real(E, m)],
     )
+
+
+def lower_corners(monkeypatch):
+    # each orthant then holds points below the regularity set, some of them
+    # below the box's span
+    shift_corners(monkeypatch, by=-1)
 
 
 def flip_formula(monkeypatch):
@@ -118,13 +125,18 @@ def flip_formula(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "plant, failing",
-    [(flip_oracle, {"formula-vs-oracle"}), (shift_corners, {"corner-membership"}), (flip_formula, set(PAIR_CHECKS))],
-    ids=["oracle", "corners", "formula"],
+    [
+        (flip_oracle, {"formula-vs-oracle": 5}),
+        (shift_corners, {"corner-membership": 3272}),
+        (lower_corners, {"corner-membership": 4785}),
+        (flip_formula, dict.fromkeys(PAIR_CHECKS, 196)),
+    ],
+    ids=["oracle", "corners", "lower-corners", "formula"],
 )
 def test_each_route_is_caught_by_the_check_that_owns_it(monkeypatch, plant, failing, cpus):
     plant(monkeypatch)
     both = run_on(cpus, monkeypatch, SMALL, PAIR_CHECKS)
-    assert {r.name for r in both if r.failures} == failing
+    assert {r.name: r.failures for r in both if r.failures} == failing
     counts = verify.instance_counts(SMALL)
     assert [r.instances for r in both] == [counts[name] for name in PAIR_CHECKS]
     firsts = {tuple(map(tuple, (ce["l"], ce["d"], ce["m"], ce["p"]))) for ce in (r.counterexample for r in both) if ce}
@@ -396,8 +408,21 @@ def test_patched_oracle_scan_reaches_forked_workers(monkeypatch):
     assert ce["oracle"] != ce["formula"]
 
 
+def test_orthant_enumeration_is_componentwise_domination():
+    # seeded spans, a third of their ranges single points, with corners
+    # inside, below and above each span
+    rng = random.Random(31)
+    for _ in range(500):
+        span = [range(lo, lo + rng.choice((1, 2, 5))) for lo in (rng.randint(-4, 4) for _ in range(rng.randint(1, 3)))]
+        corners = [tuple(rng.randint(s.start - 3, s.stop + 2) for s in span) for _ in range(rng.randint(0, 6))]
+        inside = verify._orthants(corners, span)
+        points = list(itertools.product(*span))
+        assert inside <= set(points)
+        assert [p in inside for p in points] == [any(all(map(int.__ge__, p, c)) for c in corners) for p in points]
+
+
 def pairs_of(config, unit):
-    return [(E, m, p) for E, m, ps in verify._pair_groups(config, unit) for p in ps]
+    return [(E, m, p) for E, m, ps, _ in verify._pair_groups(config, unit) for p in ps]
 
 
 def test_r3_slices_draw_their_own_samples():
@@ -410,7 +435,11 @@ def test_r3_slices_draw_their_own_samples():
         pts = list(itertools.product(range(-1, 2), repeat=E.r))
         assert pairs_of(config, E) == [(E, m, p) for m in pts for p in pts]
         # the point grid is the (E, m) of the groups
-        assert [(F, m) for F, m, _ in verify._pair_groups(config, E)] == [(E, m) for m in pts]
+        assert [(F, m) for F, m, *_ in verify._pair_groups(config, E)] == [(E, m) for m in pts]
+    # every group's pairs are the product of its span, which the corner
+    # orthants are enumerated over
+    for unit in grid:
+        assert all(list(ps) == list(itertools.product(*span)) for *_, ps, span in verify._pair_groups(config, unit))
     # the slices cover the samples in order, with no gap and no overlap
     assert [i for unit in slices for i in unit] == list(range(config.r3_samples))
     drawn = [pairs_of(config, unit) for unit in slices]
@@ -419,7 +448,7 @@ def test_r3_slices_draw_their_own_samples():
         assert all(E.r == len(m) == len(p) == 3 for E, m, p in pairs)
         # each sample is a group of its own, so all four grid checks see
         # the same (E, m) for a slice
-        assert all(len(ps) == 1 for _, _, ps in verify._pair_groups(config, unit))
+        assert all(len(ps) == 1 for _, _, ps, _ in verify._pair_groups(config, unit))
     # each slice draws from a seed of its own, and its samples do not
     # depend on which slices were drawn before it
     assert drawn[0] != drawn[1]
