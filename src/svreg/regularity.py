@@ -138,10 +138,11 @@ def regularity_corners(E: SegreVeronese, m: Sequence[int]) -> list[RegularityCor
     at most its value under sigma, the first factor of tau has s = n under
     both, so it comes first in sigma too, and by induction tau = sigma.
     """
-    _check_lengths(E, m=m)
     l = E.l
     d = E.d
     r = len(l)
+    if len(m) != r:
+        _check_lengths(E, m=m)
     if r > _MAX_CORNER_FACTORS:
         raise ValueError(f"r={r} has {r}! permutations of the factors, over the limit of r={_MAX_CORNER_FACTORS}")
     corners = []
@@ -164,7 +165,8 @@ def cm_regularity(E: SegreVeronese, m: Sequence[int]) -> int:
 
     evaluated by one sort of the factors and memoized on (l, d, m).
     """
-    _check_lengths(E, m=m)
+    if len(m) != len(E.l):
+        _check_lengths(E, m=m)
     return _regularity(E.l, E.d, tuple(m))
 
 
@@ -182,8 +184,9 @@ def cm_regularity_breakdown(E: SegreVeronese, m: Sequence[int]) -> list[tuple[tu
     cm_regularity, in the order of J's bitmask; the regularity is the max
     of the row values.  Refuses more than ``_MAX_BREAKDOWN_FACTORS``
     factors."""
-    _check_lengths(E, m=m)
     r = E.r
+    if len(m) != r:
+        _check_lengths(E, m=m)
     if r > _MAX_BREAKDOWN_FACTORS:
         raise ValueError(f"r={r} has 2^{r} - 1 subsets of the factors, over the limit of r={_MAX_BREAKDOWN_FACTORS}")
     f = [(mk + lk) // dk for mk, lk, dk in zip(m, E.l, E.d)]
@@ -203,7 +206,9 @@ def check_subadditivity(E: SegreVeronese, m: Sequence[int], m2: Sequence[int]) -
     A report with holds=False would contradict subadditivity of regularity
     for these pushforward sheaves and therefore signals a bug.
     """
-    _check_lengths(E, m=m, m2=m2)
+    r = len(E.l)
+    if len(m) != r or len(m2) != r:
+        _check_lengths(E, m=m, m2=m2)
     reg_m = cm_regularity(E, m)
     reg_m2 = cm_regularity(E, m2)
     total = tuple(a + b for a, b in zip(m, m2))
@@ -229,7 +234,9 @@ def check_pair_subadditivity(
     is reg(m + p) <= 0, so with c = m + p and c2 = m2 + p2 both hypotheses
     give reg(c + c2) <= reg(c) + reg(c2) <= 0.
     """
-    _check_lengths(E, m=m, p=p, m2=m2, p2=p2)
+    r = len(E.l)
+    if len(m) != r or len(p) != r or len(m2) != r or len(p2) != r:
+        _check_lengths(E, m=m, p=p, m2=m2, p2=p2)
     if not (is_regular_formula(E, m, p) and is_regular_formula(E, m2, p2)):
         return "hypothesis-not-met"
     m_sum = tuple(a + b for a, b in zip(m, m2))

@@ -53,7 +53,8 @@ class TateWindow(NamedTuple):
 def dual_twist(E: SegreVeronese, m: Sequence[int]) -> tuple[int, ...]:
     """The multidegree Serre duality pairs with m when columns are read
     backwards: componentwise -m_k + n*d_k - l_k - 1.  An involution."""
-    _check_lengths(E, m=m)
+    if len(m) != len(E.l):
+        _check_lengths(E, m=m)
     n = E.n
     return tuple(-mk + n * dk - lk - 1 for mk, lk, dk in zip(m, E.l, E.d))
 
@@ -94,7 +95,8 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     """
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
-    _check_lengths(E, m=m)
+    if len(m) != len(E.l):
+        _check_lengths(E, m=m)
     lo, hi = p_minus(E, m), cm_regularity(E, m)
     first, last = lo - pad, hi + pad
     n, r, l, d = E.n, E.r, E.l, E.d
@@ -110,7 +112,7 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
         raise ValueError(f"the window's ranks take up to {squared} squared digits, over the limit of {_MAX_DIGIT_WORK}")
     summands: list[list[tuple[int, int]]] = [[] for _ in range(columns)]
     for q in range(last, first - n - 1, -1):
-        found = _kunneth(l, (mk + q * dk for mk, dk in zip(m, d)))
+        found = _kunneth(l, [mk + q * dk for mk, dk in zip(m, d)])
         if found is not None and first <= q + found[0] <= last:
             summands[q + found[0] - first].append(found)
     terms = tuple(TateTerm(p, tuple(entries)) for p, entries in enumerate(summands, first))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import operator
 import os
 import random
 import time
@@ -141,12 +142,15 @@ def _samples(config: VerifyConfig, key: str, r: int, count: int) -> Iterator[tup
     """``count`` seeded (E, m, p) with r factors, drawn from a generator
     seeded by ``config.seed`` and ``key`` alone, so a shard draws its own."""
     rng = random.Random(f"{config.seed}|{key}")
-    lo, hi = config.box
+    # randint(a, b) is randrange(a, b + 1), one call deeper: the same stream
+    draw = rng.randrange
+    l_end, d_end = config.lmax + 1, config.dmax + 1
+    lo, end = config.box[0], config.box[1] + 1
     for _ in range(count):
-        l = tuple(rng.randint(1, config.lmax) for _ in range(r))
-        d = tuple(rng.randint(1, config.dmax) for _ in range(r))
-        m = tuple(rng.randint(lo, hi) for _ in range(r))
-        p = tuple(rng.randint(lo, hi) for _ in range(r))
+        l = tuple([draw(1, l_end) for _ in range(r)])
+        d = tuple([draw(1, d_end) for _ in range(r)])
+        m = tuple([draw(lo, end) for _ in range(r)])
+        p = tuple([draw(lo, end) for _ in range(r)])
         yield SegreVeronese(l, d), m, p
 
 
@@ -183,7 +187,7 @@ def _pair_groups(
     or the sample's point."""
     if isinstance(unit, range):
         samples = _samples(config, f"r3|{unit.start}", 3, len(unit))
-        return ((E, m, (p,), tuple(range(pk, pk + 1) for pk in p)) for E, m, p in samples)
+        return ((E, m, (p,), tuple([range(pk, pk + 1) for pk in p])) for E, m, p in samples)
     lo, hi = config.box
     span = (range(lo, hi + 1),) * unit.r
     pts = list(itertools.product(*span))
@@ -200,7 +204,10 @@ def _instance(E: SegreVeronese, **extra) -> dict:
 def _orthants(corners: Iterable[Sequence[int]], span: Sequence[range]) -> set[tuple[int, ...]]:
     """The points of the span that dominate some corner c, p_k >= c_k for
     every k: the union of the corners' orthants, each enumerated within the
-    span."""
+    span.  A span of one point, an r=3 sample's, is decided componentwise."""
+    if all(len(s) == 1 for s in span):
+        point = tuple([s.start for s in span])
+        return {point} if any(all(map(operator.ge, point, c)) for c in corners) else set()
     starts, stops = [s.start for s in span], [s.stop for s in span]
     inside: set[tuple[int, ...]] = set()
     for corner in corners:
@@ -268,11 +275,11 @@ def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
     rho = regularity.cm_regularity(E, m)
     d = E.d
     bound = E.n + max(abs(mk) + lk for mk, lk in zip(m, E.l)) + 2
-    if regularity.is_regular_oracle(E, m, tuple(-bound * dk for dk in d)):
+    if regularity.is_regular_oracle(E, m, tuple([-bound * dk for dk in d])):
         return _instance(E, m=m, reason=f"scan lower bound {-bound} is already regular")
     found = None
     for q in range(-bound + 1, bound + 1):
-        if regularity.is_regular_oracle(E, m, tuple(q * dk for dk in d)):
+        if regularity.is_regular_oracle(E, m, tuple([q * dk for dk in d])):
             found = q
             break
     if found is None:
@@ -280,7 +287,7 @@ def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
     if found != rho:
         return _instance(E, m=m, minimal_twist=found, cm_regularity=rho)
     for q in range(found + 1, found + 4):
-        if not regularity.is_regular_oracle(E, m, tuple(q * dk for dk in d)):
+        if not regularity.is_regular_oracle(E, m, tuple([q * dk for dk in d])):
             return _instance(E, m=m, reason=f"twist {q} above the minimum {found} is not regular")
     return None
 
@@ -333,11 +340,17 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
     # table(n) refuses a degree over n, which only a library fault yields
     if (profile.degree or 0) > n or profile.table(n) != conv:
         return _instance(E, a=a, reason="profile disagrees with Kunneth convolution", profile=profile, table=conv)
-    dual = tuple(-ak - lk - 1 for ak, lk in zip(a, E.l))
+    dual = tuple([-ak - lk - 1 for ak, lk in zip(a, E.l)])
     dual_profile = cohomology.product_cohomology(E, dual)
-    if [dual_profile.h(n - i) for i in range(n + 1)] != conv:
+    # the dual's table read backwards, [h^n, ..., h^0], built without n + 1
+    # calls to h; a degree over n, which only a library fault yields, is a
+    # counterexample, where table(n) would raise
+    mirrored = [0] * (n + 1)
+    if dual_profile.degree is not None and dual_profile.degree <= n:
+        mirrored[n - dual_profile.degree] = dual_profile.dimension
+    if mirrored != conv or (dual_profile.degree or 0) > n:
         return _instance(E, a=a, reason="Serre duality violated", dual=dual, dual_profile=dual_profile)
-    alternating = sum(v if i % 2 == 0 else -v for i, v in enumerate(conv))
+    alternating = sum(conv[::2]) - sum(conv[1::2])
     chi = profile.euler_characteristic
     polynomial = _euler_polynomial(E.l, a)
     if chi != alternating or polynomial != alternating:
@@ -391,25 +404,28 @@ def _ideal_sheaf_bound(config: VerifyConfig, _unit: None) -> Iterator[dict | Non
 
 
 def _subadditivity(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | None]:
-    lo, hi = config.box
-    rng = random.Random(f"{config.seed}|subadd|{E.l}|{E.d}")
+    lo, end = config.box[0], config.box[1] + 1
+    r = E.r
+    draw = random.Random(f"{config.seed}|subadd|{E.l}|{E.d}").randrange  # randint's stream, as in _samples
     for _ in range(config.subadd_pairs):
-        m = tuple(rng.randint(lo, hi) for _ in range(E.r))
-        m2 = tuple(rng.randint(lo, hi) for _ in range(E.r))
+        m = tuple([draw(lo, end) for _ in range(r)])
+        m2 = tuple([draw(lo, end) for _ in range(r)])
         report = regularity.check_subadditivity(E, m, m2)
         yield None if report.holds else _instance(E, m=m, m2=m2, report=report._asdict())
 
 
 def _pair_subadditivity(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | None]:
-    lo, hi = config.box
+    lo, end = config.box[0], config.box[1] + 1
+    r = E.r
     rng = random.Random(f"{config.seed}|pairs|{E.l}|{E.d}")
+    draw = rng.randrange  # randint's stream, as in _samples
     for _ in range(config.pair_samples):
-        m = tuple(rng.randint(lo, hi) for _ in range(E.r))
-        m2 = tuple(rng.randint(lo, hi) for _ in range(E.r))
+        m = tuple([draw(lo, end) for _ in range(r)])
+        m2 = tuple([draw(lo, end) for _ in range(r)])
         c1 = rng.choice(regularity.regularity_corners(E, m)).corner
-        p = tuple(ck + rng.randint(0, 2) for ck in c1)
+        p = tuple([ck + draw(0, 3) for ck in c1])
         c2 = rng.choice(regularity.regularity_corners(E, m2)).corner
-        p2 = tuple(ck + rng.randint(0, 2) for ck in c2)
+        p2 = tuple([ck + draw(0, 3) for ck in c2])
         status = regularity.check_pair_subadditivity(E, m, p, m2, p2)
         yield None if status == "holds" else _instance(E, m=m, p=p, m2=m2, p2=p2, status=status)
 
@@ -493,8 +509,9 @@ def _tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> tate.TateTerm:
     for each i in 0..n.  It calls ``cohomology._kunneth``, not the
     ``tate._kunneth`` that ``tate_window`` calls, so a fault there shows."""
     entries = []
+    l, d = E.l, E.d
     for i in range(E.n + 1):
-        found = cohomology._kunneth(E.l, (mk + (p - i) * dk for mk, dk in zip(m, E.d)))
+        found = cohomology._kunneth(l, [mk + (p - i) * dk for mk, dk in zip(m, d)])
         if found is not None and found[0] == i:
             entries.append((i, found[1]))
     return tate.TateTerm(p, tuple(entries))
@@ -591,17 +608,20 @@ class _Check(NamedTuple):
 def _scan_weight(config: VerifyConfig) -> int:
     """The 2 bound + 4 oracle calls the minimal-twist scan of a box point
     may make, bound = n + max(|m_k| + l_k) + 2 <= 4 lmax + max(|lo|, |hi|)
-    + 2 since n <= 3 lmax: 117 us at the reference's weight 48."""
+    + 2 since n <= 3 lmax: 24 us at the reference's weight 48, priced when
+    it took 117."""
     return 2 * (4 * config.lmax + max(map(abs, config.box)) + 2) + 4
 
 
 # A weight prices one kind of instance of a check, such as the box pairs or
 # the r=3 samples of a grid check: the mean cost of one, in units of 2.3 us,
 # what one formula-vs-oracle pair of the reference grid took when the weights
-# were set (0.89 us now).  The costs quoted are CPU time per instance of the check run alone in one process, on
-# one core of a 2-vCPU Xeon VM, at the reference grid unless stated.  An r=3
-# sample's come from its shards alone, at lmax = dmax in 1, 3, 8 on the boxes
-# 0..0 and -8..8, in pairs timed alternately with them in the same process.
+# were set (0.89 us now).  The costs quoted are CPU time per instance of the
+# check run alone in one process, on one core of a 2-vCPU Xeon VM, at the
+# reference grid unless stated.  An r=3 sample's come from its shards alone,
+# at lmax = dmax in 1, 3, 8 on the boxes 0..0 and -8..8, and in pairs: the
+# cost of one reference box pair of the same check, or of formula-vs-oracle
+# for tate-endpoints.
 CHECKS: dict[str, _Check] = {
     # the profile, the Serre dual twist's profile and the Euler characteristic,
     # read off the profile and by the polynomial, each replayed against a full
@@ -609,24 +629,24 @@ CHECKS: dict[str, _Check] = {
     "cohomology": _Check(
         _cohomology,
         lambda config: [l for r in COHOMOLOGY_R for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
-        # its convolution and duality loops run over up to n + 1 <= 3 lmax + 1
-        # degrees: 20-24 us at lmax 3 (weight 19, priced when it took 30-33),
-        # 17-22 us at 1 and 22-25 at 8 on the box -2..2
+        # its convolution and duality tables run over up to n + 1 <= 3 lmax + 1
+        # degrees: 7.2-7.3 us at lmax 3 (weight 19, priced when it took 30-33),
+        # 7.1-7.3 at 1 and 7.9-10.1 at 8 on the box -2..2
         lambda config: [(sum((config.lmax * _width(config)) ** r for r in COHOMOLOGY_R), 2 * config.lmax + 13)],
     ),
     "formula-vs-oracle": _Check(
         _walk_pairs,
         _grid,
         # a pair 0.89 us, 2.0 us at lmax = dmax = 8 on the box -1..1; an r=3
-        # sample 9.2-15.7 us, 10.2-17.8 pairs
+        # sample 7.9-13.2 us, 8.9-14.8 pairs
         lambda config: [(_box(config, 2), 1), (config.r3_samples, 17)],
     ),
     "corner-membership": _Check(
         _walk_pairs,
         _grid,
         # a pair 0.51-0.52 us, 1.5 us at lmax = dmax = 8 on the box -1..1; an
-        # r=3 sample 23-25 us, 45-49 pairs, as its six orthants are enumerated
-        # for one point
+        # r=3 sample 16.3-18.8 us, 32-37 pairs, its point tested against each
+        # of its six corners
         lambda config: [(_box(config, 2), 1), (config.r3_samples, 23)],
     ),
     "sorted-vs-subsets": _Check(
@@ -648,41 +668,41 @@ CHECKS: dict[str, _Check] = {
     "segre-r2": _Check(
         _segre_closed_form,
         lambda config: [None],
-        lambda config: [((len(SEGRE_DIMS) * len(SEGRE_TWISTS)) ** 2, 3)],  # 4.7 us
+        lambda config: [((len(SEGRE_DIMS) * len(SEGRE_TWISTS)) ** 2, 3)],  # 1.6 us
     ),
     # lambda agrees with its case split, and lambda - 1 bounds reg of the
     # structure sheaf of the image from above, strictly so at l = (1, 2), d = (1, 1)
     "ideal-bound": _Check(
         _ideal_sheaf_bound,
         lambda config: [None],
-        lambda config: [(_per_embedding(config, 1) + 1, 7)],  # 12-16 us
+        lambda config: [(_per_embedding(config, 1) + 1, 7)],  # 5.3-5.8 us
     ),
     # reg(m) + reg(m2) >= reg(m + m2) on seeded random pairs
     "subadditivity": _Check(
         _subadditivity,
         _embeddings,
-        lambda config: [(_per_embedding(config, 1) * config.subadd_pairs, 7)],  # 10-15 us
+        lambda config: [(_per_embedding(config, 1) * config.subadd_pairs, 7)],  # 3.7-3.8 us
     ),
     # the sum of two seeded pairs built from corner points, so meeting the
     # hypotheses, is regular
     "pair-subadditivity": _Check(
         _pair_subadditivity,
         _embeddings,
-        lambda config: [(_per_embedding(config, 1) * config.pair_samples, 16)],  # 25-36 us
+        lambda config: [(_per_embedding(config, 1) * config.pair_samples, 16)],  # 11.0-11.1 us
     ),
     "tate-endpoints": _Check(
         _tate_endpoints,
         lambda config: [None, *_grid(config)],
-        # 33-46 us a closed-form or box instance; an r=3 sample 51-60 us,
-        # 20.6-26.1 pairs
+        # 7.9-8.0 us a closed-form or box instance; an r=3 sample 17.8-20.1
+        # us, 20-22.6 pairs
         lambda config: [(_tate_closed_form_count(config) + _box(config, 1), 22), (config.r3_samples, 27)],
     ),
     "tate-window": _Check(
         _window_structure,
         _embeddings,
         # a window's columns and their Kunneth calls grow with l and d:
-        # 148 us at lmax = dmax = 1, 196 at 3, 248 at 4, 180 at lmax 1 and
-        # dmax 8, 354 at lmax 8 and dmax 1, 463 at lmax 8 and dmax 4
+        # 57-60 us at lmax = dmax = 1, 76 at 3, 91 at 4, 56-57 at lmax 1 and
+        # dmax 8, 117-120 at lmax 8 and dmax 1, 158 at lmax 8 and dmax 4
         lambda config: [(_per_embedding(config, len(WINDOW_BOX)), 50 + config.lmax * (15 + config.dmax))],
     ),
 }

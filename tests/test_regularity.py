@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from svreg import regularity, verify
+from svreg import cohomology, regularity, tate, verify
 from svreg.cohomology import SegreVeronese
 from svreg.regularity import (
     RegularityCorner,
@@ -246,3 +246,32 @@ class TestPairSubadditivity:
         E = SegreVeronese((2,), (1,))
         assert cm_regularity(E, (1,)) == -1
         assert check_pair_subadditivity(E, (1,), (-1,), (0,), (0,)) == "holds"
+
+
+# every public entry point that takes twist vectors, with their names in
+# argument order; each compares the lengths itself and names the first
+# vector that is off only on a mismatch
+VECTOR_ARGUMENTS = [
+    (cohomology.product_cohomology, ("a",)),
+    (is_regular_formula, ("m", "p")),
+    (is_regular_oracle, ("m", "p")),
+    (regularity_corners, ("m",)),
+    (cm_regularity, ("m",)),
+    (cm_regularity_breakdown, ("m",)),
+    (check_subadditivity, ("m", "m2")),
+    (check_pair_subadditivity, ("m", "p", "m2", "p2")),
+    (tate.dual_twist, ("m",)),
+    (tate.tate_window, ("m",)),
+]
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("fn, names", VECTOR_ARGUMENTS, ids=[fn.__name__ for fn, _ in VECTOR_ARGUMENTS])
+def test_a_wrong_length_vector_is_named_in_every_position(fn, names, length):
+    # zip would truncate a vector that no guard reads, or a later call would
+    # name it by its own parameter, so each position must raise this message
+    for k, name in enumerate(names):
+        args = [(0, 0)] * len(names)
+        args[k] = (0,) * length
+        with pytest.raises(ValueError, match=rf"^{name} has {length} entries, expected 2$"):
+            fn(P1P1, *args)

@@ -419,6 +419,59 @@ def test_orthant_enumeration_is_componentwise_domination():
         points = list(itertools.product(*span))
         assert inside <= set(points)
         assert [p in inside for p in points] == [any(all(map(int.__ge__, p, c)) for c in corners) for p in points]
+    # spans of one point, each range a single value as on an r=3 sample,
+    # with corners below, at and above the point in each coordinate
+    outcomes = set()
+    for _ in range(500):
+        point = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3)))
+        corners = [tuple(pk + rng.randint(-2, 2) for pk in point) for _ in range(rng.randint(0, 6))]
+        inside = verify._orthants(corners, [range(pk, pk + 1) for pk in point])
+        assert inside == ({point} if any(all(map(int.__ge__, point, c)) for c in corners) else set())
+        outcomes.add(bool(inside))
+    assert outcomes == {True, False}
+    one = [range(0, 1), range(2, 3), range(-1, 0)]
+    assert verify._orthants([], one) == set()
+    assert verify._orthants([(0, 3, -1), (1, 2, -1), (0, 2, 0)], one) == set()
+    assert verify._orthants([(0, 3, -1), (0, 2, -1)], one) == {(0, 2, -1)}
+    assert verify._orthants([(-5, -5, -5)], one) == {(0, 2, -1)}
+
+
+def test_draws_follow_the_randint_stream(monkeypatch):
+    # randint(a, b) is randrange(a, b + 1): the samples and the seeded
+    # subadditivity pairs are exactly what randint loops on the same seed draw
+    config = verify.VerifyConfig(lmax=3, dmax=2, box=(-5, 4), seed=7)
+    lo, hi = config.box
+    rng = random.Random(f"{config.seed}|r3|0")
+    expected = []
+    for _ in range(40):
+        l = tuple(rng.randint(1, config.lmax) for _ in range(3))
+        d = tuple(rng.randint(1, config.dmax) for _ in range(3))
+        m = tuple(rng.randint(lo, hi) for _ in range(3))
+        p = tuple(rng.randint(lo, hi) for _ in range(3))
+        expected.append((SegreVeronese(l, d), m, p))
+    assert list(verify._samples(config, "r3|0", 3, 40)) == expected
+
+    E = SegreVeronese((2, 1), (1, 2))
+    drawn = []
+    report = regularity.SubadditivityReport(0, 0, 0, True)
+    monkeypatch.setattr(regularity, "check_subadditivity", lambda E, m, m2: drawn.append((m, m2)) or report)
+    assert list(verify._subadditivity(config, E)) == [None] * config.subadd_pairs
+    rng = random.Random(f"{config.seed}|subadd|{E.l}|{E.d}")
+    pairs = [tuple(tuple(rng.randint(lo, hi) for _ in range(2)) for _ in range(2)) for _ in range(config.subadd_pairs)]
+    assert drawn == pairs
+
+    drawn = []
+    monkeypatch.setattr(regularity, "check_pair_subadditivity", lambda *args: drawn.append(args[1:]) or "holds")
+    assert list(verify._pair_subadditivity(config, E)) == [None] * config.pair_samples
+    rng = random.Random(f"{config.seed}|pairs|{E.l}|{E.d}")
+    quads = []
+    for _ in range(config.pair_samples):
+        m = tuple(rng.randint(lo, hi) for _ in range(2))
+        m2 = tuple(rng.randint(lo, hi) for _ in range(2))
+        p = tuple(ck + rng.randint(0, 2) for ck in rng.choice(regularity.regularity_corners(E, m)).corner)
+        p2 = tuple(ck + rng.randint(0, 2) for ck in rng.choice(regularity.regularity_corners(E, m2)).corner)
+        quads.append((m, p, m2, p2))
+    assert drawn == quads
 
 
 def pairs_of(config, unit):
@@ -561,6 +614,23 @@ def dual_twists_only(monkeypatch):
     monkeypatch.setattr(cohomology, "product_cohomology", wrong_outside)
 
 
+def dual_degree_over_n(monkeypatch):
+    # a degree that table(n) would refuse, outside the box -3..3 as above
+    real = cohomology.product_cohomology
+    monkeypatch.setattr(
+        cohomology,
+        "product_cohomology",
+        lambda E, a: real(E, a) if all(-3 <= ak <= 3 for ak in a) else cohomology.CohomologyProfile(E.n + 1, 1),
+    )
+
+
+def test_a_dual_degree_over_n_is_a_counterexample(monkeypatch):
+    # also on a twist with no cohomology, whose table is all zeros
+    dual_degree_over_n(monkeypatch)
+    failure = verify._cohomology_failure(SegreVeronese((1, 1), (1, 1)), (-1, 3))
+    assert (failure["reason"], failure["dual"], failure["dual_profile"]) == ("Serre duality violated", [-1, -5], [3, 1])
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "plant, first",
@@ -569,8 +639,9 @@ def dual_twists_only(monkeypatch):
         (kunneth_degree, {"a": [-3], "reason": "profile disagrees with Kunneth convolution", "profile": [2, 2]}),
         (chi_sign, {"a": [-3], "reason": "Euler characteristic disagrees", "chi": 2}),
         (dual_twists_only, {"a": [2], "reason": "Serre duality violated", "dual": [-4], "dual_profile": [1, 4]}),
+        (dual_degree_over_n, {"a": [2], "reason": "Serre duality violated", "dual": [-4], "dual_profile": [2, 1]}),
     ],
-    ids=["dimension", "degree", "chi", "dual"],
+    ids=["dimension", "degree", "chi", "dual", "dual-degree"],
 )
 def test_cohomology_faults_are_counterexamples(capsys, monkeypatch, plant, first, cpus):
     # a library fault is a counterexample, exit 2, never a usage error
