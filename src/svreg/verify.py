@@ -608,7 +608,7 @@ class _Check(NamedTuple):
 def _scan_weight(config: VerifyConfig) -> int:
     """The 2 bound + 4 oracle calls the minimal-twist scan of a box point
     may make, bound = n + max(|m_k| + l_k) + 2 <= 4 lmax + max(|lo|, |hi|)
-    + 2 since n <= 3 lmax: 24 us at the reference's weight 48, priced when
+    + 2 since n <= 3 lmax: 20 us at the reference's weight 48, priced when
     it took 117."""
     return 2 * (4 * config.lmax + max(map(abs, config.box)) + 2) + 4
 
@@ -616,7 +616,7 @@ def _scan_weight(config: VerifyConfig) -> int:
 # A weight prices one kind of instance of a check, such as the box pairs or
 # the r=3 samples of a grid check: the mean cost of one, in units of 2.3 us,
 # what one formula-vs-oracle pair of the reference grid took when the weights
-# were set (0.89 us now).  The costs quoted are CPU time per instance of the
+# were set (0.53 us now).  The costs quoted are CPU time per instance of the
 # check run alone in one process, on one core of a 2-vCPU Xeon VM, at the
 # reference grid unless stated.  An r=3 sample's come from its shards alone,
 # at lmax = dmax in 1, 3, 8 on the boxes 0..0 and -8..8, and in pairs: the
@@ -637,28 +637,28 @@ CHECKS: dict[str, _Check] = {
     "formula-vs-oracle": _Check(
         _walk_pairs,
         _grid,
-        # a pair 0.89 us, 2.0 us at lmax = dmax = 8 on the box -1..1; an r=3
-        # sample 7.9-13.2 us, 8.9-14.8 pairs
+        # a pair 0.53 us, 1.7 us at lmax = dmax = 8 on the box -1..1; an r=3
+        # sample 7.9-13.3 us, 15-25 pairs
         lambda config: [(_box(config, 2), 1), (config.r3_samples, 17)],
     ),
     "corner-membership": _Check(
         _walk_pairs,
         _grid,
-        # a pair 0.51-0.52 us, 1.5 us at lmax = dmax = 8 on the box -1..1; an
-        # r=3 sample 16.3-18.8 us, 32-37 pairs, its point tested against each
+        # a pair 0.33-0.34 us, 1.3 us at lmax = dmax = 8 on the box -1..1; an
+        # r=3 sample 16.4-19.0 us, 49-57 pairs, its point tested against each
         # of its six corners
         lambda config: [(_box(config, 2), 1), (config.r3_samples, 23)],
     ),
     "sorted-vs-subsets": _Check(
         _sorted_vs_subsets,
         lambda config: SUBSET_R,
-        lambda config: [(len(SUBSET_R) * SUBSET_SAMPLES, 700)],  # 1.5-1.6 ms: up to 2^12 - 1 subsets each
+        lambda config: [(len(SUBSET_R) * SUBSET_SAMPLES, 700)],  # 0.58 ms: up to 2^12 - 1 subsets each
     ),
     "minimal-twist": _Check(
         _minimal_twist,
         _grid,
-        # an r=3 point scans as far, with costlier oracle calls: 51-630 us, 1.3-1.8,
-        # 1.5-2.1 and 2.2-3.5 times its box weight at lmax = dmax = 1, 3 and 8
+        # an r=3 point scans as far, with costlier oracle calls: 17-44, 51-77
+        # and 183-208 us at lmax = dmax = 1, 3 and 8, 0.85-10.4 box instances
         lambda config: [
             (_box(config, 1), _scan_weight(config)),
             (config.r3_samples, (config.lmax + 7) * _scan_weight(config) // 4),
@@ -681,20 +681,20 @@ CHECKS: dict[str, _Check] = {
     "subadditivity": _Check(
         _subadditivity,
         _embeddings,
-        lambda config: [(_per_embedding(config, 1) * config.subadd_pairs, 7)],  # 3.7-3.8 us
+        lambda config: [(_per_embedding(config, 1) * config.subadd_pairs, 7)],  # 3.3 us
     ),
     # the sum of two seeded pairs built from corner points, so meeting the
     # hypotheses, is regular
     "pair-subadditivity": _Check(
         _pair_subadditivity,
         _embeddings,
-        lambda config: [(_per_embedding(config, 1) * config.pair_samples, 16)],  # 11.0-11.1 us
+        lambda config: [(_per_embedding(config, 1) * config.pair_samples, 16)],  # 9.5-9.9 us
     ),
     "tate-endpoints": _Check(
         _tate_endpoints,
         lambda config: [None, *_grid(config)],
-        # 7.9-8.0 us a closed-form or box instance; an r=3 sample 17.8-20.1
-        # us, 20-22.6 pairs
+        # 7.9-8.0 us a closed-form or box instance; an r=3 sample 18.1-20.0
+        # us, 34-38 pairs
         lambda config: [(_tate_closed_form_count(config) + _box(config, 1), 22), (config.r3_samples, 27)],
     ),
     "tate-window": _Check(

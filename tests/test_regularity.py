@@ -1,5 +1,7 @@
 """Unit tests for the regularity tests, corners and subadditivity checks."""
 import itertools
+import operator
+import random
 
 import pytest
 
@@ -275,3 +277,45 @@ def test_a_wrong_length_vector_is_named_in_every_position(fn, names, length):
         args[k] = (0,) * length
         with pytest.raises(ValueError, match=rf"^{name} has {length} entries, expected 2$"):
             fn(P1P1, *args)
+
+
+INT64 = (-(2**63), 2**63 - 1)
+
+
+def vector_sum(u, v):
+    return tuple(map(operator.add, u, v))
+
+
+def draw_entry(rng, i):
+    """Mostly near the corners; in every fourth case anywhere in int64,
+    and in half of those only at its two ends."""
+    if i % 4:
+        return rng.randint(-12, 12)
+    return rng.randint(*INT64) if i % 8 else rng.choice(INT64)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_the_written_out_sum_agrees_with_the_general_one(r):
+    # the routes write m + p out at r = 2 and map operator.add otherwise;
+    # either way each must answer as its memoized evaluation of
+    # tuple(map(add, m, p)), for tuples, lists and a mix of the two
+    reg = regularity._regularity.__wrapped__
+    scan = regularity._oracle_scan.__wrapped__
+    rng = random.Random(f"written-out sum|{r}")
+    seen = set()
+    for i in range(400):
+        E = SegreVeronese(tuple(rng.randint(1, 3) for _ in range(r)), tuple(rng.randint(1, 3) for _ in range(r)))
+        m, p, m2, p2 = (tuple(draw_entry(rng, i) for _ in range(r)) for _ in range(4))
+        c, c2 = vector_sum(m, p), vector_sum(m2, p2)
+        regular = reg(E.l, E.d, c) <= 0
+        if regular and reg(E.l, E.d, c2) <= 0:
+            status = "holds" if reg(E.l, E.d, vector_sum(c, c2)) <= 0 else "fails"
+        else:
+            status = "hypothesis-not-met"
+        for given in [(m, p, m2, p2), (list(m), list(p), list(m2), list(p2)), (list(m), p, m2, list(p2))]:
+            assert is_regular_formula(E, *given[:2]) == regular
+            assert is_regular_oracle(E, *given[:2]) == scan(E.l, E.d, c)
+            assert check_subadditivity(E, given[0], given[2]).reg_sum == reg(E.l, E.d, vector_sum(m, m2))
+            assert check_pair_subadditivity(E, *given) == status
+        seen.update([regular, status])
+    assert seen == {True, False, "holds", "hypothesis-not-met"}

@@ -508,6 +508,37 @@ def test_r3_slices_draw_their_own_samples():
     assert [pairs_of(config, unit) for unit in reversed(slices)] == drawn[::-1]
 
 
+
+@pytest.mark.parametrize("names", [PAIR_CHECKS, PAIR_CHECKS[:1], PAIR_CHECKS[1:]], ids=["both", "oracle", "corners"])
+def test_the_pair_walk_calls_each_public_route_once_per_pair(monkeypatch, names):
+    # a speed-up of the walk must not batch, skip or memoize these calls:
+    # each pair of the shard reaches the closed form, and the oracle when
+    # formula-vs-oracle is named, once and as (E, m, p)
+    config = verify.VerifyConfig(lmax=2, dmax=2, box=(-2, 2), r3_samples=40)
+    calls = {"is_regular_formula": [], "is_regular_oracle": []}
+
+    def logged(route, log):
+        def call(E, m, p):
+            log.append((E, m, p))
+            return route(E, m, p)
+
+        return call
+
+    for name, log in calls.items():
+        monkeypatch.setattr(regularity, name, logged(getattr(regularity, name), log))
+    grid = verify._grid(config)
+    units = [next(u for u in grid if isinstance(u, SegreVeronese) and u.r == r) for r in (1, 2)] + [grid[-1]]
+    assert isinstance(units[-1], range)
+    for unit in units:
+        for log in calls.values():
+            log.clear()
+        results = verify._walk_pairs(config, unit, names)
+        pairs = pairs_of(config, unit)
+        assert [r.instances for r in results] == [len(pairs)] * len(names)
+        assert calls["is_regular_formula"] == pairs
+        assert calls["is_regular_oracle"] == (pairs if "formula-vs-oracle" in names else [])
+        assert all(r.ok for r in results)
+
 def test_elapsed_is_reported():
     (result,) = verify.run_checks(SMALL, ["segre-r2"])
     assert result.elapsed_s > 0
