@@ -214,8 +214,7 @@ def check_subadditivity(E: SegreVeronese, m: Sequence[int], m2: Sequence[int]) -
         _check_lengths(E, m=m, m2=m2)
     reg_m = cm_regularity(E, m)
     reg_m2 = cm_regularity(E, m2)
-    total = (m[0] + m2[0], m[1] + m2[1]) if r == 2 else tuple(map(operator.add, m, m2))  # as in is_regular_formula
-    reg_sum = cm_regularity(E, total)
+    reg_sum = cm_regularity(E, tuple(map(operator.add, m, m2)))
     return SubadditivityReport(reg_m, reg_m2, reg_sum, reg_m + reg_m2 >= reg_sum)
 
 
@@ -242,9 +241,5 @@ def check_pair_subadditivity(
         _check_lengths(E, m=m, p=p, m2=m2, p2=p2)
     if not (is_regular_formula(E, m, p) and is_regular_formula(E, m2, p2)):
         return "hypothesis-not-met"
-    # the sums written out at r = 2, as in is_regular_formula
-    if r == 2:
-        m_sum, p_sum = (m[0] + m2[0], m[1] + m2[1]), (p[0] + p2[0], p[1] + p2[1])
-    else:
-        m_sum, p_sum = tuple(map(operator.add, m, m2)), tuple(map(operator.add, p, p2))
+    m_sum, p_sum = tuple(map(operator.add, m, m2)), tuple(map(operator.add, p, p2))
     return "holds" if is_regular_formula(E, m_sum, p_sum) else "fails"

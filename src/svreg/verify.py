@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-import operator
 import os
 import random
 import time
@@ -204,10 +203,7 @@ def _instance(E: SegreVeronese, **extra) -> dict:
 def _orthants(corners: Iterable[Sequence[int]], span: Sequence[range]) -> set[tuple[int, ...]]:
     """The points of the span that dominate some corner c, p_k >= c_k for
     every k: the union of the corners' orthants, each enumerated within the
-    span.  A span of one point, an r=3 sample's, is decided componentwise."""
-    if all(len(s) == 1 for s in span):
-        point = tuple([s.start for s in span])
-        return {point} if any(all(map(operator.ge, point, c)) for c in corners) else set()
+    span."""
     starts, stops = [s.start for s in span], [s.stop for s in span]
     inside: set[tuple[int, ...]] = set()
     for corner in corners:
@@ -608,20 +604,19 @@ class _Check(NamedTuple):
 def _scan_weight(config: VerifyConfig) -> int:
     """The 2 bound + 4 oracle calls the minimal-twist scan of a box point
     may make, bound = n + max(|m_k| + l_k) + 2 <= 4 lmax + max(|lo|, |hi|)
-    + 2 since n <= 3 lmax: 20 us at the reference's weight 48, priced when
-    it took 117."""
+    + 2 since n <= 3 lmax: 20 us at the reference's weight 48."""
     return 2 * (4 * config.lmax + max(map(abs, config.box)) + 2) + 4
 
 
 # A weight prices one kind of instance of a check, such as the box pairs or
 # the r=3 samples of a grid check: the mean cost of one, in units of 2.3 us,
 # what one formula-vs-oracle pair of the reference grid took when the weights
-# were set (0.53 us now).  The costs quoted are CPU time per instance of the
-# check run alone in one process, on one core of a 2-vCPU Xeon VM, at the
-# reference grid unless stated.  An r=3 sample's come from its shards alone,
-# at lmax = dmax in 1, 3, 8 on the boxes 0..0 and -8..8, and in pairs: the
-# cost of one reference box pair of the same check, or of formula-vs-oracle
-# for tate-endpoints.
+# were set.  The costs quoted are CPU time per instance of the check run alone
+# in one process, on one core of a 2-vCPU Xeon VM, at the reference grid
+# unless stated.  An r=3 sample's come from its shards alone, at lmax = dmax
+# in 1, 3, 8 on the boxes 0..0 and -8..8, and in pairs: the cost of one
+# reference box pair of the same check, or of formula-vs-oracle for
+# tate-endpoints.
 CHECKS: dict[str, _Check] = {
     # the profile, the Serre dual twist's profile and the Euler characteristic,
     # read off the profile and by the polynomial, each replayed against a full
@@ -630,8 +625,8 @@ CHECKS: dict[str, _Check] = {
         _cohomology,
         lambda config: [l for r in COHOMOLOGY_R for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
         # its convolution and duality tables run over up to n + 1 <= 3 lmax + 1
-        # degrees: 7.2-7.3 us at lmax 3 (weight 19, priced when it took 30-33),
-        # 7.1-7.3 at 1 and 7.9-10.1 at 8 on the box -2..2
+        # degrees: 7.2-7.3 us at lmax 3, 7.1-7.3 at 1 and 7.9-10.1 at 8 on the
+        # box -2..2
         lambda config: [(sum((config.lmax * _width(config)) ** r for r in COHOMOLOGY_R), 2 * config.lmax + 13)],
     ),
     "formula-vs-oracle": _Check(
@@ -645,8 +640,8 @@ CHECKS: dict[str, _Check] = {
         _walk_pairs,
         _grid,
         # a pair 0.33-0.34 us, 1.3 us at lmax = dmax = 8 on the box -1..1; an
-        # r=3 sample 16.4-19.0 us, 49-57 pairs, its point tested against each
-        # of its six corners
+        # r=3 sample 21.7-24.6 us, 62-75 pairs, its six corners' orthants
+        # enumerated over its one-point span
         lambda config: [(_box(config, 2), 1), (config.r3_samples, 23)],
     ),
     "sorted-vs-subsets": _Check(
@@ -681,14 +676,14 @@ CHECKS: dict[str, _Check] = {
     "subadditivity": _Check(
         _subadditivity,
         _embeddings,
-        lambda config: [(_per_embedding(config, 1) * config.subadd_pairs, 7)],  # 3.3 us
+        lambda config: [(_per_embedding(config, 1) * config.subadd_pairs, 7)],  # 3.4-3.6 us
     ),
     # the sum of two seeded pairs built from corner points, so meeting the
     # hypotheses, is regular
     "pair-subadditivity": _Check(
         _pair_subadditivity,
         _embeddings,
-        lambda config: [(_per_embedding(config, 1) * config.pair_samples, 16)],  # 9.5-9.9 us
+        lambda config: [(_per_embedding(config, 1) * config.pair_samples, 16)],  # 9.8-10.4 us
     ),
     "tate-endpoints": _Check(
         _tate_endpoints,

@@ -56,6 +56,10 @@ VALID = [
     ["subadd", "--l=1,2", "--d=2,1", "--m=-3,1", "--m2=2,-4"],
     ["subadd", *E2, "--m=0,0", "--m2=0,0", "--p=1,1", "--p2=0,1"],
     ["subadd", *E2, "--m=0,0", "--m2=0,0", "--p=0,0", "--p2=0,0"],
+    ["subadd", "--l=2", "--d=3", "--m=-4", "--m2=5"],
+    ["subadd", "--l=2", "--d=1", "--m=-1", "--m2=3", "--p=2", "--p2=-2"],
+    ["subadd", "--l=1,2,1", "--d=1,1,2", "--m=0,1,-1", "--m2=2,-3,1"],
+    ["subadd", "--l=1,2,1", "--d=1,1,2", "--m=0,1,-1", "--m2=2,-3,1", "--p=1,2,2", "--p2=0,3,7"],
     ["tate", *E2, "--m=0,0", "--pad=1"],
     ["tate", *E2, "--m=0,40", "--pad=0"],  # 41 columns, the longest window kept here
     ["tate", "--l=1,2", "--d=2,1", "--m=1,-1"],

@@ -296,9 +296,10 @@ def draw_entry(rng, i):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_the_written_out_sum_agrees_with_the_general_one(r):
-    # the routes write m + p out at r = 2 and map operator.add otherwise;
-    # either way each must answer as its memoized evaluation of
-    # tuple(map(add, m, p)), for tuples, lists and a mix of the two
+    # the two memoized routes write m + p out at r = 2 and map operator.add
+    # otherwise, and the subadditivity checks map it at every r; either way
+    # each must answer as its memoized evaluation of tuple(map(add, m, p)),
+    # for tuples, lists and a mix of the two
     reg = regularity._regularity.__wrapped__
     scan = regularity._oracle_scan.__wrapped__
     rng = random.Random(f"written-out sum|{r}")
