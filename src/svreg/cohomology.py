@@ -93,8 +93,9 @@ def _check_lengths(E: SegreVeronese, **vectors: Sequence[int]) -> None:
     """Name the first vector whose length is not r.  Callers compare the
     lengths themselves and call this only on a mismatch: building the
     keyword dict costs about 0.2 us, and the reference verify run makes
-    15.3 million calls that pass, 14.07 million of them to the two
-    memoized regularity routes."""
+    1.24 million guarded calls that pass.  Its other 14.07 million, the
+    two memoized regularity routes at r = 2, pass no guard: they unpack
+    their vectors and call this when the unpack raises ValueError."""
     r = len(E.l)
     for name, v in vectors.items():
         if len(v) != r:

@@ -182,8 +182,9 @@ def _pair_groups(
 ) -> Iterator[tuple[SegreVeronese, tuple, Sequence, tuple[range, ...]]]:
     """(E, m, ps, span) over one shard of the pair grid: each (E, m) of the
     point grid with every box point p of E, or with one seeded r=3 sample's
-    p.  The span holds one range per factor, and ps is its product: the box,
-    or the sample's point."""
+    p.  The span holds one range per factor, and ps is its product in
+    ``itertools.product`` order, which ``_dominated`` follows: the box, or
+    the sample's point."""
     if isinstance(unit, range):
         samples = _samples(config, f"r3|{unit.start}", 3, len(unit))
         return ((E, m, (p,), tuple([range(pk, pk + 1) for pk in p])) for E, m, p in samples)
@@ -200,15 +201,27 @@ def _instance(E: SegreVeronese, **extra) -> dict:
     return out
 
 
-def _orthants(corners: Iterable[Sequence[int]], span: Sequence[range]) -> set[tuple[int, ...]]:
-    """The points of the span that dominate some corner c, p_k >= c_k for
-    every k: the union of the corners' orthants, each enumerated within the
-    span."""
-    starts, stops = [s.start for s in span], [s.stop for s in span]
-    inside: set[tuple[int, ...]] = set()
+def _dominated(corners: Iterable[Sequence[int]], span: Sequence[range]) -> list[bool]:
+    """Whether each point of the span dominates some corner c, p_k >= c_k
+    for every k, listed in the order of ``itertools.product(*span)``: the
+    order of the ps ``_pair_groups`` yields with the span, so the list
+    lines up with the pairs' answers.  Each corner, clamped to the span's
+    starts, marks a run over the last coordinate in every row of the
+    leading coordinates at or above it."""
+    *lead, last = span
+    width = len(last)
+    flags = [False] * math.prod(map(len, span))
     for corner in corners:
-        inside.update(itertools.product(*map(range, map(max, corner, starts), stops)))
-    return inside
+        *head, tail = [max(c - s.start, 0) for c, s in zip(corner, span)]
+        if tail >= width:
+            continue
+        run = [True] * (width - tail)
+        rows = [0]
+        for o, s in zip(head, lead):
+            rows = [row * len(s) + k for row in rows for k in range(o, len(s))]
+        for row in rows:
+            flags[row * width + tail : (row + 1) * width] = run
+    return flags
 
 
 def _tally(
@@ -226,10 +239,10 @@ def _walk_pairs(config: VerifyConfig, unit: SegreVeronese | range, names: Sequen
     """Tally one shard of the pair grid for each pair check named, in that
     order.  Each (E, m, ps) group is answered as one list per route, in the
     order of ps: the closed form, called once per pair; the cohomology scan
-    for formula-vs-oracle; and for corner-membership, membership in the
-    orthants of the corners of O(m), enumerated once per m over the
-    group's span.  Only a list that differs from the closed form's is
-    searched for its mismatches."""
+    for formula-vs-oracle; and for corner-membership, domination of the
+    corners of O(m), filled in once per m over the group's span.  Only a
+    list that differs from the closed form's is searched for its
+    mismatches."""
     formula, oracle = regularity.is_regular_formula, regularity.is_regular_oracle
     checks = {name: CheckResult(name, 0, 0) for name in names}
     fo, cm = checks.get("formula-vs-oracle"), checks.get("corner-membership")
@@ -240,8 +253,8 @@ def _walk_pairs(config: VerifyConfig, unit: SegreVeronese | range, names: Sequen
         if fo and (answers := [oracle(E, m, p) for p in ps]) != regular:
             _tally(fo, E, m, ps, regular, answers, "oracle")
         if cm:
-            inside = _orthants((c.corner for c in regularity.regularity_corners(E, m)), span)
-            if (dominated := [p in inside for p in ps]) != regular:
+            corners = (c.corner for c in regularity.regularity_corners(E, m))
+            if (dominated := _dominated(corners, span)) != regular:
                 _tally(cm, E, m, ps, regular, dominated, "corners")
     for result in checks.values():
         result.instances = instances
@@ -632,16 +645,16 @@ CHECKS: dict[str, _Check] = {
     "formula-vs-oracle": _Check(
         _walk_pairs,
         _grid,
-        # a pair 0.53 us, 1.7 us at lmax = dmax = 8 on the box -1..1; an r=3
-        # sample 7.9-13.3 us, 15-25 pairs
+        # a pair 0.48 us, 1.6-1.7 us at lmax = dmax = 8 on the box -1..1; an
+        # r=3 sample 7.9-13.4 us, 16-28 pairs
         lambda config: [(_box(config, 2), 1), (config.r3_samples, 17)],
     ),
     "corner-membership": _Check(
         _walk_pairs,
         _grid,
-        # a pair 0.33-0.34 us, 1.3 us at lmax = dmax = 8 on the box -1..1; an
-        # r=3 sample 21.7-24.6 us, 62-75 pairs, its six corners' orthants
-        # enumerated over its one-point span
+        # a pair 0.27 us, 1.15 us at lmax = dmax = 8 on the box -1..1; an r=3
+        # sample 20.7-24.6 us, 75-92 pairs, its six corners' orthants filled
+        # in over its one-point span
         lambda config: [(_box(config, 2), 1), (config.r3_samples, 23)],
     ),
     "sorted-vs-subsets": _Check(

@@ -267,7 +267,7 @@ VECTOR_ARGUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("length", [0, 1, 3])
 @pytest.mark.parametrize("fn, names", VECTOR_ARGUMENTS, ids=[fn.__name__ for fn, _ in VECTOR_ARGUMENTS])
 def test_a_wrong_length_vector_is_named_in_every_position(fn, names, length):
     # zip would truncate a vector that no guard reads, or a later call would
@@ -277,6 +277,26 @@ def test_a_wrong_length_vector_is_named_in_every_position(fn, names, length):
         args[k] = (0,) * length
         with pytest.raises(ValueError, match=rf"^{name} has {length} entries, expected 2$"):
             fn(P1P1, *args)
+    # with every vector off, the first is named
+    with pytest.raises(ValueError, match=rf"^{names[0]} has {length} entries, expected 2$"):
+        fn(P1P1, *[(0,) * length] * len(names))
+
+
+@pytest.mark.parametrize("fn", [is_regular_formula, is_regular_oracle])
+def test_the_memoized_routes_read_an_iterator_only_at_r2(fn):
+    # the contract is Sequence[int]; at r = 2 the two routes read m and p by
+    # unpacking, so a two-entry iterator is answered as its tuple, while at
+    # r = 3 (as at every r but 2) len() refuses it, and a wrong-length
+    # iterator at r = 2 is refused when its length is asked for the message
+    assert fn(P1P1, iter((0, 0)), iter((1, 1))) is fn(P1P1, (0, 0), (1, 1)) is True
+    assert fn(P1P1, (0, -3), iter((1, 0))) is fn(P1P1, (0, -3), (1, 0)) is False
+    for args in [(iter((0,)), (0, 0)), ((0, 0), iter((0, 0, 0)))]:
+        with pytest.raises(TypeError, match="has no len"):
+            fn(P1P1, *args)
+    E = SegreVeronese((1, 1, 1), (1, 1, 1))
+    for args in [(iter((0, 0, 0)), (0, 0, 0)), ((0, 0, 0), iter((0, 0, 0)))]:
+        with pytest.raises(TypeError, match="has no len"):
+            fn(E, *args)
 
 
 INT64 = (-(2**63), 2**63 - 1)

@@ -408,32 +408,49 @@ def test_patched_oracle_scan_reaches_forked_workers(monkeypatch):
     assert ce["oracle"] != ce["formula"]
 
 
+def dominating(corners, span):
+    """Componentwise domination of some corner, point by point in the order
+    of itertools.product(*span)."""
+    return [any(all(map(int.__ge__, p, c)) for c in corners) for p in itertools.product(*span)]
+
+
 def test_orthant_enumeration_is_componentwise_domination():
-    # seeded spans, a third of their ranges single points, with corners
+    # the flags follow itertools.product(*span), the order of a pair group's
+    # ps; seeded spans, a third of their ranges single points, with corners
     # inside, below and above each span
     rng = random.Random(31)
     for _ in range(500):
         span = [range(lo, lo + rng.choice((1, 2, 5))) for lo in (rng.randint(-4, 4) for _ in range(rng.randint(1, 3)))]
         corners = [tuple(rng.randint(s.start - 3, s.stop + 2) for s in span) for _ in range(rng.randint(0, 6))]
-        inside = verify._orthants(corners, span)
-        points = list(itertools.product(*span))
-        assert inside <= set(points)
-        assert [p in inside for p in points] == [any(all(map(int.__ge__, p, c)) for c in corners) for p in points]
+        assert verify._dominated(corners, span) == dominating(corners, span)
     # spans of one point, each range a single value as on an r=3 sample,
     # with corners below, at and above the point in each coordinate
     outcomes = set()
     for _ in range(500):
         point = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3)))
         corners = [tuple(pk + rng.randint(-2, 2) for pk in point) for _ in range(rng.randint(0, 6))]
-        inside = verify._orthants(corners, [range(pk, pk + 1) for pk in point])
-        assert inside == ({point} if any(all(map(int.__ge__, point, c)) for c in corners) else set())
-        outcomes.add(bool(inside))
+        flags = verify._dominated(corners, [range(pk, pk + 1) for pk in point])
+        assert flags == [any(all(map(int.__ge__, point, c)) for c in corners)]
+        outcomes.add(flags[0])
     assert outcomes == {True, False}
     one = [range(0, 1), range(2, 3), range(-1, 0)]
-    assert verify._orthants([], one) == set()
-    assert verify._orthants([(0, 3, -1), (1, 2, -1), (0, 2, 0)], one) == set()
-    assert verify._orthants([(0, 3, -1), (0, 2, -1)], one) == {(0, 2, -1)}
-    assert verify._orthants([(-5, -5, -5)], one) == {(0, 2, -1)}
+    assert verify._dominated([], one) == [False]
+    assert verify._dominated([(0, 3, -1), (1, 2, -1), (0, 2, 0)], one) == [False]
+    assert verify._dominated([(0, 3, -1), (0, 2, -1)], one) == [True]
+    assert verify._dominated([(-5, -5, -5)], one) == [True]
+    # rows in product order: the first coordinate picks the row
+    assert verify._dominated([(1, 2), (2, 0)], [range(3), range(3)]) == [False] * 5 + [True] * 4
+    # r = 1 and r = 2 on the reference box, width 17, with corners left of,
+    # at either end of, inside and right of the span in each coordinate
+    box = range(-8, 9)
+    sides = (-13, -9, -8, -7, -1, 0, 6, 8, 9, 12)
+    for r in (1, 2):
+        span = [box] * r
+        for corner in itertools.product(sides, repeat=r):
+            assert verify._dominated([corner], span) == dominating([corner], span)
+        for _ in range(300):
+            corners = [tuple(rng.choice(sides) + rng.randint(-1, 1) for _ in span) for _ in range(rng.randint(0, 6))]
+            assert verify._dominated(corners, span) == dominating(corners, span)
 
 
 def test_draws_follow_the_randint_stream(monkeypatch):
