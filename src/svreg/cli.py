@@ -13,11 +13,12 @@ Every other integer is a JSON number, which can outgrow 64 bits as well
 a parser that keeps integers exact.
 
 This module only reads the flags, checking how they are written
-(integers, list entries in signed 64 bits, list lengths, required flags),
-and renders the library's answers.  A value outside the domain of the
-record or call it feeds (``VerifyConfig``, ``tate_window``), or over its
-cost limits, is refused by it before any work is done.  Both kinds of
-refusal are a ValueError, reported in one line on stderr.
+(integers, list entries in signed 64 bits, required flags and flags that
+go together), and renders the library's answers.  A value outside the
+domain of the record or call it feeds (``VerifyConfig``, ``tate_window``),
+a vector of the wrong length among them, or over its cost limits, is
+refused by it before any work is done.  Both kinds of refusal are a
+ValueError, reported in one line on stderr.
 
 Exit codes: 0 success, 1 usage or input error, 2 a verification check
 found a counterexample, 3 an internal error (a broken invariant the
@@ -105,13 +106,6 @@ def _integer(text: str, flag: str) -> int:
         raise ValueError(f"{flag} expects an integer, got {text!r}") from None
 
 
-def _two(text: str, flag: str) -> tuple[int, ...]:
-    values = _int_list(text, flag)
-    if len(values) != 2:
-        raise ValueError(f"{flag} expects exactly two entries, got {len(values)}")
-    return values
-
-
 def _check_names(text: str, flag: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -120,16 +114,6 @@ def _embedding(ns: argparse.Namespace) -> SegreVeronese:
     l = _int_list(ns.l, "--l")
     d = (1,) * len(l) if ns.d is None else _int_list(ns.d, "--d")
     return SegreVeronese(l, d)
-
-
-def _vector(ns: argparse.Namespace, name: str, r: int) -> tuple[int, ...]:
-    raw = getattr(ns, name)
-    if raw is None:
-        raise ValueError(f"--{name} is required")
-    value = _int_list(raw, f"--{name}")
-    if len(value) != r:
-        raise ValueError(f"--{name} has {len(value)} entries, expected {r}")
-    return value
 
 
 # Payload builders: each takes the parsed params and the inputs echoed so far
@@ -185,7 +169,8 @@ def _reg(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _segre2(params: dict, inputs: dict) -> tuple[dict, str]:
-    # reg on P^a x P^b under the Segre embedding, whose dimensions it refuses
+    # reg on P^a x P^b under the Segre embedding: SegreVeronese refuses the
+    # dimensions and cm_regularity the twist, a wrong length included
     E = SegreVeronese(params["dims"], (1, 1))
     return _reg({"E": E, "m": params["twist"], "explain": False}, inputs)
 
@@ -248,7 +233,7 @@ def _verify(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 class _Flag(NamedTuple):
-    """A subcommand flag other than --l, --d and the length-r vectors."""
+    """A subcommand flag other than --l, --d and the twist vectors."""
 
     name: str
     convert: Callable[[str, str], Any] | None = None  # (text, flag) -> value
@@ -260,8 +245,8 @@ class _Command(NamedTuple):
 
     help: str
     build: Callable[[dict, dict], tuple[dict, str]]
-    vectors: tuple[str, ...] = ()  # length-r vectors, read after --l/--d and echoed in order
-    pair: tuple[str, ...] = ()  # optional length-r vectors that must be given together
+    vectors: tuple[str, ...] = ()  # required twist vectors, read after --l/--d and echoed in order
+    pair: tuple[str, ...] = ()  # optional twist vectors that must be given together
     flags: tuple[_Flag, ...] = ()  # in --help and parsing order
     d: dict[str, Any] | None = {"required": True}  # argparse keywords of --d; None: no embedding
 
@@ -291,8 +276,8 @@ _COMMANDS: dict[str, _Command] = {
     "segre2": _Command(
         "Castelnuovo-Mumford regularity of O(k, l) under the Segre embedding of P^a x P^b", _segre2, d=None,
         flags=(
-            _Flag("--dims", _two, dict(required=True, help="a,b: the two factor dimensions")),
-            _Flag("--twist", _two, dict(required=True, help="k,l: the two twist entries")),
+            _Flag("--dims", _int_list, dict(required=True, help="a,b: the two factor dimensions")),
+            _Flag("--twist", _int_list, dict(required=True, help="k,l: the two twist entries")),
         ),
     ),
     "lambda": _Command("regularity bound for the ideal sheaf of the image", _lambda),
@@ -343,11 +328,11 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
             continue
         p.add_argument("--format", choices=("table", "json"), default="table")
         if command.d is not None:
-            # the vectors are validated by hand after the embedding, so that
-            # an l/d length mismatch is reported before anything else
             p.add_argument("--l", required=True)
             p.add_argument("--d", **command.d)
-            for vector in (*command.vectors, *command.pair):
+            for vector in command.vectors:
+                p.add_argument(f"--{vector}", required=True)
+            for vector in command.pair:
                 p.add_argument(f"--{vector}")
         for flag in command.flags:
             p.add_argument(flag.name, **flag.settings)
@@ -357,10 +342,10 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
 def parse_args(argv: list[str]) -> CliRequest:
     """Read argv into a CliRequest; raises ValueError naming the flag that
     is missing or badly written.  Values outside the domain of a record or
-    library call, or over its cost limits, are refused by it before any
-    work is done, with a ValueError too: SegreVeronese here (segre2's in
-    its payload builder), the others (VerifyConfig among them) when the
-    payload builders run."""
+    library call, a vector of the wrong length among them, or over its cost
+    limits, are refused by it before any work is done, with a ValueError
+    too: SegreVeronese here (segre2's in its payload builder), the others
+    (VerifyConfig among them) when the payload builders run."""
     # the top-level parser has no option that takes a value, so its first
     # positional argument is the subcommand; an argv that starts with it can
     # reach neither the top-level help nor the invalid-choice error
@@ -369,15 +354,15 @@ def parse_args(argv: list[str]) -> CliRequest:
     command = _COMMANDS[ns.command]
     params: dict[str, Any] = {}
     if command.d is not None:
-        E = params["E"] = _embedding(ns)
+        params["E"] = _embedding(ns)
         for vector in command.vectors:
-            params[vector] = _vector(ns, vector, E.r)
+            params[vector] = _int_list(getattr(ns, vector), f"--{vector}")
         given = [vector for vector in command.pair if getattr(ns, vector) is not None]
         if given and len(given) < len(command.pair):
             flags = " and ".join(f"--{vector}" for vector in command.pair)
             raise ValueError(f"{flags} must be given together for the pair-level check")
         for vector in given:
-            params[vector] = _vector(ns, vector, E.r)
+            params[vector] = _int_list(getattr(ns, vector), f"--{vector}")
     for flag in command.flags:
         dest = flag.name[2:].replace("-", "_")
         value = getattr(ns, dest)

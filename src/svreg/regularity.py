@@ -172,14 +172,14 @@ def regularity_corners(E: SegreVeronese, m: Sequence[int]) -> list[RegularityCor
         _check_lengths(E, m=m)
     if r > _MAX_CORNER_FACTORS:
         raise ValueError(f"r={r} has {r}! permutations of the factors, over the limit of r={_MAX_CORNER_FACTORS}")
+    n = sum(l)
     corners = []
     for sigma in itertools.permutations(range(r)):
-        suffix = [0] * (r + 1)
-        for i in range(r - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + l[sigma[i]]
         corner = [0] * r
-        for i, k in enumerate(sigma):
-            corner[k] = -m[k] - l[k] + suffix[i] * d[k]
+        s = n  # the l-sum of k and the factors after it
+        for k in sigma:
+            corner[k] = -m[k] - l[k] + s * d[k]
+            s -= l[k]
         corners.append(RegularityCorner(sigma, tuple(corner)))
     return corners
 

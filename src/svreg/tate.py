@@ -85,7 +85,8 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     inside; the ``tate-window`` check of ``svreg verify`` replays this, and
     every column against one it builds on its own, on padded windows.
 
-    Before it builds any column, it refuses with ValueError a negative pad
+    Before it builds any column, it refuses with ValueError a negative pad,
+    an m of the wrong length (p_minus's first call, to dual_twist, names it)
     and a window over ``_MAX_COLUMNS`` columns, ``_MAX_WORK`` factor steps
     or ``_MAX_DIGIT_WORK`` squared digits of the ranks: a rank is a product
     of binomials C(|a_k| + l_k, l_k) <= (|a_k| + l_k)^l_k, with
@@ -95,8 +96,6 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     """
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
-    if len(m) != len(E.l):
-        _check_lengths(E, m=m)
     lo, hi = p_minus(E, m), cm_regularity(E, m)
     first, last = lo - pad, hi + pad
     n, r, l, d = E.n, E.r, E.l, E.d

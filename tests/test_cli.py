@@ -73,7 +73,7 @@ class TestParseArgs:
     def test_length_mismatch_rejected(self):
         # refused by SegreVeronese, which main maps to exit 1
         with pytest.raises(ValueError, match="^l has 2 entries but d has 1$"):
-            cli.parse_args(["reg", "--l", "1,1", "--d", "1"])
+            cli.parse_args(["reg", "--l", "1,1", "--d", "1", "--m", "0,0"])
 
     def test_malformed_list_rejected(self):
         with pytest.raises(ValueError, match="--m"):
@@ -773,7 +773,7 @@ class TestMain:
         for argv in at_limit:
             assert run_cli(argv, capsys)[0] == 0
         code, _, err = run_cli(["oracle", f"--l={n + 1}", "--d=1", "--m=0,0", "--p=0"], capsys)
-        assert (code, err) == (1, "svreg: error: --m has 2 entries, expected 1\n")
+        assert (code, err) == (1, "svreg: error: m has 2 entries, expected 1\n")
 
     def test_exact_values_print_at_any_length(self, capsys):
         # a dimension of 32,195 digits, past CPython's 4,300-digit limit on

@@ -48,6 +48,10 @@ class TestCohomologyProfile:
         with pytest.raises(ValueError):
             CohomologyProfile(0, 0)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be >= 0, got -1$"):
+            CohomologyProfile(-1, 1)
+
     def test_table(self):
         assert CohomologyProfile(1, 7).table(3) == [0, 7, 0, 0]
         assert CohomologyProfile(None, None).table(2) == [0, 0, 0]
@@ -167,7 +171,11 @@ class TestSegreVeronese:
         E = SegreVeronese((1, 2), (3, 1))
         with pytest.raises(AttributeError):
             E.l = (2, 2)
+        with pytest.raises(AttributeError):
+            del E.l
         assert E.l == (1, 2)
+        # compared by value with its own class only: a tuple is not an embedding
+        assert (E == (E.l, E.d)) is False
 
 
 class TestDimensionLimit:

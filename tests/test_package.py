@@ -237,7 +237,10 @@ def test_readme_quotes_every_limit(module, name, phrase):
 
 
 def test_readme_weight_table_has_one_row_per_check():
-    # a new verify check cannot land without its weight documented
+    # a new verify check cannot land without its weight documented, nor a
+    # weight change in CHECKS without its row: the number after the last
+    # comma of the weight cell is the reference grid's weight, and a leading
+    # integer in the r=3 column that of its r=3 samples
     from svreg import verify
 
     with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
@@ -247,8 +250,19 @@ def test_readme_weight_table_has_one_row_per_check():
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        rows.append(line.split("|")[1].strip().strip("`"))
-    assert sorted(rows) == sorted(verify.CHECKS)
+        # the minimal-twist weight holds an escaped \|
+        rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+    assert sorted(row[0].strip("`") for row in rows) == sorted(verify.CHECKS)
+    read_r3 = []
+    for check, weight, _, r3, *_ in rows:
+        name = check.strip("`")
+        cost = verify.CHECKS[name].cost(verify.VerifyConfig())
+        assert int(weight.rsplit(",", 1)[-1]) == cost[0][1], name
+        leading = re.match(r"\d+", r3)
+        if leading:
+            read_r3.append(name)
+            assert int(leading.group()) == cost[1][1], name
+    assert read_r3 == ["formula-vs-oracle", "corner-membership", "tate-endpoints"]
 
 
 def test_every_check_entry_hashes():

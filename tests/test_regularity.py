@@ -251,8 +251,9 @@ class TestPairSubadditivity:
 
 
 # every public entry point that takes twist vectors, with their names in
-# argument order; each compares the lengths itself and names the first
-# vector that is off only on a mismatch
+# argument order; each compares the lengths itself, or (tate_window, p_minus)
+# leaves them to the first call it makes, and names the first vector that is
+# off only on a mismatch
 VECTOR_ARGUMENTS = [
     (cohomology.product_cohomology, ("a",)),
     (is_regular_formula, ("m", "p")),
@@ -263,23 +264,34 @@ VECTOR_ARGUMENTS = [
     (check_subadditivity, ("m", "m2")),
     (check_pair_subadditivity, ("m", "p", "m2", "p2")),
     (tate.dual_twist, ("m",)),
+    (tate.p_minus, ("m",)),
     (tate.tate_window, ("m",)),
 ]
 
+# lengths 0, r - 1 and r + 1 at r = 1, 2, 3; the r = 2 cases keep the bare
+# length as their id
+WRONG_LENGTHS = [
+    pytest.param(r, length, id=str(length) if r == 2 else f"r{r}-{length}")
+    for r in (1, 2, 3)
+    for length in sorted({0, r - 1, r + 1})
+]
 
-@pytest.mark.parametrize("length", [0, 1, 3])
+
+@pytest.mark.parametrize("r, length", WRONG_LENGTHS)
 @pytest.mark.parametrize("fn, names", VECTOR_ARGUMENTS, ids=[fn.__name__ for fn, _ in VECTOR_ARGUMENTS])
-def test_a_wrong_length_vector_is_named_in_every_position(fn, names, length):
+def test_a_wrong_length_vector_is_named_in_every_position(fn, names, r, length):
     # zip would truncate a vector that no guard reads, or a later call would
-    # name it by its own parameter, so each position must raise this message
+    # name it by its own parameter, so each position must raise this message;
+    # at r = 2 the memoized routes unpack, at every other r they guard
+    E = SegreVeronese((1,) * r, (1,) * r)
     for k, name in enumerate(names):
-        args = [(0, 0)] * len(names)
+        args = [(0,) * r] * len(names)
         args[k] = (0,) * length
-        with pytest.raises(ValueError, match=rf"^{name} has {length} entries, expected 2$"):
-            fn(P1P1, *args)
+        with pytest.raises(ValueError, match=rf"^{name} has {length} entries, expected {r}$"):
+            fn(E, *args)
     # with every vector off, the first is named
-    with pytest.raises(ValueError, match=rf"^{names[0]} has {length} entries, expected 2$"):
-        fn(P1P1, *[(0,) * length] * len(names))
+    with pytest.raises(ValueError, match=rf"^{names[0]} has {length} entries, expected {r}$"):
+        fn(E, *[(0,) * length] * len(names))
 
 
 @pytest.mark.parametrize("fn", [is_regular_formula, is_regular_oracle])
