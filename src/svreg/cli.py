@@ -12,13 +12,15 @@ Every other integer is a JSON number, which can outgrow 64 bits as well
 (a ``regset`` corner, a ``reg`` value on int64 inputs), so read it with
 a parser that keeps integers exact.
 
-This module only reads the flags, checking how they are written
-(integers, list entries in signed 64 bits, required flags and flags that
-go together), and renders the library's answers.  A value outside the
-domain of the record or call it feeds (``VerifyConfig``, ``tate_window``),
-a vector of the wrong length among them, or over its cost limits, is
-refused by it before any work is done.  Both kinds of refusal are a
-ValueError, reported in one line on stderr.
+This module only reads the flags and renders the library's answers.
+argparse reads and converts every flag, from one list per subcommand
+(``_COMMANDS``): integers, list entries in signed 64 bits, ``segre2``'s
+two-entry pairs and required flags.  A value outside the domain of the
+record or call it feeds (``SegreVeronese``, ``VerifyConfig``,
+``tate_window``), a vector of the wrong length among them, or over its
+cost limits, is refused by it before any work is done; ``subadd`` refuses
+a ``--p`` given without ``--p2`` or the reverse.  Both kinds of refusal
+are a ValueError, reported in one line on stderr.
 
 Exit codes: 0 success, 1 usage or input error, 2 a verification check
 found a counterexample, 3 an internal error (a broken invariant the
@@ -88,32 +90,26 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _int_list(text: str, flag: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects a comma-separated integer list, got {text!r}") from None
     for v in values:
         if not INT64_MIN <= v <= INT64_MAX:
-            raise ValueError(f"{flag} entry {v} is outside the signed 64-bit range")
+            raise argparse.ArgumentTypeError(f"entry {v} is outside the signed 64-bit range")
     return values
 
 
-def _integer(text: str, flag: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{flag} expects an integer, got {text!r}") from None
+def _int_pair(text: str) -> tuple[int, ...]:
+    values = _int_list(text)
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"expects two comma-separated integers, got {text!r}")
+    return values
 
 
-def _check_names(text: str, flag: str) -> list[str]:
+def _check_names(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _embedding(ns: argparse.Namespace) -> SegreVeronese:
-    l = _int_list(ns.l, "--l")
-    d = (1,) * len(l) if ns.d is None else _int_list(ns.d, "--d")
-    return SegreVeronese(l, d)
 
 
 # Payload builders: each takes the parsed params and the inputs echoed so far
@@ -169,8 +165,8 @@ def _reg(params: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _segre2(params: dict, inputs: dict) -> tuple[dict, str]:
-    # reg on P^a x P^b under the Segre embedding: SegreVeronese refuses the
-    # dimensions and cm_regularity the twist, a wrong length included
+    # reg on P^a x P^b under the Segre embedding: the parser reads two
+    # entries of each flag, and SegreVeronese refuses dimensions below 1
     E = SegreVeronese(params["dims"], (1, 1))
     return _reg({"E": E, "m": params["twist"], "explain": False}, inputs)
 
@@ -185,6 +181,8 @@ def _lambda(params: dict, inputs: dict) -> tuple[dict, str]:
 
 def _subadd(params: dict, inputs: dict) -> tuple[dict, str]:
     E, m, m2 = params["E"], params["m"], params["m2"]
+    if ("p" in params) != ("p2" in params):
+        raise ValueError("--p and --p2 must be given together for the pair-level check")
     if "p" in params:
         status = check_pair_subadditivity(E, m, params["p"], m2, params["p2"])
         return {"status": status}, "Theorem Lregadd"
@@ -232,74 +230,65 @@ def _verify(params: dict, inputs: dict) -> tuple[dict, str]:
     return result, "closed forms replayed against the brute-force cohomology oracle"
 
 
-class _Flag(NamedTuple):
-    """A subcommand flag other than --l, --d and the twist vectors."""
-
-    name: str
-    convert: Callable[[str, str], Any] | None = None  # (text, flag) -> value
-    settings: dict[str, Any] = {}  # argparse keywords
-
-
 class _Command(NamedTuple):
-    """One subcommand, described once: the parser, parse_args and run loop over these."""
+    """One subcommand, described once: the parser, parse_args and run loop
+    over these.  Its flags are (name, argparse keywords) in --help, parsing
+    and echo order; each that takes a value has a ``type`` that reads it.
+    A subcommand with --l and --d gets the embedding they describe."""
 
     help: str
     build: Callable[[dict, dict], tuple[dict, str]]
-    vectors: tuple[str, ...] = ()  # required twist vectors, read after --l/--d and echoed in order
-    pair: tuple[str, ...] = ()  # optional twist vectors that must be given together
-    flags: tuple[_Flag, ...] = ()  # in --help and parsing order
-    d: dict[str, Any] | None = {"required": True}  # argparse keywords of --d; None: no embedding
+    flags: tuple[tuple[str, dict[str, Any]], ...]
+
+
+def _vectors(*names: str) -> tuple[tuple[str, dict[str, Any]], ...]:
+    return tuple((f"--{name}", dict(type=_int_list, required=True)) for name in names)
 
 
 _COMMANDS: dict[str, _Command] = {
     "cohomology": _Command(
-        "cohomology profile of O(a)", _cohomology, ("a",),
-        d=dict(help="defaults to 1,...,1; sets only ambient_dim"),
+        "cohomology profile of O(a)", _cohomology,
+        (*_vectors("l"), ("--d", dict(type=_int_list, help="defaults to 1,...,1; sets only ambient_dim")),
+         *_vectors("a")),
     ),
-    "regular": _Command("closed-form test that O(m) is O(p)-regular", _regular, ("m", "p")),
+    "regular": _Command("closed-form test that O(m) is O(p)-regular", _regular, _vectors("l", "d", "m", "p")),
     "oracle": _Command(
-        "brute-force cohomology test that O(m) is O(p)-regular", _oracle, ("m", "p")
+        "brute-force cohomology test that O(m) is O(p)-regular", _oracle, _vectors("l", "d", "m", "p")
     ),
-    "member": _Command("regularity-set membership of p by the closed form", _member, ("m", "p")),
+    "member": _Command(
+        "regularity-set membership of p by the closed form", _member, _vectors("l", "d", "m", "p")
+    ),
     "regset": _Command(
-        "corners of the regularity set of O(m)", _regset, ("m",),
-        flags=(
-            _Flag("--antichain", None, dict(action="store_true", help="no effect: the corners always form an antichain")),
-        ),
+        "corners of the regularity set of O(m)", _regset,
+        (*_vectors("l", "d", "m"),
+         ("--antichain", dict(action="store_true", help="no effect: the corners always form an antichain"))),
     ),
     "reg": _Command(
-        "Castelnuovo-Mumford regularity of the pushforward of O(m)", _reg, ("m",),
-        flags=(
-            _Flag("--explain", None, dict(action="store_true", help="print one row per subset J")),
-        ),
+        "Castelnuovo-Mumford regularity of the pushforward of O(m)", _reg,
+        (*_vectors("l", "d", "m"), ("--explain", dict(action="store_true", help="print one row per subset J"))),
     ),
     "segre2": _Command(
-        "Castelnuovo-Mumford regularity of O(k, l) under the Segre embedding of P^a x P^b", _segre2, d=None,
-        flags=(
-            _Flag("--dims", _int_list, dict(required=True, help="a,b: the two factor dimensions")),
-            _Flag("--twist", _int_list, dict(required=True, help="k,l: the two twist entries")),
-        ),
+        "Castelnuovo-Mumford regularity of O(k, l) under the Segre embedding of P^a x P^b", _segre2,
+        (("--dims", dict(type=_int_pair, required=True, help="a,b: the two factor dimensions")),
+         ("--twist", dict(type=_int_pair, required=True, help="k,l: the two twist entries"))),
     ),
-    "lambda": _Command("regularity bound for the ideal sheaf of the image", _lambda),
+    "lambda": _Command("regularity bound for the ideal sheaf of the image", _lambda, _vectors("l", "d")),
     "subadd": _Command(
-        "subadditivity check; add --p/--p2 for the pair-level form", _subadd, ("m", "m2"),
-        pair=("p", "p2"),
+        "subadditivity check; add --p/--p2 for the pair-level form", _subadd,
+        # a pair flag left out is left out of the params too
+        (*_vectors("l", "d", "m", "m2"),
+         *((f"--{name}", dict(type=_int_list, default=argparse.SUPPRESS)) for name in ("p", "p2"))),
     ),
     "tate": _Command(
-        "Tate resolution columns around the interesting window", _tate, ("m",),
-        flags=(_Flag("--pad", _integer, dict(default="2")),),
+        "Tate resolution columns around the interesting window", _tate,
+        (*_vectors("l", "d", "m"), ("--pad", dict(type=int, default=2))),
     ),
-    "endpoints": _Command("window endpoints p+ and p-", _endpoints, ("m",)),
+    "endpoints": _Command("window endpoints p+ and p-", _endpoints, _vectors("l", "d", "m")),
     "verify": _Command(
-        "replay the closed forms against the cohomology oracle", _verify, d=None,
-        flags=(
-            _Flag("--box", _int_list),
-            _Flag("--lmax", _integer),
-            _Flag("--dmax", _integer),
-            _Flag("--r3-samples", _integer),
-            _Flag("--seed", _integer),
-            _Flag("--checks", _check_names, dict(help="comma list; default: all")),
-        ),
+        "replay the closed forms against the cohomology oracle", _verify,
+        (("--box", dict(type=_int_list)),
+         *((name, dict(type=int)) for name in ("--lmax", "--dmax", "--r3-samples", "--seed")),
+         ("--checks", dict(type=_check_names, help="comma list; default: all"))),
     ),
 }
 
@@ -327,49 +316,32 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
         if name != invoked:
             continue
         p.add_argument("--format", choices=("table", "json"), default="table")
-        if command.d is not None:
-            p.add_argument("--l", required=True)
-            p.add_argument("--d", **command.d)
-            for vector in command.vectors:
-                p.add_argument(f"--{vector}", required=True)
-            for vector in command.pair:
-                p.add_argument(f"--{vector}")
-        for flag in command.flags:
-            p.add_argument(flag.name, **flag.settings)
+        for flag, settings in command.flags:
+            p.add_argument(flag, **settings)
     return parser
 
 
 def parse_args(argv: list[str]) -> CliRequest:
     """Read argv into a CliRequest; raises ValueError naming the flag that
-    is missing or badly written.  Values outside the domain of a record or
-    library call, a vector of the wrong length among them, or over its cost
-    limits, are refused by it before any work is done, with a ValueError
-    too: SegreVeronese here (segre2's in its payload builder), the others
-    (VerifyConfig among them) when the payload builders run."""
+    is missing or badly written, as argparse words it.  Values outside the
+    domain of a record or library call, a vector of the wrong length among
+    them, or over its cost limits, are refused by it before any work is
+    done, with a ValueError too: SegreVeronese here, the others (segre2's
+    SegreVeronese and VerifyConfig among them) when the payload builders
+    run."""
     # the top-level parser has no option that takes a value, so its first
     # positional argument is the subcommand; an argv that starts with it can
     # reach neither the top-level help nor the invalid-choice error
     invoked = next((arg for arg in argv if not arg.startswith("-")), None)
-    ns = _build_parser(invoked, argv[:1] == [invoked] and invoked in _COMMANDS).parse_args(argv)
-    command = _COMMANDS[ns.command]
-    params: dict[str, Any] = {}
-    if command.d is not None:
-        params["E"] = _embedding(ns)
-        for vector in command.vectors:
-            params[vector] = _int_list(getattr(ns, vector), f"--{vector}")
-        given = [vector for vector in command.pair if getattr(ns, vector) is not None]
-        if given and len(given) < len(command.pair):
-            flags = " and ".join(f"--{vector}" for vector in command.pair)
-            raise ValueError(f"{flags} must be given together for the pair-level check")
-        for vector in given:
-            params[vector] = _int_list(getattr(ns, vector), f"--{vector}")
-    for flag in command.flags:
-        dest = flag.name[2:].replace("-", "_")
-        value = getattr(ns, dest)
-        if flag.convert is not None and value is not None:
-            value = flag.convert(value, flag.name)
-        params[dest] = value
-    return CliRequest(ns.command, ns.format, params)
+    ns = vars(_build_parser(invoked, argv[:1] == [invoked] and invoked in _COMMANDS).parse_args(argv))
+    # copied in flag order: argparse adds a flag whose default it suppresses
+    # only when given, after the others
+    dests = (flag[2:].replace("-", "_") for flag, _ in _COMMANDS[ns["command"]].flags)
+    params = {dest: ns[dest] for dest in dests if dest in ns}
+    if "l" in params:
+        l, d = params.pop("l"), params.pop("d")
+        params = {"E": SegreVeronese(l, (1,) * len(l) if d is None else d), **params}
+    return CliRequest(ns["command"], ns["format"], params)
 
 
 def run(request: CliRequest) -> tuple[ReportDocument, int]:

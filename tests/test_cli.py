@@ -98,6 +98,13 @@ class TestParseArgs:
             with pytest.raises(ValueError, match=f"^unrecognized arguments: {unrecognized}$"):
                 cli.parse_args(argv)
 
+    def test_every_flag_that_takes_a_value_has_a_type(self):
+        # argparse converts every value, so no payload builder reads a raw string
+        for name, command in cli._COMMANDS.items():
+            for flag, settings in command.flags:
+                if settings.get("action") != "store_true":
+                    assert callable(settings.get("type")), f"{name} {flag}"
+
     def test_negative_entries_with_equals_form(self):
         request = cli.parse_args(["member", "--l=1,1", "--d=1,1", "--m=-2,3", "--p=-1,-1"])
         assert request.params["m"] == (-2, 3)
@@ -250,6 +257,17 @@ class TestMain:
         code, out, err = run_cli(["segre2", "--dims=0,1", "--twist=0,0"], capsys)
         assert (code, out) == (1, "")
         assert err == "svreg: error: factor dimensions must all be >= 1, got l=(0, 1)\n"
+
+    @pytest.mark.parametrize("given", ["--p=1,1", "--p2=0,1"])
+    def test_subadd_pair_flags_go_together_before_any_work(self, capsys, monkeypatch, given):
+        def refuse(*args):
+            raise AssertionError("a subadditivity check ran")
+
+        monkeypatch.setattr(cli, "check_pair_subadditivity", refuse)
+        monkeypatch.setattr(cli, "check_subadditivity", refuse)
+        code, out, err = run_cli(["subadd", "--l=1,1", "--d=1,1", "--m=0,0", "--m2=0,0", given], capsys)
+        assert (code, out) == (1, "")
+        assert err == "svreg: error: --p and --p2 must be given together for the pair-level check\n"
 
     def test_usage_error_exit_one(self, capsys):
         code, _, err = run_cli(["reg", "--l", "1,1", "--d", "1"], capsys)

@@ -111,16 +111,18 @@ def _single_errors():
         ["reg", *E2, "--m=0,0", "--explain=1"],
     ]
     for name, command in cli._COMMANDS.items():
-        if command.d is None:  # no embedding flags
+        flags = dict(command.flags)
+        if "--l" not in flags:  # no embedding flags
             continue
         base = next(argv for argv in VALID if argv[0] == name)
         out.append(_with(base, "--l", None))
-        if command.d.get("required"):  # else --d defaults to ones
+        if flags["--d"].get("required"):  # else --d defaults to ones
             out.append(_with(base, "--d", None))
         out += [_with(base, "--l", "1,x"), _with(base, "--l", BIG), _with(base, "--l", "1")]
         out += [_with(base, "--l", "0,1"), _with(base, "--d", "1,0"), _with(base, "--d", "1,1,1")]
-        for vector in (*command.vectors, *command.pair):
-            out += [_with(base, f"--{vector}", value) for value in (None, "0,x", "0", f"0,{BIG}")]
+        for flag, settings in command.flags:  # every list flag but the embedding's
+            if settings.get("type") is cli._int_list and flag not in ("--l", "--d"):
+                out += [_with(base, flag, value) for value in (None, "0,x", "0", f"0,{BIG}")]
     tate = next(argv for argv in VALID if argv[0] == "tate")
     out += [_with(tate, "--pad", value) for value in ("x", "-1", BIG)]
     segre2 = ["segre2", "--dims=2,3", "--twist=0,0"]
