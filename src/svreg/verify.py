@@ -51,8 +51,8 @@ TATE_R = (1, 2, 3)  # factor counts of the balanced embeddings of tate-endpoints
 TATE_TWISTS = range(-6, 7)  # entries of its constant twists and its multisets
 TATE_LONG_M = 9  # values of M in its twists (0, ..., 0, M), from (r-1)l up
 WINDOW_BOX = range(-4, 5)  # tate-window twist entries; small, as a column's replay sweeps its cohomology
-# the most a run may weigh, in units of 2.3 us (see CHECKS): about 230 CPU-s
-# or less, 4.7x the 21,405,029 of the reference grid
+# the most a run may weigh, in the weight units defined above CHECKS: 4.7x
+# the 21,405,029 of the reference grid
 MAX_INSTANCES = 10**8
 # largest lmax and dmax, which set the cost of one instance: the reference
 # grid uses 3; the slowest tate-window instance took 1.3 ms at 8 and 23 ms
@@ -279,20 +279,19 @@ def _sorted_vs_subsets(config: VerifyConfig, r: int) -> Iterator[dict | None]:
 
 
 def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
-    """Scan twists by the embedding bundle with the cohomology route and
-    compare the least regular one against cm_regularity."""
+    """Scan the twists q*d from q = -bound up with the cohomology route:
+    the first regular one, which -bound must not be, is the least, and is
+    compared against cm_regularity."""
     rho = regularity.cm_regularity(E, m)
     d = E.d
     bound = E.n + max(abs(mk) + lk for mk, lk in zip(m, E.l)) + 2
-    if regularity.is_regular_oracle(E, m, tuple([-bound * dk for dk in d])):
-        return _instance(E, m=m, reason=f"scan lower bound {-bound} is already regular")
-    found = None
-    for q in range(-bound + 1, bound + 1):
-        if regularity.is_regular_oracle(E, m, tuple([q * dk for dk in d])):
-            found = q
+    for found in range(-bound, bound + 1):
+        if regularity.is_regular_oracle(E, m, tuple([found * dk for dk in d])):
             break
-    if found is None:
+    else:
         return _instance(E, m=m, reason=f"no regular twist in [{-bound}, {bound}]")
+    if found == -bound:
+        return _instance(E, m=m, reason=f"scan lower bound {-bound} is already regular")
     if found != rho:
         return _instance(E, m=m, minimal_twist=found, cm_regularity=rho)
     for q in range(found + 1, found + 4):
@@ -346,18 +345,13 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
     n = E.n
     conv = _kunneth_table(E.l, a)
     profile = cohomology.product_cohomology(E, a)
-    # table(n) refuses a degree over n, which only a library fault yields
+    # table(n) refuses a degree over n, which only a library fault yields:
+    # for this profile and the dual one below, it is a counterexample
     if (profile.degree or 0) > n or profile.table(n) != conv:
         return _instance(E, a=a, reason="profile disagrees with Kunneth convolution", profile=profile, table=conv)
     dual = tuple([-ak - lk - 1 for ak, lk in zip(a, E.l)])
     dual_profile = cohomology.product_cohomology(E, dual)
-    # the dual's table read backwards, [h^n, ..., h^0], built without n + 1
-    # calls to h; a degree over n, which only a library fault yields, is a
-    # counterexample, where table(n) would raise
-    mirrored = [0] * (n + 1)
-    if dual_profile.degree is not None and dual_profile.degree <= n:
-        mirrored[n - dual_profile.degree] = dual_profile.dimension
-    if mirrored != conv or (dual_profile.degree or 0) > n:
+    if (dual_profile.degree or 0) > n or dual_profile.table(n)[::-1] != conv:
         return _instance(E, a=a, reason="Serre duality violated", dual=dual, dual_profile=dual_profile)
     alternating = sum(conv[::2]) - sum(conv[1::2])
     chi = profile.euler_characteristic
@@ -606,8 +600,9 @@ class _Check(NamedTuple):
     """A check: ``routine(config, unit)`` on each unit of ``units(config)``,
     one shard each, in iteration order; and ``cost(config)``, one
     ``(instances, weight)`` pair for each kind of instance that walk has:
-    how many, in closed form, and the cost of one, in units of 2.3 us.  The
-    pair checks share the routine ``_walk_pairs``, and with it one walk."""
+    how many, in closed form, and the cost of one, in the weight units
+    defined above ``CHECKS``.  The pair checks share the routine
+    ``_walk_pairs``, and with it one walk."""
 
     routine: Callable
     units: Callable[[VerifyConfig], Iterable]
@@ -622,11 +617,13 @@ def _scan_weight(config: VerifyConfig) -> int:
 
 
 # A weight prices one kind of instance of a check, such as the box pairs or
-# the r=3 samples of a grid check: the mean cost of one, in units of 2.3 us,
-# what one formula-vs-oracle pair of the reference grid took when the weights
-# were set.  The costs quoted are CPU time per instance of the check run alone
-# in one process, on one core of a 2-vCPU Xeon VM, at the reference grid
-# unless stated.  An r=3 sample's come from its shards alone, at lmax = dmax
+# the r=3 samples of a grid check: the mean cost of one, in units.  A unit is
+# what one formula-vs-oracle pair of the reference grid cost when the weights
+# were set, 2.3 us.  Each entry's comment gives what an instance costs now,
+# so MAX_INSTANCES units last 27-84 CPU-s, depending on the checks named.
+# The costs quoted are CPU time per instance of the check run alone in one
+# process, on one core of a 2-vCPU Xeon VM, at the reference grid unless
+# stated.  An r=3 sample's come from its shards alone, at lmax = dmax
 # in 1, 3, 8 on the boxes 0..0 and -8..8, and in pairs: the cost of one
 # reference box pair of the same check, or of formula-vs-oracle for
 # tate-endpoints.
