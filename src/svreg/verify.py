@@ -4,8 +4,9 @@ cohomology route on exhaustive small grids plus seeded random sampling.
 Each check walks its grid in a fixed deterministic order and reports how
 many instances it saw, how many failed, and the first failure (hence the
 smallest one in iteration order) as a serializable counterexample.
-Sampled instances come from ``random.Random`` seeded off the
-configuration, so reruns are reproducible.
+Sampled instances are drawn through ``_drawer``, from a ``random.Random``
+seeded off the configuration and a key of each stream's own, so reruns
+are reproducible.
 
 A check's grid is cut into shards that follow its iteration order: one per
 embedding for the pair and point grids, then slices of the r=3 samples,
@@ -132,25 +133,32 @@ def _embeddings(config: VerifyConfig) -> Iterator[SegreVeronese]:
                 yield SegreVeronese(l, d)
 
 
-def _box_points(config: VerifyConfig, r: int) -> list[tuple[int, ...]]:
+def _box_range(config: VerifyConfig) -> range:
+    """Box entries lo..hi; its width is stop - start, as ``len`` overflows past ``sys.maxsize``."""
     lo, hi = config.box
-    return list(itertools.product(range(lo, hi + 1), repeat=r))
+    return range(lo, hi + 1)
+
+
+def _drawer(config: VerifyConfig, key: str) -> tuple[random.Random, Callable, Callable[[int], tuple]]:
+    """A generator seeded by ``config.seed`` and ``key`` alone, so each
+    stream is drawn on its own; its ``randrange``; and a drawer of one
+    r-entry box twist.  The keys are ``r3|{start}``, ``subsets|{r}``,
+    ``subadd|{l}|{d}`` and ``pairs|{l}|{d}``."""
+    rng = random.Random(f"{config.seed}|{key}")
+    draw = rng.randrange
+    box = _box_range(config)
+    lo, end = box.start, box.stop
+    return rng, draw, lambda r: tuple([draw(lo, end) for _ in range(r)])
 
 
 def _samples(config: VerifyConfig, key: str, r: int, count: int) -> Iterator[tuple[SegreVeronese, tuple, tuple]]:
-    """``count`` seeded (E, m, p) with r factors, drawn from a generator
-    seeded by ``config.seed`` and ``key`` alone, so a shard draws its own."""
-    rng = random.Random(f"{config.seed}|{key}")
-    # randint(a, b) is randrange(a, b + 1), one call deeper: the same stream
-    draw = rng.randrange
+    """``count`` seeded (E, m, p) with r factors, drawn through ``_drawer``."""
+    _, draw, twist = _drawer(config, key)
     l_end, d_end = config.lmax + 1, config.dmax + 1
-    lo, end = config.box[0], config.box[1] + 1
     for _ in range(count):
         l = tuple([draw(1, l_end) for _ in range(r)])
         d = tuple([draw(1, d_end) for _ in range(r)])
-        m = tuple([draw(lo, end) for _ in range(r)])
-        p = tuple([draw(lo, end) for _ in range(r)])
-        yield SegreVeronese(l, d), m, p
+        yield SegreVeronese(l, d), twist(r), twist(r)
 
 
 def _per_embedding(config: VerifyConfig, instances: int) -> int:
@@ -159,15 +167,11 @@ def _per_embedding(config: VerifyConfig, instances: int) -> int:
     return sum((config.lmax * config.dmax * instances) ** r for r in EMBEDDING_R)
 
 
-def _width(config: VerifyConfig) -> int:
-    lo, hi = config.box
-    return hi - lo + 1
-
-
 def _box(config: VerifyConfig, k: int) -> int:
     """Box instances of the point grid for k = 1, each (E, m), and of the
     pair grid for k = 2, each (E, m, p); the r=3 samples come on top."""
-    return _per_embedding(config, _width(config) ** k)
+    box = _box_range(config)
+    return _per_embedding(config, (box.stop - box.start) ** k)
 
 
 def _grid(config: VerifyConfig) -> list[SegreVeronese | range]:
@@ -188,8 +192,7 @@ def _pair_groups(
     if isinstance(unit, range):
         samples = _samples(config, f"r3|{unit.start}", 3, len(unit))
         return ((E, m, (p,), tuple([range(pk, pk + 1) for pk in p])) for E, m, p in samples)
-    lo, hi = config.box
-    span = (range(lo, hi + 1),) * unit.r
+    span = (_box_range(config),) * unit.r
     pts = list(itertools.product(*span))
     return ((unit, m, pts, span) for m in pts)
 
@@ -364,7 +367,7 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
 
 def _cohomology(config: VerifyConfig, l: tuple[int, ...]) -> Iterator[dict | None]:
     E = SegreVeronese(l, (1,) * len(l))
-    return (_cohomology_failure(E, a) for a in _box_points(config, E.r))
+    return (_cohomology_failure(E, a) for a in itertools.product(_box_range(config), repeat=E.r))
 
 
 def _segre_regularity(a: int, b: int, k: int, l: int) -> int:
@@ -407,24 +410,17 @@ def _ideal_sheaf_bound(config: VerifyConfig, _unit: None) -> Iterator[dict | Non
 
 
 def _subadditivity(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | None]:
-    lo, end = config.box[0], config.box[1] + 1
-    r = E.r
-    draw = random.Random(f"{config.seed}|subadd|{E.l}|{E.d}").randrange  # randint's stream, as in _samples
+    *_, twist = _drawer(config, f"subadd|{E.l}|{E.d}")
     for _ in range(config.subadd_pairs):
-        m = tuple([draw(lo, end) for _ in range(r)])
-        m2 = tuple([draw(lo, end) for _ in range(r)])
+        m, m2 = twist(E.r), twist(E.r)
         report = regularity.check_subadditivity(E, m, m2)
         yield None if report.holds else _instance(E, m=m, m2=m2, report=report._asdict())
 
 
 def _pair_subadditivity(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict | None]:
-    lo, end = config.box[0], config.box[1] + 1
-    r = E.r
-    rng = random.Random(f"{config.seed}|pairs|{E.l}|{E.d}")
-    draw = rng.randrange  # randint's stream, as in _samples
+    rng, draw, twist = _drawer(config, f"pairs|{E.l}|{E.d}")
     for _ in range(config.pair_samples):
-        m = tuple([draw(lo, end) for _ in range(r)])
-        m2 = tuple([draw(lo, end) for _ in range(r)])
+        m, m2 = twist(E.r), twist(E.r)
         c1 = rng.choice(regularity.regularity_corners(E, m)).corner
         p = tuple([ck + draw(0, 3) for ck in c1])
         c2 = rng.choice(regularity.regularity_corners(E, m2)).corner
@@ -637,7 +633,10 @@ CHECKS: dict[str, _Check] = {
         # its convolution and duality tables run over up to n + 1 <= 3 lmax + 1
         # degrees: 7.2-7.3 us at lmax 3, 7.1-7.3 at 1 and 7.9-10.1 at 8 on the
         # box -2..2
-        lambda config: [(sum((config.lmax * _width(config)) ** r for r in COHOMOLOGY_R), 2 * config.lmax + 13)],
+        lambda config: [
+            (sum((config.lmax * (box.stop - box.start)) ** r for r in COHOMOLOGY_R), 2 * config.lmax + 13)
+            for box in [_box_range(config)]
+        ],
     ),
     "formula-vs-oracle": _Check(
         _walk_pairs,

@@ -173,6 +173,17 @@ def test_cli_keeps_no_limit():
     assert assigned == []
 
 
+def test_verify_seeds_one_generator():
+    # every seeded sample is drawn through one drawer, which alone builds
+    # the generator of a stream from the seed and the stream's key
+    built = [
+        node
+        for node in ast.walk(parsed("verify"))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Random"
+    ]
+    assert len(built) == 1
+
+
 def literal_parts(node):
     """The literal text of a string constant or of an f-string."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -254,7 +265,7 @@ def test_readme_weight_table_has_one_row_per_check():
         rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
     assert sorted(row[0].strip("`") for row in rows) == sorted(verify.CHECKS)
     read_r3 = []
-    for check, weight, _, r3, *_ in rows:
+    for check, weight, r3, *_ in rows:
         name = check.strip("`")
         cost = verify.CHECKS[name].cost(verify.VerifyConfig())
         assert int(weight.rsplit(",", 1)[-1]) == cost[0][1], name

@@ -803,6 +803,34 @@ def test_segre_r2_catches_a_planted_formula_fault(monkeypatch, cpus):
     assert result.counterexample == {"l": [1, 1], "d": [1, 1], "m": [-5, -5], "special": 7, "general": 6}
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_subadditivity_check_catches_a_fault_in_its_route(monkeypatch, cpus):
+    # a strict inequality fails every sample where reg(m) + reg(m2) =
+    # reg(m + m2), and a sum whose p drops p2 every sample that needs p2;
+    # each check reports the fault in the route it replays
+    real = regularity.check_subadditivity
+
+    def strict(E, m, m2):
+        report = real(E, m, m2)
+        return report._replace(holds=report.reg_m + report.reg_m2 > report.reg_sum)
+
+    def drop_p2(E, m, p, m2, p2):
+        if not (regularity.is_regular_formula(E, m, p) and regularity.is_regular_formula(E, m2, p2)):
+            return "hypothesis-not-met"
+        m_sum = tuple(a + b for a, b in zip(m, m2))
+        return "holds" if regularity.is_regular_formula(E, m_sum, p) else "fails"
+
+    monkeypatch.setattr(regularity, "check_subadditivity", strict)
+    monkeypatch.setattr(regularity, "check_pair_subadditivity", drop_p2)
+    subadd, pairs = run_on(cpus, monkeypatch, SMALL, ["subadditivity", "pair-subadditivity"])
+    assert (subadd.failures, subadd.instances) == (4503, 20000)
+    ce = subadd.counterexample
+    assert (ce["l"], ce["d"], ce["m"], ce["m2"], ce["report"]["holds"]) == ([1], [1], [2], [1], False)
+    assert (pairs.failures, pairs.instances) == (1487, 4000)
+    ce = pairs.counterexample
+    assert (ce["m"], ce["p"], ce["m2"], ce["p2"], ce["status"]) == ([2], [-1], [-3], [5], "fails")
+
+
 def test_dual_twist_that_is_not_an_involution_is_a_counterexample(monkeypatch):
     # a sign flip maps m to m - c, c = n d - l - 1 = (1, 0) here
     real = tate.dual_twist
