@@ -145,8 +145,11 @@ def _single_errors():
 
 
 def cases():
-    # top-level options before a subcommand: the help must still list them all
-    out = [["--help"], ["--version"], ["-h", "reg"], ["--version", "reg"]]
+    # argv that does not start with its subcommand (top-level options, a bad
+    # flag or name first): the help must still list every subcommand, and
+    # the errors name what argparse reads with all of them registered
+    out = [["--help"], ["--version"], ["-h", "reg"], ["--version", "reg"],
+           ["--format=json", "reg", *E2, "--m=0,0"], ["--bogus", "reg"], ["x", "reg"]]
     out += [[name, "--help"] for name in SUBCOMMANDS]
     for argv in VALID:
         out += [argv, [*argv, "--format=json"]]
