@@ -2,8 +2,8 @@
 
 Every invocation produces a single report document, rendered either as a
 human-readable table (default) or as one line of JSON, so batch runs can
-concatenate documents line by line.  The document echoes every flag it
-read.  The table is rendered from the document by one rule set, the same
+concatenate documents line by line.  The document echoes every flag the
+subcommand declares, as argparse read it.  The table is rendered from the document by one rule set, the same
 for every subcommand (``render_table``).  Everything is exact; the only
 floats are the per-check timings of ``verify``.  The values that grow
 fastest, a cohomology dimension, table, Euler characteristic and
@@ -112,13 +112,13 @@ def _check_names(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-# Payload builders: each takes the parsed params and the inputs echoed so far
-# (verify adds its grid) and returns (result, note).  They name library
-# functions through this module's globals when they run, so a function patched
-# here is the one called.
+# Payload builders: each takes the parsed params and returns (result, note);
+# the params themselves are echoed by ``run``.  They name library functions
+# through this module's globals when they run, so a function patched here is
+# the one called.
 
 
-def _cohomology(params: dict, inputs: dict) -> tuple[dict, str]:
+def _cohomology(params: dict) -> tuple[dict, str]:
     E = params["E"]
     profile = product_cohomology(E, params["a"])
     result = {
@@ -132,27 +132,27 @@ def _cohomology(params: dict, inputs: dict) -> tuple[dict, str]:
     return result, "Bott rules + Kunneth formula"
 
 
-def _regular(params: dict, inputs: dict) -> tuple[dict, str]:
+def _regular(params: dict) -> tuple[dict, str]:
     regular = is_regular_formula(params["E"], params["m"], params["p"])
     return {"regular": regular}, "Theorem theo_Lreg"
 
 
-def _oracle(params: dict, inputs: dict) -> tuple[dict, str]:
+def _oracle(params: dict) -> tuple[dict, str]:
     regular = is_regular_oracle(params["E"], params["m"], params["p"])
     return {"regular": regular}, "Definition Lregular, checked degree by degree"
 
 
-def _member(params: dict, inputs: dict) -> tuple[dict, str]:
+def _member(params: dict) -> tuple[dict, str]:
     member = is_regular_formula(params["E"], params["m"], params["p"])
     return {"member": member}, "Proposition regset"
 
 
-def _regset(params: dict, inputs: dict) -> tuple[dict, str]:
+def _regset(params: dict) -> tuple[dict, str]:
     corners = regularity_corners(params["E"], params["m"])
     return {"corners": [c._asdict() for c in corners]}, "Proposition regset"
 
 
-def _reg(params: dict, inputs: dict) -> tuple[dict, str]:
+def _reg(params: dict) -> tuple[dict, str]:
     E, m = params["E"], params["m"]
     value = cm_regularity(E, m)
     result = {"value": value}
@@ -164,14 +164,14 @@ def _reg(params: dict, inputs: dict) -> tuple[dict, str]:
     return result, "Theorem theo_reg"
 
 
-def _segre2(params: dict, inputs: dict) -> tuple[dict, str]:
+def _segre2(params: dict) -> tuple[dict, str]:
     # reg on P^a x P^b under the Segre embedding: the parser reads two
     # entries of each flag, and SegreVeronese refuses dimensions below 1
     E = SegreVeronese(params["dims"], (1, 1))
-    return _reg({"E": E, "m": params["twist"], "explain": False}, inputs)
+    return _reg({"E": E, "m": params["twist"], "explain": False})
 
 
-def _lambda(params: dict, inputs: dict) -> tuple[dict, str]:
+def _lambda(params: dict) -> tuple[dict, str]:
     E = params["E"]
     value = ideal_sheaf_bound(E)
     # case_split_value repeats value until the benchmark stops reading it
@@ -179,17 +179,17 @@ def _lambda(params: dict, inputs: dict) -> tuple[dict, str]:
     return result, "ideal sheaf bound lambda = n + 1 - min floor(l_k/d_k)"
 
 
-def _subadd(params: dict, inputs: dict) -> tuple[dict, str]:
-    E, m, m2 = params["E"], params["m"], params["m2"]
-    if ("p" in params) != ("p2" in params):
+def _subadd(params: dict) -> tuple[dict, str]:
+    E, m, m2, p, p2 = params["E"], params["m"], params["m2"], params["p"], params["p2"]
+    if (p is None) != (p2 is None):
         raise ValueError("--p and --p2 must be given together for the pair-level check")
-    if "p" in params:
-        status = check_pair_subadditivity(E, m, params["p"], m2, params["p2"])
+    if p is not None:
+        status = check_pair_subadditivity(E, m, p, m2, p2)
         return {"status": status}, "Theorem Lregadd"
     return check_subadditivity(E, m, m2)._asdict(), "Theorem Fmreg"
 
 
-def _tate(params: dict, inputs: dict) -> tuple[dict, str]:
+def _tate(params: dict) -> tuple[dict, str]:
     window = tate_window(params["E"], params["m"], params["pad"])
     result = {
         "p_minus": window.p_minus,
@@ -203,7 +203,7 @@ def _tate(params: dict, inputs: dict) -> tuple[dict, str]:
     return result, "Tate term formula tate_form"
 
 
-def _endpoints(params: dict, inputs: dict) -> tuple[dict, str]:
+def _endpoints(params: dict) -> tuple[dict, str]:
     E, m = params["E"], params["m"]
     hi, lo = cm_regularity(E, m), p_minus(E, m)
     result = {"p_plus": hi, "p_minus": lo, "length": hi - lo, "dual_twist": list(dual_twist(E, m))}
@@ -213,7 +213,7 @@ def _endpoints(params: dict, inputs: dict) -> tuple[dict, str]:
     return result, "Tate endpoint theorem: p+ = reg(m), p- = -reg(dual twist)"
 
 
-def _verify(params: dict, inputs: dict) -> tuple[dict, str]:
+def _verify(params: dict) -> tuple[dict, str]:
     from . import verify  # loaded for ``svreg verify`` only
 
     names = params["checks"]
@@ -221,8 +221,8 @@ def _verify(params: dict, inputs: dict) -> tuple[dict, str]:
     fields = {k: v for k, v in params.items() if k != "checks" and v is not None}
     config = verify.VerifyConfig(**fields)
     results = verify.run_checks(config, names)
-    inputs.update(vars(config), checks=names or list(verify.CHECKS))
     result = {
+        "grid": vars(config),
         "ok": all(res.ok for res in results),
         "checks": [res.as_dict() for res in results],
         "total_instances": sum(res.instances for res in results),
@@ -234,10 +234,12 @@ class _Command(NamedTuple):
     """One subcommand, described once: the parser, parse_args and run loop
     over these.  Its flags are (name, argparse keywords) in --help, parsing
     and echo order; each that takes a value has a ``type`` that reads it.
-    A subcommand with --l and --d gets the embedding they describe."""
+    Every flag reaches the params and the echo as argparse read it, None
+    when left out without a default; a subcommand with --l and --d gets
+    the embedding they describe instead, echoed as l and d."""
 
     help: str
-    build: Callable[[dict, dict], tuple[dict, str]]
+    build: Callable[[dict], tuple[dict, str]]
     flags: tuple[tuple[str, dict[str, Any]], ...]
 
 
@@ -275,9 +277,7 @@ _COMMANDS: dict[str, _Command] = {
     "lambda": _Command("regularity bound for the ideal sheaf of the image", _lambda, _vectors("l", "d")),
     "subadd": _Command(
         "subadditivity check; add --p/--p2 for the pair-level form", _subadd,
-        # a pair flag left out is left out of the params too
-        (*_vectors("l", "d", "m", "m2"),
-         *((f"--{name}", dict(type=_int_list, default=argparse.SUPPRESS)) for name in ("p", "p2"))),
+        (*_vectors("l", "d", "m", "m2"), *((f"--{name}", dict(type=_int_list)) for name in ("p", "p2"))),
     ),
     "tate": _Command(
         "Tate resolution columns around the interesting window", _tate,
@@ -293,11 +293,10 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
-def _build_parser(invoked: str | None, alone: bool) -> _Parser:
-    """The parser, with flags only for the ``invoked`` subcommand.  The
-    others are registered with their help, for the top-level ``--help`` and
-    the invalid-choice error, unless ``invoked`` is to be registered
-    ``alone``: building them would be wasted on a one-shot call."""
+def _build_parser(invoked: str | None) -> _Parser:
+    """The parser of an argv that starts with ``invoked``: that subcommand
+    alone when it is one, as on every one-shot call, else every subcommand
+    with all its flags, for the top-level ``--help`` and errors."""
     parser = _Parser(
         prog="svreg",
         usage=f"%(prog)s [-h] [--version] {{{','.join(_COMMANDS)}}} ...",
@@ -311,10 +310,9 @@ def _build_parser(invoked: str | None, alone: bool) -> _Parser:
     parser.add_argument("--version", action="version", version=f"svreg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, prog="svreg")
     for name, command in _COMMANDS.items():
-        if name == invoked or not alone:
-            p = sub.add_parser(name, help=command.help, description=command.help)
-        if name != invoked:
+        if invoked in _COMMANDS and name != invoked:
             continue
+        p = sub.add_parser(name, help=command.help, description=command.help)
         p.add_argument("--format", choices=("table", "json"), default="table")
         for flag, settings in command.flags:
             p.add_argument(flag, **settings)
@@ -329,15 +327,9 @@ def parse_args(argv: list[str]) -> CliRequest:
     done, with a ValueError too: SegreVeronese here, the others (segre2's
     SegreVeronese and VerifyConfig among them) when the payload builders
     run."""
-    # the top-level parser has no option that takes a value, so its first
-    # positional argument is the subcommand; an argv that starts with it can
-    # reach neither the top-level help nor the invalid-choice error
-    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
-    ns = vars(_build_parser(invoked, argv[:1] == [invoked] and invoked in _COMMANDS).parse_args(argv))
-    # copied in flag order: argparse adds a flag whose default it suppresses
-    # only when given, after the others
+    ns = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
     dests = (flag[2:].replace("-", "_") for flag, _ in _COMMANDS[ns["command"]].flags)
-    params = {dest: ns[dest] for dest in dests if dest in ns}
+    params = {dest: ns[dest] for dest in dests}
     if "l" in params:
         l, d = params.pop("l"), params.pop("d")
         params = {"E": SegreVeronese(l, (1,) * len(l) if d is None else d), **params}
@@ -354,7 +346,7 @@ def run(request: CliRequest) -> tuple[ReportDocument, int]:
             inputs.update(l=list(value.l), d=list(value.d))
         else:
             inputs[key] = list(value) if isinstance(value, tuple) else value
-    result, note = _COMMANDS[request.command].build(params, inputs)
+    result, note = _COMMANDS[request.command].build(params)
     code = 2 if result.get("ok") is False else 0  # a verify check found a counterexample
     return ReportDocument(request.command, inputs, result, note, __version__), code
 

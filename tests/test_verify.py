@@ -477,9 +477,13 @@ def test_draws_follow_the_randint_stream(monkeypatch):
     pairs = [tuple(tuple(rng.randint(lo, hi) for _ in range(2)) for _ in range(2)) for _ in range(config.subadd_pairs)]
     assert drawn == pairs
 
+    # each sample's first call draws its pair; the two after it lower one
+    # of the pair to below its corner, which must miss the hypothesis
     drawn = []
-    monkeypatch.setattr(regularity, "check_pair_subadditivity", lambda *args: drawn.append(args[1:]) or "holds")
+    answers = itertools.cycle(["holds", "hypothesis-not-met", "hypothesis-not-met"])
+    monkeypatch.setattr(regularity, "check_pair_subadditivity", lambda *args: drawn.append(args[1:]) or next(answers))
     assert list(verify._pair_subadditivity(config, E)) == [None] * config.pair_samples
+    drawn = drawn[::3]
     rng = random.Random(f"{config.seed}|pairs|{E.l}|{E.d}")
     quads = []
     for _ in range(config.pair_samples):
@@ -829,6 +833,31 @@ def test_each_subadditivity_check_catches_a_fault_in_its_route(monkeypatch, cpus
     assert (pairs.failures, pairs.instances) == (1487, 4000)
     ce = pairs.counterexample
     assert (ce["m"], ce["p"], ce["m2"], ce["p2"], ce["status"]) == ([2], [-1], [-3], [5], "fails")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pair_subadditivity_catches_a_hypothesis_that_is_too_weak(monkeypatch, cpus):
+    # every sample lowers each of its pairs to one step below its corner, so
+    # a hypothesis met by either pair, or read off the first pair alone,
+    # passes a lowered pair on and fails every sample
+    real = regularity.is_regular_formula
+
+    def weakened(met):
+        def check(E, m, p, m2, p2):
+            if not met(real(E, m, p), real(E, m2, p2)):
+                return "hypothesis-not-met"
+            return "holds" if real(E, tuple(map(sum, zip(m, m2))), tuple(map(sum, zip(p, p2)))) else "fails"
+        return check
+
+    # on l = d = (1,), m = -1 and m2 = -2 have the corners 1 and 2
+    reason = "a pair below a corner met the hypothesis"
+    for met, p, p2, status in ((lambda a, b: a or b, [0], [2], "fails"), (lambda a, b: a, [3], [1], "holds")):
+        monkeypatch.setattr(regularity, "check_pair_subadditivity", weakened(met))
+        (result,) = run_on(cpus, monkeypatch, SMALL, ["pair-subadditivity"])
+        assert (result.failures, result.instances) == (4000, 4000)
+        assert result.counterexample == {
+            "l": [1], "d": [1], "m": [-1], "p": p, "m2": [-2], "p2": p2, "status": status, "reason": reason
+        }
 
 
 def test_dual_twist_that_is_not_an_involution_is_a_counterexample(monkeypatch):
