@@ -3,11 +3,12 @@
 Every invocation produces a single report document, rendered either as a
 human-readable table (default) or as one line of JSON, so batch runs can
 concatenate documents line by line.  The document echoes every flag the
-subcommand declares, as argparse read it.  The table is rendered from the document by one rule set, the same
-for every subcommand (``render_table``).  Everything is exact; the only
-floats are the per-check timings of ``verify``.  The values that grow
-fastest, a cohomology dimension, table, Euler characteristic and
-ambient dimension and a Tate rank, are serialized as decimal strings.
+subcommand declares, as argparse read it.  The table is rendered from the
+document by one rule set, the same for every subcommand
+(``render_table``).  Everything is exact; the only floats are the
+per-check timings of ``verify``.  The values that grow fastest, a
+cohomology dimension, table, Euler characteristic and ambient dimension
+and a Tate rank, are serialized as decimal strings.
 Every other integer is a JSON number, which can outgrow 64 bits as well
 (a ``regset`` corner, a ``reg`` value on int64 inputs), so read it with
 a parser that keeps integers exact.
