@@ -15,13 +15,19 @@ a parser that keeps integers exact.
 
 This module only reads the flags and renders the library's answers.
 argparse reads and converts every flag, from one list per subcommand
-(``_COMMANDS``): integers, list entries in signed 64 bits, ``segre2``'s
-two-entry pairs and required flags.  A value outside the domain of the
-record or call it feeds (``SegreVeronese``, ``VerifyConfig``,
-``tate_window``), a vector of the wrong length among them, or over its
-cost limits, is refused by it before any work is done; ``subadd`` refuses
-a ``--p`` given without ``--p2`` or the reverse.  Both kinds of refusal
-are a ValueError, reported in one line on stderr.
+(``_COMMANDS``), and each flag that takes a value has a ``type`` that
+reads it, so a badly written value is refused naming its flag
+(``argument --m: expects a comma-separated integer list, got '0,x'``):
+integers, list entries in signed 64 bits, ``segre2``'s two-entry pairs,
+``--format`` and required flags.  An argv whose first entry is neither
+an option nor a subcommand is refused by ``parse_args`` before any parser
+is built.  The CLI keeps no limit of its own and counts no vector's
+entries.  A value outside the domain of the record or call it feeds
+(``SegreVeronese``, ``VerifyConfig``, ``run_checks``, ``tate_window``), a
+vector of the wrong length among them, or over its cost limits, is
+refused by it before any work is done, in its own words; ``subadd``
+refuses a ``--p`` given without ``--p2`` or the reverse.  Every refusal is
+a ValueError, reported in one line on stderr.
 
 Exit codes: 0 success, 1 usage or input error, 2 a verification check
 found a counterexample, 3 an internal error (a broken invariant the
@@ -107,6 +113,12 @@ def _int_pair(text: str) -> tuple[int, ...]:
     if len(values) != 2:
         raise argparse.ArgumentTypeError(f"expects two comma-separated integers, got {text!r}")
     return values
+
+
+def _format(text: str) -> str:
+    if text not in ("table", "json"):
+        raise argparse.ArgumentTypeError(f"expects table or json, got {text!r}")
+    return text
 
 
 def _check_names(text: str) -> list[str]:
@@ -233,11 +245,15 @@ def _verify(params: dict) -> tuple[dict, str]:
 
 class _Command(NamedTuple):
     """One subcommand, described once: the parser, parse_args and run loop
-    over these.  Its flags are (name, argparse keywords) in --help, parsing
-    and echo order; each that takes a value has a ``type`` that reads it.
-    Every flag reaches the params and the echo as argparse read it, None
-    when left out without a default; a subcommand with --l and --d gets
-    the embedding they describe instead, echoed as l and d."""
+    over these, so a new subcommand is one entry and its builder.  Its
+    flags are (name, argparse keywords) in --help, parsing and echo order;
+    each that takes a value has a ``type`` that reads it.  Every flag
+    reaches the params and the echo as argparse read it, None when left out
+    without a default; a subcommand with --l and --d gets the embedding
+    they describe instead, echoed as l and d.  The builder takes the params
+    alone and returns (result, note): the answer only, so ``verify``
+    reports the grid it ran as ``result["grid"]``.  A rule that ties flags
+    together lives in the builder of its subcommand."""
 
     help: str
     build: Callable[[dict], tuple[dict, str]]
@@ -314,20 +330,23 @@ def _build_parser(invoked: str | None) -> _Parser:
         if invoked in _COMMANDS and name != invoked:
             continue
         p = sub.add_parser(name, help=command.help, description=command.help)
-        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.add_argument("--format", type=_format, default="table", metavar="{table,json}")
         for flag, settings in command.flags:
             p.add_argument(flag, **settings)
     return parser
 
 
 def parse_args(argv: list[str]) -> CliRequest:
-    """Read argv into a CliRequest; raises ValueError naming the flag that
-    is missing or badly written, as argparse words it.  Values outside the
-    domain of a record or library call, a vector of the wrong length among
-    them, or over its cost limits, are refused by it before any work is
-    done, with a ValueError too: SegreVeronese here, the others (segre2's
-    SegreVeronese and VerifyConfig among them) when the payload builders
-    run."""
+    """Read argv into a CliRequest; raises ValueError naming an unknown
+    subcommand, or the flag that is missing or badly written.  Values
+    outside the domain of a record or library call, a vector of the wrong
+    length among them, or over its cost limits, are refused by it before
+    any work is done, with a ValueError too: SegreVeronese here, the others
+    (segre2's SegreVeronese, VerifyConfig and run_checks among them) when
+    the payload builders run.  ``verify`` builds its config before it runs
+    the checks, so a bad grid is reported before a bad check name."""
+    if argv and argv[0] not in _COMMANDS and not argv[0].startswith("-"):
+        raise ValueError(f"unknown subcommand {argv[0]!r}; available: {', '.join(_COMMANDS)}")
     ns = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
     dests = (flag[2:].replace("-", "_") for flag, _ in _COMMANDS[ns["command"]].flags)
     params = {dest: ns[dest] for dest in dests}
@@ -382,12 +401,14 @@ def _rows(record: dict) -> list[dict]:
 
 def render_table(doc: ReportDocument) -> str:
     """Human-readable rendering of a report document, by one rule set for
-    every subcommand: a list of records is a table headed by their keys,
-    with one row per entry of a list of records a record holds; any other
-    value is a ``key: value`` line, a list comma-joined, a record as
-    ``k=v`` pairs, a float to 3 decimals."""
-    lines = [f"command: {doc.command}"]
-    for key, value in (*doc.inputs.items(), *doc.result.items()):
+    every subcommand: the echoed inputs are one ``inputs:`` record line,
+    so no input shares a label with a result key.  In the result, a list
+    of records is a table headed by their keys, with one row per entry of
+    a list of records a record holds; any other value is a ``key: value``
+    line, a list comma-joined, a record as ``k=v`` pairs, a float to 3
+    decimals."""
+    lines = [f"command: {doc.command}", f"inputs: {_cell(doc.inputs)}"]
+    for key, value in doc.result.items():
         if not _records(value):
             lines.append(f"{key}: {_cell(value)}")
             continue

@@ -1,7 +1,9 @@
 """CLI tests: parsing, exit codes, document shape and output stability."""
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -84,9 +86,15 @@ class TestParseArgs:
         with pytest.raises(ValueError, match="64-bit"):
             cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", f"0,{big}"])
 
-    def test_unknown_subcommand_rejected(self):
-        with pytest.raises(ValueError):
-            cli.parse_args(["frobnicate"])
+    def test_unknown_subcommand_rejected(self, monkeypatch):
+        # in svreg's words, whatever the interpreter's argparse prints, and
+        # before any parser is built
+        monkeypatch.setattr(cli, "_build_parser", None)
+        available = ", ".join(cli._COMMANDS)
+        for argv in (["frobnicate"], ["x", "reg"]):
+            message = f"unknown subcommand '{argv[0]}'; available: {available}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cli.parse_args(argv)
 
     def test_caps_flag_is_gone(self):
         # and so are verify's sample counts of the subadditivity checks
@@ -99,11 +107,18 @@ class TestParseArgs:
                 cli.parse_args(argv)
 
     def test_every_flag_that_takes_a_value_has_a_type(self):
-        # argparse converts every value, so no payload builder reads a raw string
-        for name, command in cli._COMMANDS.items():
-            for flag, settings in command.flags:
-                if settings.get("action") != "store_true":
-                    assert callable(settings.get("type")), f"{name} {flag}"
+        # argparse converts every value, so no payload builder reads a raw
+        # string; read off the parser, so that --format, which every
+        # subcommand gets outside _COMMANDS, is held to it too
+        (sub,) = [a for a in cli._build_parser(None)._actions if isinstance(a, argparse._SubParsersAction)]
+        valued = [
+            (name, action)
+            for name, parser in sub.choices.items()
+            for action in parser._actions
+            if action.option_strings and action.nargs != 0
+        ]
+        assert [f"{name} {a.option_strings[0]}" for name, a in valued if not callable(a.type)] == []
+        assert sum(a.option_strings == ["--format"] for _, a in valued) == len(cli._COMMANDS)
 
     def test_negative_entries_with_equals_form(self):
         request = cli.parse_args(["member", "--l=1,1", "--d=1,1", "--m=-2,3", "--p=-1,-1"])
@@ -648,7 +663,7 @@ class TestMain:
         [
             # about 4,500 CPU-s at 46 us an instance
             (["--checks=tate-endpoints", "--r3-samples=99000000"], dict(r3_samples=99_000_000), "tate-endpoints"),
-            # one step past the widest boxes README's weight table admits:
+            # one step past the widest boxes the weights in verify.CHECKS admit:
             # 121.6M units, about 280 CPU-s, and 100.9M units
             (
                 ["--box=-17,17", "--r3-samples=0", "--checks=formula-vs-oracle"],

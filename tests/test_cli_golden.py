@@ -207,13 +207,14 @@ def test_outputs_match_golden(group):
 @pytest.mark.parametrize("argv", VALID, ids=lambda argv: " ".join(argv))
 def test_table_shows_every_result_key(argv):
     # the table is rendered from the document: no result key is renamed or
-    # left out on the way
+    # left out on the way, and none shares its label with the input echo
     with _contract_env():
         code, table, _ = capture(argv)
         _, document, _ = capture([*argv, "--format=json"])
     assert code == 0
-    labels = {line.split(":")[0] for line in table.splitlines() if not line.startswith(" ")}
-    assert set(json.loads(document)["result"]) <= labels
+    labels = [line.split(":")[0] for line in table.splitlines() if not line.startswith(" ")]
+    assert set(json.loads(document)["result"]) <= set(labels)
+    assert len(labels) == len(set(labels))
 
 
 if __name__ == "__main__":
