@@ -1,5 +1,5 @@
 """What importing svreg loads, the names it resolves on first use, the
-one route per library call, and the limits README quotes."""
+one route per library call, and the limits and CLI examples README quotes."""
 import ast
 import importlib
 import os
@@ -245,6 +245,24 @@ def test_readme_quotes_every_limit(module, name, phrase):
     with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
         readme = " ".join(f.read().split())
     assert phrase.format(written(value)) in readme
+
+
+def test_readme_cli_examples_are_accepted(monkeypatch):
+    # README keeps its CLI examples and cites svreg.cli and verify.CHECKS for
+    # the rules: each example is accepted by every call that refuses input,
+    # and gives the answer its comment states; verify's shards are not run
+    from svreg import cli, verify
+
+    monkeypatch.setattr(verify, "_pooled", lambda tasks: [])
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
+        examples = re.findall(r"(?m)^svreg ([^#\n]*)#?(.*)$", f.read())
+    assert len(examples) == 15
+    for flags, comment in examples:
+        document, code = cli.run(cli.parse_args(flags.split()))
+        assert code == 0, flags
+        stated = re.search(r": (-?\d+)$", comment.strip())
+        if stated:
+            assert document.result["value"] == int(stated.group(1)), flags
 
 
 def test_every_check_entry_hashes():
