@@ -19,15 +19,17 @@ argparse reads and converts every flag, from one list per subcommand
 reads it, so a badly written value is refused naming its flag
 (``argument --m: expects a comma-separated integer list, got '0,x'``):
 integers, list entries in signed 64 bits, ``segre2``'s two-entry pairs,
-``--format`` and required flags.  An argv whose first entry is neither
-an option nor a subcommand is refused by ``parse_args`` before any parser
-is built.  The CLI keeps no limit of its own and counts no vector's
-entries.  A value outside the domain of the record or call it feeds
-(``SegreVeronese``, ``VerifyConfig``, ``run_checks``, ``tate_window``), a
-vector of the wrong length among them, or over its cost limits, is
-refused by it before any work is done, in its own words; ``subadd``
-refuses a ``--p`` given without ``--p2`` or the reverse.  Every refusal is
-a ValueError, reported in one line on stderr.
+``--format`` and required flags.  One rule decides the first entry of
+argv: a subcommand, ``-h``, ``--help`` or ``--version``; ``parse_args``
+refuses any other in svreg's own words, before any parser is built, so
+argparse never reads an unknown first entry.  The CLI keeps no limit of
+its own and counts no vector's entries.  A value outside the domain of
+the record or call it feeds (``SegreVeronese``, ``VerifyConfig``,
+``run_checks``, ``tate_window``), a vector of the wrong length among
+them, or over its cost limits, is refused by it before any work is done,
+in its own words; ``subadd`` refuses a ``--p`` given without ``--p2`` or
+the reverse.  Every refusal is a ValueError, reported in one line on
+stderr.
 
 Exit codes: 0 success, 1 usage or input error, 2 a verification check
 found a counterexample, 3 an internal error (a broken invariant the
@@ -313,7 +315,9 @@ _COMMANDS: dict[str, _Command] = {
 def _build_parser(invoked: str | None) -> _Parser:
     """The parser of an argv that starts with ``invoked``: that subcommand
     alone when it is one, as on every one-shot call, else every subcommand
-    with all its flags, for the top-level ``--help`` and errors."""
+    with all its flags.  ``parse_args`` admits no other first entry than
+    a subcommand, ``-h``, ``--help`` or ``--version``, so the second form
+    serves only the top-level help, the version and the empty argv."""
     parser = _Parser(
         prog="svreg",
         usage=f"%(prog)s [-h] [--version] {{{','.join(_COMMANDS)}}} ...",
@@ -338,14 +342,18 @@ def _build_parser(invoked: str | None) -> _Parser:
 
 def parse_args(argv: list[str]) -> CliRequest:
     """Read argv into a CliRequest; raises ValueError naming an unknown
-    subcommand, or the flag that is missing or badly written.  Values
+    subcommand, or the flag that is missing or badly written.  A non-empty
+    argv must start with a subcommand or with ``-h``, ``--help`` or
+    ``--version``, which print and exit 0; any other first entry, an
+    option, ``-`` or a negative number among them, is refused as an
+    unknown subcommand before any parser is built.  Values
     outside the domain of a record or library call, a vector of the wrong
     length among them, or over its cost limits, are refused by it before
     any work is done, with a ValueError too: SegreVeronese here, the others
     (segre2's SegreVeronese, VerifyConfig and run_checks among them) when
     the payload builders run.  ``verify`` builds its config before it runs
     the checks, so a bad grid is reported before a bad check name."""
-    if argv and argv[0] not in _COMMANDS and not argv[0].startswith("-"):
+    if argv and argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help", "--version"):
         raise ValueError(f"unknown subcommand {argv[0]!r}; available: {', '.join(_COMMANDS)}")
     ns = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
     dests = (flag[2:].replace("-", "_") for flag, _ in _COMMANDS[ns["command"]].flags)

@@ -86,15 +86,26 @@ class TestParseArgs:
         with pytest.raises(ValueError, match="64-bit"):
             cli.parse_args(["reg", "--l", "1,1", "--d", "1,1", "--m", f"0,{big}"])
 
-    def test_unknown_subcommand_rejected(self, monkeypatch):
+    def test_unknown_subcommand_rejected(self, monkeypatch, capsys):
         # in svreg's words, whatever the interpreter's argparse prints, and
-        # before any parser is built
+        # before any parser is built: any first entry but a subcommand, -h,
+        # --help and --version, whether argparse would read it as a
+        # positional (-1, -), an option or an abbreviation of one (--vers)
         monkeypatch.setattr(cli, "_build_parser", None)
         available = ", ".join(cli._COMMANDS)
-        for argv in (["frobnicate"], ["x", "reg"]):
+        reg = ["reg", "--l=1,1", "--d=1,1", "--m=0,0"]
+        for argv in (["frobnicate"], ["x", "reg"], ["-1"], ["-"], ["--bogus"], ["--bogus", "x"], ["--vers"],
+                     ["--format=json", *reg]):
             message = f"unknown subcommand '{argv[0]}'; available: {available}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 cli.parse_args(argv)
+        # help and the version still reach argparse, whatever follows them
+        monkeypatch.undo()
+        for argv, printed in ((["-h", "reg"], "usage: svreg [-h] [--version] {"), (["--version", "reg"], "svreg ")):
+            with pytest.raises(SystemExit) as exc:
+                cli.parse_args(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith(printed)
 
     def test_caps_flag_is_gone(self):
         # and so are verify's sample counts of the subadditivity checks
