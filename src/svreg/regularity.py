@@ -85,8 +85,8 @@ def is_regular_formula(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> 
     r = len(E.l)
     if r == 2:
         # the box walk's r: the unpack is the length check and reads the
-        # entries, 222 ns a call on CPython 3.11 against 249 for len() and
-        # four subscripts
+        # entries, 360 ns a warm call on CPython 3.11 (2-vCPU Xeon) against
+        # 650 through the len() checks and tuple(map(operator.add, m, p))
         try:
             (m0, m1), (p0, p1) = m, p
         except ValueError:
@@ -113,7 +113,7 @@ def is_regular_oracle(E: SegreVeronese, m: Sequence[int], p: Sequence[int]) -> b
     """
     l = E.l
     r = len(l)
-    if r == 2:  # unpacked as in is_regular_formula: 214 ns a call against 238
+    if r == 2:  # unpacked as in is_regular_formula: 350 ns a warm call against 640
         try:
             (m0, m1), (p0, p1) = m, p
         except ValueError:

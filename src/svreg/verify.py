@@ -8,10 +8,11 @@ Sampled instances are drawn through ``_drawer``, from a ``random.Random``
 seeded off the configuration and a key of each stream's own, so reruns
 are reproducible.
 
-A check's grid is cut into shards that follow its iteration order: one per
-embedding for the pair and point grids, then slices of the r=3 samples,
-each drawn from a seed of its own; one per (r, l) for cohomology; one per
-factor count for sorted-vs-subsets; a single shard for the small checks.
+A check's grid is cut into shards that follow its iteration order, and
+every shard is an embedding, a seeded stream or a fixed family: one per
+embedding for the pair and point grids, then one holding all the r=3
+samples; one per (r, l) for cohomology; one per factor count for
+sorted-vs-subsets; a single shard for the small checks.
 The two pair checks share one walk of the pair grid, which calls the
 closed form once per pair and compares it with each route named.  The
 shards of every check named run on one pool of forked workers per run,
@@ -43,7 +44,6 @@ from .cohomology import SegreVeronese
 
 EMBEDDING_R = (1, 2)  # factor counts of the exhaustive embedding grids
 COHOMOLOGY_R = (1, 2, 3)  # factor counts of the cohomology grid
-R3_SLICE = 1000  # seeded r=3 samples per shard
 SUBSET_R = range(4, 13)  # factor counts of the sorted-vs-subsets samples
 SUBSET_SAMPLES = 20  # sorted-vs-subsets samples per factor count
 SEGRE_DIMS = range(1, 4)  # a and b of P^a x P^b in segre-r2
@@ -142,8 +142,8 @@ def _box_range(config: VerifyConfig) -> range:
 def _drawer(config: VerifyConfig, key: str) -> tuple[random.Random, Callable, Callable[[int], tuple]]:
     """A generator seeded by ``config.seed`` and ``key`` alone, so each
     stream is drawn on its own; its ``randrange``; and a drawer of one
-    r-entry box twist.  The keys are ``r3|{start}``, ``subsets|{r}``,
-    ``subadd|{l}|{d}`` and ``pairs|{l}|{d}``."""
+    r-entry box twist.  The keys are ``r3``, ``subsets|{r}``,
+    ``subadd|{l}|{d}`` and ``pairs|{l}|{d}``, each drawn by one shard."""
     rng = random.Random(f"{config.seed}|{key}")
     draw = rng.randrange
     box = _box_range(config)
@@ -176,9 +176,8 @@ def _box(config: VerifyConfig, k: int) -> int:
 
 def _grid(config: VerifyConfig) -> list[SegreVeronese | range]:
     """Shards of the pair and point grids in iteration order: every
-    embedding, then consecutive ranges of the r=3 samples."""
-    n = config.r3_samples
-    return [*_embeddings(config), *(range(i, min(i + R3_SLICE, n)) for i in range(0, n, R3_SLICE))]
+    embedding, then one range of all the r=3 samples, one stream."""
+    return [*_embeddings(config), range(config.r3_samples)]
 
 
 def _pair_groups(
@@ -190,7 +189,7 @@ def _pair_groups(
     ``itertools.product`` order, which ``_dominated`` follows: the box, or
     the sample's point."""
     if isinstance(unit, range):
-        samples = _samples(config, f"r3|{unit.start}", 3, len(unit))
+        samples = _samples(config, "r3", 3, len(unit))
         return ((E, m, (p,), tuple([range(pk, pk + 1) for pk in p])) for E, m, p in samples)
     span = (_box_range(config),) * unit.r
     pts = list(itertools.product(*span))
@@ -589,7 +588,7 @@ def _available_cpus() -> int:
 def _worker_count(shards: int) -> int:
     """Processes to run ``shards`` shards on: one per available CPU, at
     most one per shard."""
-    return max(1, min(_available_cpus(), shards))
+    return min(_available_cpus(), shards)
 
 
 def _pooled(tasks: list) -> list[list[CheckResult]]:
@@ -632,7 +631,7 @@ def _scan_weight(config: VerifyConfig) -> int:
 # so MAX_INSTANCES units last 27-84 CPU-s, depending on the checks named.
 # The costs quoted are CPU time per instance of the check run alone in one
 # process, on one core of a 2-vCPU Xeon VM, at the reference grid unless
-# stated.  An r=3 sample's come from its shards alone, at lmax = dmax
+# stated.  An r=3 sample's come from its shard alone, at lmax = dmax
 # in 1, 3, 8 on the boxes 0..0 and -8..8, and in pairs: the cost of one
 # reference box pair of the same check, or of formula-vs-oracle for
 # tate-endpoints.
