@@ -129,9 +129,12 @@ class CohomologyProfile(_Profile):
 
     def table(self, n: int) -> list[int]:
         """The flat view [h^0, ..., h^n], mostly zeros."""
-        if self.degree is not None and self.degree > n:
-            raise ValueError(f"profile degree {self.degree} exceeds table size {n}")
-        return [self.h(i) for i in range(n + 1)]
+        table = [0] * (n + 1)
+        if self.degree is not None:
+            if self.degree > n:
+                raise ValueError(f"profile degree {self.degree} exceeds table size {n}")
+            table[self.degree] = self.dimension
+        return table
 
     @property
     def euler_characteristic(self) -> int:

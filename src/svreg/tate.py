@@ -56,7 +56,7 @@ def dual_twist(E: SegreVeronese, m: Sequence[int]) -> tuple[int, ...]:
     if len(m) != len(E.l):
         _check_lengths(E, m=m)
     n = E.n
-    return tuple(-mk + n * dk - lk - 1 for mk, lk, dk in zip(m, E.l, E.d))
+    return tuple([-mk + n * dk - lk - 1 for mk, lk, dk in zip(m, E.l, E.d)])
 
 
 def p_minus(E: SegreVeronese, m: Sequence[int]) -> int:

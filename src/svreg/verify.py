@@ -317,11 +317,29 @@ def _factor_table(l: int, j: int) -> list[int]:
     return table
 
 
+def _euler_factor(l: int, a: int) -> int:
+    """chi(O(a)) on P^l by the polynomial, not through the profile:
+    (a+1)(a+2)...(a+l) / l!, exact since l consecutive integers have a
+    product divisible by l!, and signed for negative a."""
+    return math.prod(range(a + 1, a + l + 1)) // math.factorial(l)
+
+
 def _euler_polynomial(l: Sequence[int], a: Sequence[int]) -> int:
-    """chi(O(a)) by the polynomial, not through the profile: the product of
-    (a_k+1)(a_k+2)...(a_k+l_k) / l_k!, exact since l_k consecutive integers
-    have a product divisible by l_k!, and signed for negative a_k."""
-    return math.prod(math.prod(range(ak + 1, ak + lk + 1)) // math.factorial(lk) for lk, ak in zip(l, a))
+    """chi(O(a)) on the product of the P^{l_k}: the product of the factors'
+    ``_euler_factor``."""
+    return math.prod(map(_euler_factor, l, a))
+
+
+def _convolve(conv: list[int], table: list[int]) -> list[int]:
+    """One step of the Kunneth convolution: the table of a product with
+    table ``conv``, times one more factor with table ``table``."""
+    new = [0] * (len(conv) + len(table) - 1)
+    for i, ci in enumerate(conv):
+        if ci:
+            for j, tj in enumerate(table):
+                if tj:
+                    new[i + j] += ci * tj
+    return new
 
 
 def _kunneth_table(l: Sequence[int], a: Sequence[int]) -> list[int]:
@@ -329,23 +347,18 @@ def _kunneth_table(l: Sequence[int], a: Sequence[int]) -> list[int]:
     convolution of the factor tables, without the concentration shortcut."""
     conv = [1]
     for lk, ak in zip(l, a):
-        t = _factor_table(lk, ak)
-        new = [0] * (len(conv) + lk)
-        for i, ci in enumerate(conv):
-            if ci:
-                for j, tj in enumerate(t):
-                    if tj:
-                        new[i + j] += ci * tj
-        conv = new
+        conv = _convolve(conv, _factor_table(lk, ak))
     return conv
 
 
-def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
+def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...], conv: list[int], polynomial: int) -> dict | None:
     """The profile of O(a), the profile of its Serre dual twist and chi,
     read off the first profile and by the polynomial, each compared once
-    with a Kunneth convolution of the factor tables."""
+    with ``conv``, the Kunneth convolution of the factor tables of O(a).
+    ``conv`` and ``polynomial``, chi by the polynomial, are those of
+    ``_kunneth_table(E.l, a)`` and ``_euler_polynomial(E.l, a)``;
+    ``_cohomology`` passes them built from its head's shared values."""
     n = E.n
-    conv = _kunneth_table(E.l, a)
     profile = cohomology.product_cohomology(E, a)
     # table(n) refuses a degree over n, which only a library fault yields:
     # for this profile and the dual one below, it is a counterexample
@@ -357,7 +370,6 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
         return _instance(E, a=a, reason="Serre duality violated", dual=dual, dual_profile=dual_profile)
     alternating = sum(conv[::2]) - sum(conv[1::2])
     chi = profile.euler_characteristic
-    polynomial = _euler_polynomial(E.l, a)
     if chi != alternating or polynomial != alternating:
         reason = "Euler characteristic disagrees"
         return _instance(E, a=a, reason=reason, chi=chi, polynomial=polynomial, alternating=alternating)
@@ -365,8 +377,22 @@ def _cohomology_failure(E: SegreVeronese, a: tuple[int, ...]) -> dict | None:
 
 
 def _cohomology(config: VerifyConfig, l: tuple[int, ...]) -> Iterator[dict | None]:
+    """Every twist a of the box on the product of the P^{l_k}, in
+    ``itertools.product`` order.  The twists of one head, the entries of
+    the leading r - 1 factors, share the head's convolution and Euler
+    product, which are built once and extended by the last factor's table
+    and ``_euler_factor`` for each twist; the walk holds one head at a
+    time."""
     E = SegreVeronese(l, (1,) * len(l))
-    return (_cohomology_failure(E, a) for a in itertools.product(_box_range(config), repeat=E.r))
+    box = _box_range(config)
+    *lead, last = l
+    for head in itertools.product(box, repeat=len(lead)):
+        conv = _kunneth_table(lead, head)
+        polynomial = _euler_polynomial(lead, head)
+        for a_last in box:
+            a = (*head, a_last)
+            tail_conv = _convolve(conv, _factor_table(last, a_last))
+            yield _cohomology_failure(E, a, tail_conv, polynomial * _euler_factor(last, a_last))
 
 
 def _segre_regularity(a: int, b: int, k: int, l: int) -> int:
@@ -620,7 +646,7 @@ class _Check(NamedTuple):
 def _scan_weight(config: VerifyConfig) -> int:
     """The 2 bound + 4 oracle calls the minimal-twist scan of a box point
     may make, bound = n + max(|m_k| + l_k) + 2 <= 4 lmax + max(|lo|, |hi|)
-    + 2 since n <= 3 lmax: 20 us at the reference's weight 48."""
+    + 2 since n <= 3 lmax: 22-26 us at the reference's weight 48."""
     return 2 * (4 * config.lmax + max(map(abs, config.box)) + 2) + 4
 
 
@@ -643,7 +669,8 @@ CHECKS: dict[str, _Check] = {
         _cohomology,
         lambda config: [l for r in COHOMOLOGY_R for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
         # its convolution and duality tables run over up to n + 1 <= 3 lmax + 1
-        # degrees: 7.2-7.3 us at lmax 3, 7.1-7.3 at 1 and 7.9-10.1 at 8 on the
+        # degrees, and the twists of one head share its convolution and Euler
+        # product: 5.7-6.9 us at lmax 3, 5.7-6.2 at 1 and 6.2-6.5 at 8 on the
         # box -2..2
         lambda config: [
             (sum((config.lmax * (box.stop - box.start)) ** r for r in COHOMOLOGY_R), 2 * config.lmax + 13)
@@ -673,8 +700,8 @@ CHECKS: dict[str, _Check] = {
     "minimal-twist": _Check(
         _minimal_twist,
         _grid,
-        # an r=3 point scans as far, with costlier oracle calls: 17-44, 51-77
-        # and 183-208 us at lmax = dmax = 1, 3 and 8, 0.85-10.4 box instances
+        # an r=3 point scans as far, with costlier oracle calls: 23-51, 46-75
+        # and 90-108 us at lmax = dmax = 1, 3 and 8, 0.89-4.9 box instances
         lambda config: [
             (_box(config, 1), _scan_weight(config)),
             (config.r3_samples, (config.lmax + 7) * _scan_weight(config) // 4),

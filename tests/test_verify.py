@@ -380,18 +380,24 @@ def test_cohomology_catches_planted_chi_faults(monkeypatch):
     # chi read off the profile and chi by verify's polynomial are each
     # replayed against the convolution's alternating sum
     config = verify.VerifyConfig(lmax=2, dmax=1, box=(-3, 3), r3_samples=0)
-    real_chi, real_polynomial = cohomology.CohomologyProfile.euler_characteristic, verify._euler_polynomial
+    real_chi = cohomology.CohomologyProfile.euler_characteristic
     monkeypatch.setattr(cohomology.CohomologyProfile, "euler_characteristic", property(lambda self: -real_chi.fget(self)))
     (result,) = run_on(2, monkeypatch, config, ["cohomology"])
     ce = result.counterexample
     assert result.failures > 0 and ce["chi"] == -ce["alternating"] == -ce["polynomial"]
     assert ce["reason"] == "Euler characteristic disagrees"
     monkeypatch.setattr(cohomology.CohomologyProfile, "euler_characteristic", real_chi)
-    # off by one: the product runs (a_k+2)...(a_k+l_k+1)
-    monkeypatch.setattr(verify, "_euler_polynomial", lambda l, a: real_polynomial(l, tuple(ak + 1 for ak in a)))
+    # off by one in every factor of every twist, the head's and the last
+    euler_factor_off_by_one(monkeypatch)
     (result,) = run_on(1, monkeypatch, config, ["cohomology"])
     ce = result.counterexample
     assert result.failures > 0 and ce["chi"] == ce["alternating"] != ce["polynomial"]
+
+
+def replay_twist(E, a):
+    """The cohomology replay of one twist on its own: its convolution and
+    Euler polynomial built from all of its factors."""
+    return verify._cohomology_failure(E, a, verify._kunneth_table(E.l, a), verify._euler_polynomial(E.l, a))
 
 
 def test_cohomology_instance_makes_two_kunneth_calls(monkeypatch):
@@ -402,7 +408,7 @@ def test_cohomology_instance_makes_two_kunneth_calls(monkeypatch):
     monkeypatch.setattr(cohomology, "_kunneth", lambda l, a: calls.append(a) or real(l, a))
     E = SegreVeronese((1, 2), (1, 1))
     twists = list(itertools.product(range(-5, 3), repeat=2))
-    assert [verify._cohomology_failure(E, a) for a in twists] == [None] * len(twists)
+    assert [replay_twist(E, a) for a in twists] == [None] * len(twists)
     assert len(calls) == 2 * len(twists)
 
 
@@ -678,6 +684,12 @@ def dual_twists_only(monkeypatch):
     monkeypatch.setattr(cohomology, "product_cohomology", wrong_outside)
 
 
+def euler_factor_off_by_one(monkeypatch):
+    # the product runs (a+2)...(a+l+1)
+    real = verify._euler_factor
+    monkeypatch.setattr(verify, "_euler_factor", lambda l, a: real(l, a + 1))
+
+
 def dual_degree_over_n(monkeypatch):
     # a degree that table(n) would refuse, outside the box -3..3 as above
     real = cohomology.product_cohomology
@@ -691,7 +703,7 @@ def dual_degree_over_n(monkeypatch):
 def test_a_dual_degree_over_n_is_a_counterexample(monkeypatch):
     # also on a twist with no cohomology, whose table is all zeros
     dual_degree_over_n(monkeypatch)
-    failure = verify._cohomology_failure(SegreVeronese((1, 1), (1, 1)), (-1, 3))
+    failure = replay_twist(SegreVeronese((1, 1), (1, 1)), (-1, 3))
     assert (failure["reason"], failure["dual"], failure["dual_profile"]) == ("Serre duality violated", [-1, -5], [3, 1])
 
 
@@ -716,6 +728,24 @@ def test_cohomology_faults_are_counterexamples(capsys, monkeypatch, plant, first
     (check,) = json.loads(capsys.readouterr().out)["result"]["checks"]
     assert check["failures"] > 0 and check["counterexample"]["l"] == [1]
     assert {key: check["counterexample"][key] for key in first} == first
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [None, kunneth_dimension, kunneth_degree, chi_sign, dual_twists_only, euler_factor_off_by_one],
+    ids=["clean", "dimension", "degree", "chi", "dual", "euler-factor"],
+)
+def test_the_walk_shares_heads_without_changing_outcomes(monkeypatch, plant):
+    # one r=3 unit yields, in itertools.product order, what replaying each
+    # twist on its own yields: the heads' convolutions and Euler products
+    # are shared by the twists that extend them, never changed
+    if plant:
+        plant(monkeypatch)
+    config = verify.VerifyConfig(lmax=2, dmax=1, box=(-3, 3), r3_samples=0)
+    E = SegreVeronese((1, 2, 1), (1, 1, 1))
+    expected = [replay_twist(E, a) for a in itertools.product(range(-3, 4), repeat=3)]
+    assert list(verify._cohomology(config, E.l)) == expected
+    assert (expected == [None] * 7**3) == (plant is None)
 
 
 TINY = verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=0)
