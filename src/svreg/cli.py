@@ -28,13 +28,12 @@ the record or call it feeds (``SegreVeronese``, ``VerifyConfig``,
 ``run_checks``, ``tate_window``), a vector of the wrong length among
 them, or over its cost limits, is refused by it before any work is done,
 in its own words; ``subadd`` refuses a ``--p`` given without ``--p2`` or
-the reverse.  Every refusal is a ValueError, reported in one line on
-stderr.
+the reverse.
 
-Exit codes: 0 success, 1 usage or input error, 2 a verification check
-found a counterexample, 3 an internal error (a broken invariant the
-library detected, a RuntimeError reported in one line on stderr; a
-ValueError raised while a ``verify`` check runs is one too).
+Exit codes: 0 success, 1 a usage or input error, 2 a verification check
+found a counterexample, 3 an internal error.  One rule tells 1 from 3:
+a ValueError is a refusal, any other exception (from a ``verify`` shard
+too) a library fault; each is one line on stderr, a fault with its type.
 Output that cannot be written exits 1 as well: quietly when the reader
 closed the pipe (as ``| head`` does), otherwise with one line on stderr.
 """
@@ -346,13 +345,12 @@ def parse_args(argv: list[str]) -> CliRequest:
     argv must start with a subcommand or with ``-h``, ``--help`` or
     ``--version``, which print and exit 0; any other first entry, an
     option, ``-`` or a negative number among them, is refused as an
-    unknown subcommand before any parser is built.  Values
-    outside the domain of a record or library call, a vector of the wrong
-    length among them, or over its cost limits, are refused by it before
-    any work is done, with a ValueError too: SegreVeronese here, the others
-    (segre2's SegreVeronese, VerifyConfig and run_checks among them) when
-    the payload builders run.  ``verify`` builds its config before it runs
-    the checks, so a bad grid is reported before a bad check name."""
+    unknown subcommand before any parser is built.  A value outside the
+    domain of a record or library call is refused by it, with a ValueError
+    too: by SegreVeronese here, by the others (segre2's SegreVeronese,
+    VerifyConfig, run_checks) when the payload builders run.  ``verify``
+    builds its config before it runs the checks, so a bad grid is reported
+    before a bad check name."""
     if argv and argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help", "--version"):
         raise ValueError(f"unknown subcommand {argv[0]!r}; available: {', '.join(_COMMANDS)}")
     ns = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
@@ -444,8 +442,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"svreg: error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        message = " ".join(str(exc).split())
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"svreg: internal error: {message}", file=sys.stderr)
         return 3
     finally:
@@ -459,6 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         # to devnull, so that it fails no second time
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             print(f"svreg: error: cannot write output: {exc}", file=sys.stderr)
         return 1

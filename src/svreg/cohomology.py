@@ -123,6 +123,11 @@ class CohomologyProfile(_Profile):
                 raise ValueError(f"dimension must be >= 1, got {dimension}")
         return super().__new__(cls, degree, dimension)
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CohomologyProfile":
+        # through the checks above; _replace builds with _make
+        return cls(*iterable)
+
     def h(self, i: int) -> int:
         """dim H^i."""
         return self.dimension if i == self.degree else 0

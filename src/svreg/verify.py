@@ -579,8 +579,8 @@ def _run_shard(task: tuple[tuple[str, ...], Callable, Any, VerifyConfig]) -> lis
     returns reports the shard's wall time, timed from before the routine.
 
     ``VerifyConfig`` and ``run_checks`` refuse every bad input before a
-    shard starts, so a ValueError raised here is a library fault: it is
-    raised again as a RuntimeError naming the checks and the shard's unit."""
+    shard starts, so any exception raised here is a library fault, raised
+    again as a RuntimeError naming its type, the checks and the unit."""
     names, routine, unit, config = task
     started = time.perf_counter()
     try:
@@ -595,8 +595,8 @@ def _run_shard(task: tuple[tuple[str, ...], Callable, Any, VerifyConfig]) -> lis
                     failures += 1
                     counterexample = counterexample or outcome
             results = [CheckResult(names[0], instances, failures, counterexample)]
-    except ValueError as exc:
-        raise RuntimeError(f"{', '.join(names)} failed on shard {unit!r}: {exc}") from exc
+    except Exception as exc:
+        raise RuntimeError(f"{', '.join(names)} failed on shard {unit!r}: {type(exc).__name__}: {exc}") from exc
     elapsed = time.perf_counter() - started
     for result in results:
         result.elapsed_s = elapsed
@@ -621,8 +621,8 @@ def _pooled(tasks: list) -> list[list[CheckResult]]:
     """``_run_shard`` on every task, in task order, on ``_worker_count``
     forked processes: one when the run has one shard or one CPU."""
     # fork, not spawn: workers must run the caller's modules as they are
-    # now, patched functions included, without importing anew.  A worker
-    # that dies raises BrokenProcessPool, a RuntimeError.
+    # now, patched functions included, without importing anew.  Any exception
+    # from a shard is a library fault, BrokenProcessPool from one that dies too.
     executor = ProcessPoolExecutor(_worker_count(len(tasks)), mp_context=multiprocessing.get_context("fork"))
     try:
         return list(executor.map(_run_shard, tasks))

@@ -15,7 +15,9 @@ on any interpreter, and records the outputs::
 It rewrites ``cli_golden.json``, prints the argv of each case whose
 recorded output changed, with the streams (code, stdout, stderr) that
 differ, and exits 1 when any case changed.  Without ``PYTHONPATH`` it
-checks the installed package.
+checks the installed package.  On an interpreter below ``REQUIRES``,
+pyproject's ``requires-python``, it exits 2 before it reads or writes
+the file: argparse's help texts differ there.
 
 Every case runs in one environment (``contract_env``).  Help texts are
 rendered at ``COLUMNS=80`` so argparse wraps them the same way on every
@@ -35,6 +37,7 @@ from unittest import mock
 from svreg import cli, verify
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
+REQUIRES = (3, 10)
 SUBCOMMANDS = tuple(cli._COMMANDS)
 BIG = str(2**63)  # one past the signed 64-bit range
 E2 = ["--l=1,1", "--d=1,1"]
@@ -203,7 +206,12 @@ def load():
 
 
 def main():
-    """Record every case; returns 1 when the recorded outputs changed."""
+    """Record every case; returns 1 when the recorded outputs changed, and
+    2, touching no file, on an interpreter below ``REQUIRES``."""
+    if sys.version_info < REQUIRES:
+        running, needed = ".".join(map(str, sys.version_info[:3])), ".".join(map(str, REQUIRES))
+        print(f"golden.py: Python {running} is below requires-python >={needed}; nothing recorded", file=sys.stderr)
+        return 2
     recorded = {tuple(record["argv"]): record for record in load()} if os.path.exists(GOLDEN) else {}
     with contract_env():
         records = [dict(zip(("argv", "code", "stdout", "stderr"), [argv, *capture(argv)]))

@@ -13,6 +13,7 @@ import pytest
 
 from svreg import cli
 from svreg import cohomology, regularity, tate, verify
+from conftest import SRC, names_started, refuse_to_start
 
 
 # a library function each subcommand calls, and an invocation that calls it;
@@ -36,8 +37,6 @@ LIBRARY_CALLS = [
     ("p_minus", ["endpoints", "--l=1,1", "--d=1,1", "--m=0,2"]),
 ]
 
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # a one-line answer, and a 5,000-column window larger than any pipe buffer
 WRITES = [["reg", "--l=1,1", "--d=1,1", "--m=0,0"], ["tate", "--l=1,1", "--d=1,1", "--m=0,4995", "--format=json"]]
 
@@ -46,16 +45,6 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def names_started(tasks):
-    """The checks a stand-in for ``verify._pooled``, which starts every
-    shard of a run, was handed shards of."""
-    return sorted({name for names, *_ in tasks for name in names})
-
-
-def refuse_to_start(tasks):
-    raise AssertionError(f"{', '.join(names_started(tasks))} started")
 
 
 class TestParseArgs:
@@ -340,6 +329,20 @@ class TestMain:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, "")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_write_leaks_no_descriptor(self, monkeypatch):
+        # main sends what is left of stdout to devnull, and closes the
+        # descriptor it opened for that: in-process calls keep none open
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            read, write = os.pipe()
+            os.close(read)
+            with open(write, "w") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert cli.main(WRITES[0]) == 1
+                monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == before
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize("argv", WRITES, ids=["short", "long"])
     def test_unwritable_output_is_one_error_line(self, argv):
@@ -453,12 +456,20 @@ class TestMain:
         [
             ("dimension", "cohomology", "cohomology failed on shard (1,): dimension must be >= 1, got 0"),
             ("dual-twist", "tate-endpoints", "tate-endpoints failed on shard None: m has 2 entries, expected 1"),
+            ("index", "formula-vs-oracle", "formula-vs-oracle failed on shard SegreVeronese(l=(1,), d=(1,)): planted"),
         ],
     )
     def test_library_value_error_in_a_shard_exit_three(self, capsys, monkeypatch, plant, checks, message, cpus):
         # VerifyConfig and run_checks refuse every bad input before a shard
-        # starts, so a ValueError a shard raises is the library's fault
-        if plant == "dimension":
+        # starts, so a ValueError a shard raises is the library's fault, and
+        # so is any other exception: the line names its type and the shard
+        if plant == "index":
+
+            def broken(*args):
+                raise IndexError("planted")
+
+            monkeypatch.setattr(regularity, "is_regular_formula", broken)
+        elif plant == "dimension":
             real = cohomology._kunneth
 
             def zero(l, a):
@@ -477,7 +488,9 @@ class TestMain:
         monkeypatch.setattr(verify, "_available_cpus", lambda: cpus)
         argv = ["verify", f"--checks={checks}", "--lmax=1", "--dmax=1", "--box=-2,2", "--r3-samples=0"]
         code, out, err = run_cli(argv, capsys)
-        assert (code, out, err) == (3, "", f"svreg: internal error: {message}\n")
+        shard, _, what = message.partition(": ")
+        kind = "IndexError" if plant == "index" else "ValueError"
+        assert (code, out, err) == (3, "", f"svreg: internal error: RuntimeError: {shard}: {kind}: {what}\n")
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -486,14 +499,17 @@ class TestMain:
     )
     def test_internal_error_exit_three(self, capsys, monkeypatch, name, argv):
         # each subcommand calls its library function through the cli module
-        # when it runs, so the function patched there is the one that raises
-        def broken(*args):
-            raise RuntimeError("routes disagree\non two lines")
+        # when it runs, so the function patched there is the one that raises;
+        # any exception but a ValueError is an internal error, named by type
+        for kind in (RuntimeError, IndexError):
 
-        monkeypatch.setattr(cli, name, broken)
-        code, out, err = run_cli(argv, capsys)
-        assert (code, out) == (3, "")
-        assert err == "svreg: internal error: routes disagree on two lines\n"
+            def broken(*args):
+                raise kind("routes disagree\non two lines")
+
+            monkeypatch.setattr(cli, name, broken)
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (3, "")
+            assert err == f"svreg: internal error: {kind.__name__}: routes disagree on two lines\n"
 
     @pytest.mark.parametrize("flags", [[f"--m=0,{2**63 - 1}"], ["--m=0,0", f"--pad={2**63 - 1}"]])
     def test_tate_window_over_limit_exit_one(self, capsys, flags):
@@ -840,4 +856,5 @@ class TestMain:
         monkeypatch.setattr(verify, "_available_cpus", lambda: 2)
         code, _, err = run_cli(["verify", "--checks=formula-vs-oracle", "--lmax=1", "--dmax=1", "--box=-1,1"], capsys)
         assert code == 3
-        assert err == "svreg: internal error: planted invariant failure\n"
+        shard = "formula-vs-oracle failed on shard SegreVeronese(l=(1,), d=(1,))"
+        assert err == f"svreg: internal error: RuntimeError: {shard}: RuntimeError: planted invariant failure\n"

@@ -13,12 +13,16 @@ the environment they run in are described in ``golden.py``.
 """
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+import golden
 import svreg
+from conftest import SRC
 from golden import SUBCOMMANDS, VALID, capture, cases, contract_env, load
 
 
@@ -68,3 +72,22 @@ def test_runner_needs_no_pytest():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     (record,) = [record for record in load() if record["argv"] == ["--version"]]
     assert json.loads(done.stdout) == [record["code"], record["stdout"], record["stderr"]]
+
+
+def test_runner_refuses_an_interpreter_below_requires_python(capsys, monkeypatch, tmp_path):
+    # argparse's help texts differ on 3.9 ("optional arguments:"), so the
+    # runner exits 2 there before it reads or writes the recorded file
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as f:
+        (requires,) = re.findall(r'(?m)^requires-python = ">=([0-9.]+)"$', f.read())
+    assert ".".join(map(str, golden.REQUIRES)) == requires
+    copy = tmp_path / "cli_golden.json"
+    shutil.copyfile(golden.GOLDEN, copy)
+    recorded = copy.read_bytes()
+    monkeypatch.setattr(golden, "GOLDEN", str(copy))
+    monkeypatch.setattr(golden, "load", None)  # a read fails the test as well
+    monkeypatch.setattr(sys, "version_info", (3, 9, 18, "final", 0))
+    code = golden.main()
+    monkeypatch.undo()
+    out, err = capsys.readouterr()
+    assert (code, out, copy.read_bytes()) == (2, "", recorded)
+    assert err == f"golden.py: Python 3.9.18 is below requires-python >={requires}; nothing recorded\n"

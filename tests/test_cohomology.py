@@ -52,6 +52,13 @@ class TestCohomologyProfile:
         with pytest.raises(ValueError, match="^degree must be >= 0, got -1$"):
             CohomologyProfile(-1, 1)
 
+    def test_replace_and_make_keep_the_checks(self):
+        with pytest.raises(ValueError, match="^degree must be >= 0, got -1$"):
+            CohomologyProfile(0, 1)._replace(degree=-1, dimension=0)
+        with pytest.raises(ValueError, match="^degree and dimension must be both present or both absent$"):
+            CohomologyProfile._make((None, 5))
+        assert CohomologyProfile(0, 1)._replace(dimension=3) == CohomologyProfile._make((0, 3)) == (0, 3)
+
     def test_table(self):
         assert CohomologyProfile(1, 7).table(3) == [0, 7, 0, 0]
         assert CohomologyProfile(None, None).table(2) == [0, 0, 0]

@@ -10,8 +10,7 @@ import sys
 import pytest
 
 import svreg
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from conftest import SRC
 
 
 def loaded(statement, modules):

@@ -18,8 +18,7 @@ from svreg.regularity import (
     is_regular_oracle,
     regularity_corners,
 )
-
-P1P1 = SegreVeronese((1, 1), (1, 1))
+from conftest import P1P1
 
 
 class TestRegularFormula:

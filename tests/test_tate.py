@@ -9,8 +9,7 @@ from svreg.cohomology import SegreVeronese
 from svreg.regularity import cm_regularity
 from svreg.tate import dual_twist, p_minus, tate_window
 from svreg.verify import _balanced_endpoints, _kunneth_table, _p_minus_ceiling, _tate_term
-
-P1P1 = SegreVeronese((1, 1), (1, 1))
+from conftest import P1P1
 
 
 class TestDualTwist:

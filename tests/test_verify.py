@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import types
@@ -13,8 +14,8 @@ import pytest
 
 from svreg import cli, cohomology, regularity, tate, verify
 from svreg.cohomology import SegreVeronese
+from conftest import SRC, refuse_to_start
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SMALL = verify.VerifyConfig(lmax=2, dmax=2, box=(-3, 3), r3_samples=50)
 PAIR_CHECKS = ["formula-vs-oracle", "corner-membership"]
 
@@ -107,11 +108,6 @@ def test_one_verify_run_forks_without_the_fork_warning():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["result"]["ok"] is True
-
-
-def refuse_to_start(tasks):
-    """Stands in for ``_pooled``, which starts every shard of a run."""
-    raise AssertionError(f"{', '.join(sorted({n for names, *_ in tasks for n in names}))} started")
 
 
 def flip_oracle(monkeypatch):
@@ -594,12 +590,17 @@ def test_worker_count_is_bounded_by_cpus_and_shards(monkeypatch):
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
-    def broken(E, m, p):
-        raise RuntimeError("planted invariant failure")
+    # any exception from a shard comes back as a RuntimeError naming its
+    # type, the check and the shard's unit
+    for kind in (RuntimeError, IndexError):
 
-    monkeypatch.setattr(regularity, "is_regular_formula", broken)
-    with pytest.raises(RuntimeError, match="planted invariant failure"):
-        run_on(2, monkeypatch, SMALL, ["formula-vs-oracle"])
+        def broken(E, m, p):
+            raise kind("planted invariant failure")
+
+        monkeypatch.setattr(regularity, "is_regular_formula", broken)
+        shard = "formula-vs-oracle failed on shard SegreVeronese(l=(1,), d=(1,))"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(shard)}: {kind.__name__}: planted invariant failure$"):
+            run_on(2, monkeypatch, SMALL, ["formula-vs-oracle"])
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
