@@ -7,9 +7,11 @@ tests, regularity-set corners, window endpoints) are paired with
 brute-force cohomology routes and grid verification that replays one
 against the other; see :mod:`svreg.verify` and the ``svreg verify``
 subcommand.  ``svreg.verify`` is loaded on first use and exports nothing
-here: run its checks as ``svreg.verify.run_checks``.
+here: run its checks as ``svreg.verify.run_checks``.  An input outside a
+call's domain, or over its cost limits, is refused with ``Refusal``, a
+ValueError, before any work is done; any other exception is a fault.
 """
-from .cohomology import CohomologyProfile, SegreVeronese, product_cohomology
+from .cohomology import CohomologyProfile, Refusal, SegreVeronese, product_cohomology
 from .regularity import (
     RegularityCorner,
     SubadditivityReport,
@@ -46,6 +48,7 @@ def __getattr__(name: str):
 
 __all__ = [
     "CohomologyProfile",
+    "Refusal",
     "RegularityCorner",
     "SegreVeronese",
     "SubadditivityReport",

@@ -32,8 +32,9 @@ the reverse.
 
 Exit codes: 0 success, 1 a usage or input error, 2 a verification check
 found a counterexample, 3 an internal error.  One rule tells 1 from 3:
-a ValueError is a refusal, any other exception (from a ``verify`` shard
-too) a library fault; each is one line on stderr, a fault with its type.
+a ``Refusal`` is a refusal, any other exception (a plain ValueError, or
+any from a ``verify`` shard, among them) a library fault; each is one line
+on stderr, a fault with its type.
 Output that cannot be written exits 1 as well: quietly when the reader
 closed the pipe (as ``| head`` does), otherwise with one line on stderr.
 """
@@ -46,7 +47,7 @@ import sys
 from typing import Any, Callable, NamedTuple
 
 from . import __version__
-from .cohomology import SegreVeronese, product_cohomology
+from .cohomology import Refusal, SegreVeronese, product_cohomology
 from .regularity import (
     check_pair_subadditivity,
     check_subadditivity,
@@ -93,9 +94,9 @@ class ReportDocument(NamedTuple):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; 2 is reserved for verify
-    # counterexamples, so surface parse problems as ValueError instead.
+    # counterexamples, so surface parse problems as a Refusal instead.
     def error(self, message: str):
-        raise ValueError(message)
+        raise Refusal(message)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -196,7 +197,7 @@ def _lambda(params: dict) -> tuple[dict, str]:
 def _subadd(params: dict) -> tuple[dict, str]:
     E, m, m2, p, p2 = params["E"], params["m"], params["m2"], params["p"], params["p2"]
     if (p is None) != (p2 is None):
-        raise ValueError("--p and --p2 must be given together for the pair-level check")
+        raise Refusal("--p and --p2 must be given together for the pair-level check")
     if p is not None:
         status = check_pair_subadditivity(E, m, p, m2, p2)
         return {"status": status}, "Theorem Lregadd"
@@ -340,19 +341,19 @@ def _build_parser(invoked: str | None) -> _Parser:
 
 
 def parse_args(argv: list[str]) -> CliRequest:
-    """Read argv into a CliRequest; raises ValueError naming an unknown
+    """Read argv into a CliRequest; raises Refusal naming an unknown
     subcommand, or the flag that is missing or badly written.  A non-empty
     argv must start with a subcommand or with ``-h``, ``--help`` or
     ``--version``, which print and exit 0; any other first entry, an
     option, ``-`` or a negative number among them, is refused as an
     unknown subcommand before any parser is built.  A value outside the
-    domain of a record or library call is refused by it, with a ValueError
+    domain of a record or library call is refused by it, with a Refusal
     too: by SegreVeronese here, by the others (segre2's SegreVeronese,
     VerifyConfig, run_checks) when the payload builders run.  ``verify``
     builds its config before it runs the checks, so a bad grid is reported
     before a bad check name."""
     if argv and argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help", "--version"):
-        raise ValueError(f"unknown subcommand {argv[0]!r}; available: {', '.join(_COMMANDS)}")
+        raise Refusal(f"unknown subcommand {argv[0]!r}; available: {', '.join(_COMMANDS)}")
     ns = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
     dests = (flag[2:].replace("-", "_") for flag, _ in _COMMANDS[ns["command"]].flags)
     params = {dest: ns[dest] for dest in dests}
@@ -439,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(0)
         doc, code = run(request)
         text = doc.to_json() if request.format == "json" else render_table(doc)
-    except ValueError as exc:
+    except Refusal as exc:
         print(f"svreg: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -18,37 +18,45 @@ from typing import Iterable, NamedTuple, Sequence
 _MAX_DIMENSION = 2_000
 
 
+class Refusal(ValueError):
+    """An input outside the domain of a record or call, or over its cost
+    limits, refused before any work is done.  Any other exception svreg
+    raises, a ValueError among them, is a library fault."""
+
+
 class SegreVeronese:
     """A product of projective spaces P^{l_1} x ... x P^{l_r} together with
     the degrees d = (d_1, ..., d_r) of the very ample bundle O(d) giving its
-    Segre-Veronese embedding into P^N.  Immutable, compared and hashed by
-    value.
+    Segre-Veronese embedding into P^N, and its dimension n = sum(l), summed
+    once when it is built.  Immutable, compared and hashed by value.
     """
 
     # slots, not a NamedTuple: CPython 3.11 specializes the verify loops'
-    # millions of E.l and E.d loads to LOAD_ATTR_SLOT, while a NamedTuple
-    # field load stays generic and about 35 % slower
-    __slots__ = ("l", "d")
+    # millions of E.l, E.d and E.n loads to LOAD_ATTR_SLOT, while a
+    # NamedTuple field load stays generic and about 35 % slower
+    __slots__ = ("l", "d", "n")
 
     l: tuple[int, ...]
     d: tuple[int, ...]
+    n: int
 
     def __init__(self, l: Iterable[int], d: Iterable[int]) -> None:
         l = tuple(l)
         d = tuple(d)
         for name, v in (("l", l), ("d", d)):
             if not all(type(x) is int for x in v):  # int(x) would read 1.5 as 1, '2' as 2
-                raise ValueError(f"{name} entries must be integers, got {name}={v!r}")
+                raise Refusal(f"{name} entries must be integers, got {name}={v!r}")
         if len(l) == 0:
-            raise ValueError("need at least one factor")
+            raise Refusal("need at least one factor")
         if len(l) != len(d):
-            raise ValueError(f"l has {len(l)} entries but d has {len(d)}")
+            raise Refusal(f"l has {len(l)} entries but d has {len(d)}")
         if any(x < 1 for x in l):
-            raise ValueError(f"factor dimensions must all be >= 1, got l={l}")
+            raise Refusal(f"factor dimensions must all be >= 1, got l={l}")
         if any(x < 1 for x in d):
-            raise ValueError(f"embedding degrees must all be >= 1, got d={d}")
+            raise Refusal(f"embedding degrees must all be >= 1, got d={d}")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", sum(l))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -69,19 +77,14 @@ class SegreVeronese:
 
     def __reduce__(self):
         # unpickle through the constructor: pickle's default restores slots
-        # by setattr, which the frozen fields refuse; verify hands
-        # embeddings to its forked workers this way
+        # by setattr, which the frozen fields refuse, and n is derived; verify
+        # hands embeddings to its forked workers this way
         return SegreVeronese, (self.l, self.d)
 
     @property
     def r(self) -> int:
         """Number of factors."""
         return len(self.l)
-
-    @property
-    def n(self) -> int:
-        """Dimension of the product, sum of the l_k."""
-        return sum(self.l)
 
     @property
     def ambient_dim(self) -> int:
@@ -99,7 +102,7 @@ def _check_lengths(E: SegreVeronese, **vectors: Sequence[int]) -> None:
     r = len(E.l)
     for name, v in vectors.items():
         if len(v) != r:
-            raise ValueError(f"{name} has {len(v)} entries, expected {r}")
+            raise Refusal(f"{name} has {len(v)} entries, expected {r}")
 
 
 class _Profile(NamedTuple):
@@ -150,7 +153,7 @@ class CohomologyProfile(_Profile):
 
 def _check_dimension(n: int) -> None:
     if n > _MAX_DIMENSION:
-        raise ValueError(f"the product has dimension n={n}, over the limit of {_MAX_DIMENSION}")
+        raise Refusal(f"the product has dimension n={n}, over the limit of {_MAX_DIMENSION}")
 
 
 def product_cohomology(E: SegreVeronese, a: Sequence[int]) -> CohomologyProfile:

@@ -19,7 +19,7 @@ import operator
 from functools import lru_cache
 from typing import Literal, NamedTuple, Sequence
 
-from .cohomology import SegreVeronese, _check_dimension, _check_lengths
+from .cohomology import Refusal, SegreVeronese, _check_dimension, _check_lengths
 
 # Output with one row per permutation or per subset of the factors grows
 # like r! or 2^r; these are the largest r for which it is listed.
@@ -178,7 +178,7 @@ def regularity_corners(E: SegreVeronese, m: Sequence[int]) -> list[RegularityCor
     if len(m) != r:
         _check_lengths(E, m=m)
     if r > _MAX_CORNER_FACTORS:
-        raise ValueError(f"r={r} has {r}! permutations of the factors, over the limit of r={_MAX_CORNER_FACTORS}")
+        raise Refusal(f"r={r} has {r}! permutations of the factors, over the limit of r={_MAX_CORNER_FACTORS}")
     n = sum(l)
     corners = []
     for sigma in itertools.permutations(range(r)):
@@ -222,7 +222,7 @@ def cm_regularity_breakdown(E: SegreVeronese, m: Sequence[int]) -> list[tuple[tu
     if len(m) != r:
         _check_lengths(E, m=m)
     if r > _MAX_BREAKDOWN_FACTORS:
-        raise ValueError(f"r={r} has 2^{r} - 1 subsets of the factors, over the limit of r={_MAX_BREAKDOWN_FACTORS}")
+        raise Refusal(f"r={r} has 2^{r} - 1 subsets of the factors, over the limit of r={_MAX_BREAKDOWN_FACTORS}")
     f = [(mk + lk) // dk for mk, lk, dk in zip(m, E.l, E.d)]
     return [(J, lJ, lJ - max(f[k] for k in J)) for J, lJ in _subsets(E.l)]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .cohomology import SegreVeronese, _check_lengths, _kunneth
+from .cohomology import Refusal, SegreVeronese, _check_lengths, _kunneth
 from .regularity import cm_regularity
 
 # Limits of one window; times are ``svreg tate`` in JSON on one 2-vCPU Xeon core.
@@ -85,7 +85,7 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     inside; the ``tate-window`` check of ``svreg verify`` replays this, and
     every column against one it builds on its own, on padded windows.
 
-    Before it builds any column, it refuses with ValueError a negative pad,
+    Before it builds any column, it refuses with Refusal a negative pad,
     an m of the wrong length (p_minus's first call, to dual_twist, names it)
     and a window over ``_MAX_COLUMNS`` columns, ``_MAX_WORK`` factor steps
     or ``_MAX_DIGIT_WORK`` squared digits of the ranks: a rank is a product
@@ -95,20 +95,20 @@ def tate_window(E: SegreVeronese, m: Sequence[int], pad: int = 2) -> TateWindow:
     are bounded by (columns + n) D^2 at the q farthest from 0.
     """
     if pad < 0:
-        raise ValueError(f"pad must be >= 0, got {pad}")
+        raise Refusal(f"pad must be >= 0, got {pad}")
     lo, hi = p_minus(E, m), cm_regularity(E, m)
     first, last = lo - pad, hi + pad
     n, r, l, d = E.n, E.r, E.l, E.d
     columns = last - first + 1
     if columns > _MAX_COLUMNS:
-        raise ValueError(f"the window has {columns} columns, over the limit of {_MAX_COLUMNS}")
+        raise Refusal(f"the window has {columns} columns, over the limit of {_MAX_COLUMNS}")
     steps = (columns + n) * r
     if steps > _MAX_WORK:
-        raise ValueError(f"the window takes {steps} factor steps, over the limit of {_MAX_WORK}")
+        raise Refusal(f"the window takes {steps} factor steps, over the limit of {_MAX_WORK}")
     far = max(abs(last), abs(first - n))
     squared = (columns + n) * sum(lk * _digits(abs(mk) + far * dk + lk) for mk, lk, dk in zip(m, l, d)) ** 2
     if squared > _MAX_DIGIT_WORK:
-        raise ValueError(f"the window's ranks take up to {squared} squared digits, over the limit of {_MAX_DIGIT_WORK}")
+        raise Refusal(f"the window's ranks take up to {squared} squared digits, over the limit of {_MAX_DIGIT_WORK}")
     summands: list[list[tuple[int, int]]] = [[] for _ in range(columns)]
     for q in range(last, first - n - 1, -1):
         found = _kunneth(l, [mk + q * dk for mk, dk in zip(m, d)])

@@ -19,8 +19,9 @@ shards of every check named run on one pool of forked workers per run,
 one worker on a single CPU, and each check's are merged in shard order,
 so instance counts and the first counterexample do not depend on the
 number of workers.  The shards look the library functions up through
-their modules, and cache nothing of theirs, so workers run whatever those
-modules hold when the run starts, patched functions included.  The
+their modules, and keep no answer of theirs past the instance that asked
+for it, so workers run whatever those modules hold when the run starts,
+patched functions included.  The
 second routes the checks replay, such as ``_tate_term``, the Euler
 characteristic's polynomial ``_euler_polynomial``, the two-factor Segre
 formula ``_segre_regularity``, the balanced closed form of the window
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from . import cohomology, regularity, tate
-from .cohomology import SegreVeronese
+from .cohomology import Refusal, SegreVeronese
 
 EMBEDDING_R = (1, 2)  # factor counts of the exhaustive embedding grids
 COHOMOLOGY_R = (1, 2, 3)  # factor counts of the cohomology grid
@@ -68,7 +69,7 @@ class VerifyConfig:
     reference grid.  The seeded pairs per embedding of the two
     subadditivity checks are constants, not fields.  A config outside the
     grid's domain (a bool is not an int, and a box is a tuple, so that the
-    config hashes) is refused with ValueError when it is built, by
+    config hashes) is refused with Refusal when it is built, by
     ``dataclasses.replace`` too, so every config can be run."""
 
     lmax: int = 3
@@ -82,21 +83,21 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         for field in ("lmax", "dmax", "r3_samples", "seed"):
             if type(getattr(self, field)) is not int:
-                raise ValueError(f"{field} must be an integer, got {getattr(self, field)!r}")
+                raise Refusal(f"{field} must be an integer, got {getattr(self, field)!r}")
         box = self.box
         if not (isinstance(box, tuple) and len(box) == 2 and all(type(v) is int for v in box)):
-            raise ValueError(f"box must be two integers lo,hi, got {box!r}")
+            raise Refusal(f"box must be two integers lo,hi, got {box!r}")
         for field in ("lmax", "dmax"):
             value = getattr(self, field)
             if not 1 <= value <= MAX_FACTOR_BOUND:
-                raise ValueError(f"{field} must be between 1 and {MAX_FACTOR_BOUND}, got {value}")
+                raise Refusal(f"{field} must be between 1 and {MAX_FACTOR_BOUND}, got {value}")
         lo, hi = box
         if lo > hi:
-            raise ValueError(f"box needs lo <= hi, got {lo},{hi}")
+            raise Refusal(f"box needs lo <= hi, got {lo},{hi}")
         if self.r3_samples < 0:
-            raise ValueError(f"r3_samples must be >= 0, got {self.r3_samples}")
+            raise Refusal(f"r3_samples must be >= 0, got {self.r3_samples}")
         if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must be between 0 and {MAX_SEED}, got {self.seed}")
+            raise Refusal(f"seed must be between 0 and {MAX_SEED}, got {self.seed}")
 
 
 @dataclass
@@ -141,11 +142,24 @@ def _box_range(config: VerifyConfig) -> range:
 
 def _drawer(config: VerifyConfig, key: str) -> tuple[random.Random, Callable, Callable[[int], tuple]]:
     """A generator seeded by ``config.seed`` and ``key`` alone, so each
-    stream is drawn on its own; its ``randrange``; and a drawer of one
-    r-entry box twist.  The keys are ``r3``, ``subsets|{r}``,
-    ``subadd|{l}|{d}`` and ``pairs|{l}|{d}``, each drawn by one shard."""
+    stream is drawn on its own; ``draw(start, stop)``, for stop > start,
+    which gives what ``randrange(start, stop)`` on the generator gives; and
+    a drawer of one r-entry box twist, each entry such a draw.  ``draw``
+    reads the generator's ``getrandbits`` as CPython's ``randrange`` does
+    (3.10 to 3.13), k = width.bit_length() bits at a time until a value
+    below the width comes, without its argument checks and calls.  The
+    keys are ``r3``, ``subsets|{r}``, ``subadd|{l}|{d}`` and
+    ``pairs|{l}|{d}``, each drawn by one shard."""
     rng = random.Random(f"{config.seed}|{key}")
-    draw = rng.randrange
+    bits = rng.getrandbits
+
+    def draw(start: int, stop: int) -> int:
+        width = stop - start
+        k = width.bit_length()
+        while (value := bits(k)) >= width:
+            pass
+        return start + value
+
     box = _box_range(config)
     lo, end = box.start, box.stop
     return rng, draw, lambda r: tuple([draw(lo, end) for _ in range(r)])
@@ -280,15 +294,16 @@ def _sorted_vs_subsets(config: VerifyConfig, r: int) -> Iterator[dict | None]:
     return (_subset_failure(E, m, p) for E, m, p in _samples(config, f"subsets|{r}", r, SUBSET_SAMPLES))
 
 
-def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
+def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...], multiples: dict[int, tuple]) -> dict | None:
     """Scan the twists q*d from q = -bound up with the cohomology route:
     the first regular one, which -bound must not be, is the least, and is
-    compared against cm_regularity."""
+    compared against cm_regularity, and the three above it must be regular
+    too.  ``multiples`` maps every q the scan may reach, -bound to
+    bound + 3, to the vector q*d."""
     rho = regularity.cm_regularity(E, m)
-    d = E.d
     bound = E.n + max(abs(mk) + lk for mk, lk in zip(m, E.l)) + 2
     for found in range(-bound, bound + 1):
-        if regularity.is_regular_oracle(E, m, tuple([found * dk for dk in d])):
+        if regularity.is_regular_oracle(E, m, multiples[found]):
             break
     else:
         return _instance(E, m=m, reason=f"no regular twist in [{-bound}, {bound}]")
@@ -297,13 +312,28 @@ def _minimal_twist_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
     if found != rho:
         return _instance(E, m=m, minimal_twist=found, cm_regularity=rho)
     for q in range(found + 1, found + 4):
-        if not regularity.is_regular_oracle(E, m, tuple([q * dk for dk in d])):
+        if not regularity.is_regular_oracle(E, m, multiples[q]):
             return _instance(E, m=m, reason=f"twist {q} above the minimum {found} is not regular")
     return None
 
 
+def _scan_bound(config: VerifyConfig) -> int:
+    """The largest bound of a minimal-twist scan on the grid:
+    n + max(|m_k| + l_k) + 2 <= 4 lmax + max(|lo|, |hi|) + 2, as n <= 3 lmax."""
+    return 4 * config.lmax + max(map(abs, config.box)) + 2
+
+
 def _minimal_twist(config: VerifyConfig, unit: SegreVeronese | range) -> Iterator[dict | None]:
-    return (_minimal_twist_failure(E, m) for E, m, *_ in _pair_groups(config, unit))
+    """The scan of every point of the shard.  Its vectors q*d are built once
+    per d the shard meets, for every q a scan may reach, up to three past
+    its bound."""
+    reach = _scan_bound(config) + 3
+    scans: dict[tuple, dict[int, tuple]] = {}
+    for E, m, *_ in _pair_groups(config, unit):
+        d = E.d
+        if (multiples := scans.get(d)) is None:
+            multiples = scans[d] = {q: tuple([q * dk for dk in d]) for q in range(-reach, reach + 1)}
+        yield _minimal_twist_failure(E, m, multiples)
 
 
 def _factor_table(l: int, j: int) -> list[int]:
@@ -381,18 +411,17 @@ def _cohomology(config: VerifyConfig, l: tuple[int, ...]) -> Iterator[dict | Non
     ``itertools.product`` order.  The twists of one head, the entries of
     the leading r - 1 factors, share the head's convolution and Euler
     product, which are built once and extended by the last factor's table
-    and ``_euler_factor`` for each twist; the walk holds one head at a
-    time."""
+    and ``_euler_factor`` for each twist; those of the last factor are
+    built once per shard, and the walk holds one head at a time."""
     E = SegreVeronese(l, (1,) * len(l))
     box = _box_range(config)
     *lead, last = l
+    tails = [(a_last, _factor_table(last, a_last), _euler_factor(last, a_last)) for a_last in box]
     for head in itertools.product(box, repeat=len(lead)):
         conv = _kunneth_table(lead, head)
         polynomial = _euler_polynomial(lead, head)
-        for a_last in box:
-            a = (*head, a_last)
-            tail_conv = _convolve(conv, _factor_table(last, a_last))
-            yield _cohomology_failure(E, a, tail_conv, polynomial * _euler_factor(last, a_last))
+        for a_last, table, chi in tails:
+            yield _cohomology_failure(E, (*head, a_last), _convolve(conv, table), polynomial * chi)
 
 
 def _segre_regularity(a: int, b: int, k: int, l: int) -> int:
@@ -470,12 +499,11 @@ def _pair_subadditivity(config: VerifyConfig, E: SegreVeronese) -> Iterator[dict
 def _p_minus_ceiling(E: SegreVeronese, m: Sequence[int]) -> int:
     """p_minus through its direct form, independent of the dual twist:
     -max over nonempty J of min over k in J of (ceil((m_k+1)/d_k) - l_{J^c}).
-    The subsets J come from the rows of cm_regularity_breakdown."""
+    The subsets J come from the rows of cm_regularity_breakdown, and each
+    factor's ceiling is computed once."""
     n = E.n
-    return -max(
-        min(-(-(m[k] + 1) // E.d[k]) - (n - lJ) for k in J)
-        for J, lJ, _ in regularity.cm_regularity_breakdown(E, m)
-    )
+    ceiling = [-(-(mk + 1) // dk) for mk, dk in zip(m, E.d)].__getitem__
+    return -max([min(map(ceiling, J)) - (n - lJ) for J, lJ, _ in regularity.cm_regularity_breakdown(E, m)])
 
 
 def _duality_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
@@ -541,14 +569,25 @@ def _pure(term: tate.TateTerm, degree: int) -> bool:
     return all(i == degree for i, _ in term.entries)
 
 
-def _tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> tate.TateTerm:
-    """Column p of the Tate resolution, on its own: dim H^i(O(m + (p-i)d))
-    for each i in 0..n.  It calls ``cohomology._kunneth``, not the
-    ``tate._kunneth`` that ``tate_window`` calls, so a fault there shows."""
-    entries = []
+def _twist_table(E: SegreVeronese, m: Sequence[int], qs: range) -> dict[int, tuple[int, int] | None]:
+    """``cohomology._kunneth``'s answer for O(m + q d), for each q in qs.
+    It is not the ``tate._kunneth`` that ``tate_window`` calls, so a fault
+    there shows."""
     l, d = E.l, E.d
-    for i in range(E.n + 1):
-        found = cohomology._kunneth(l, [mk + (p - i) * dk for mk, dk in zip(m, d)])
+    return {q: cohomology._kunneth(l, [mk + q * dk for mk, dk in zip(m, d)]) for q in qs}
+
+
+def _tate_term(E: SegreVeronese, m: Sequence[int], p: int, table: dict | None = None) -> tate.TateTerm:
+    """Column p of the Tate resolution, column by column and not twist by
+    twist as ``tate_window`` files it: dim H^i(O(m + (p-i)d)) for each i
+    in 0..n, read from ``table``, a ``_twist_table`` that holds q = p - n
+    to p, or from one of its own."""
+    n = E.n
+    if table is None:
+        table = _twist_table(E, m, range(p - n, p + 1))
+    entries = []
+    for i in range(n + 1):
+        found = table[p - i]
         if found is not None and found[0] == i:
             entries.append((i, found[1]))
     return tate.TateTerm(p, tuple(entries))
@@ -556,11 +595,15 @@ def _tate_term(E: SegreVeronese, m: Sequence[int], p: int) -> tate.TateTerm:
 
 def _window_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
     """Every column of the padded window equals the one ``_tate_term``
-    builds on its own, and is pure exactly from the endpoints outward."""
+    builds, and is pure exactly from the endpoints outward.  The columns
+    share one ``_twist_table``, from n below the first column to the last:
+    each twist is evaluated once, columns + n calls in all."""
     window = tate.tate_window(E, m, pad=3)
     n = E.n
+    ps = [t.p for t in window.terms]
+    table = _twist_table(E, m, range(min(ps) - n, max(ps) + 1)) if ps else {}
     for t in window.terms:
-        if t != _tate_term(E, m, t.p):
+        if t != _tate_term(E, m, t.p, table):
             return _instance(E, m=m, p=t.p, reason="window column differs from tate_term")
         if _pure(t, 0) != (t.p >= window.p_plus) or _pure(t, n) != (t.p <= window.p_minus):
             return _instance(E, m=m, p=t.p, reason="purity does not match endpoint")
@@ -580,7 +623,9 @@ def _run_shard(task: tuple[tuple[str, ...], Callable, Any, VerifyConfig]) -> lis
 
     ``VerifyConfig`` and ``run_checks`` refuse every bad input before a
     shard starts, so any exception raised here is a library fault, raised
-    again as a RuntimeError naming its type, the checks and the unit."""
+    again as a RuntimeError naming its type, the checks and the unit.  A
+    ``Refusal`` is named ValueError: here it refuses nothing the caller
+    gave."""
     names, routine, unit, config = task
     started = time.perf_counter()
     try:
@@ -596,7 +641,8 @@ def _run_shard(task: tuple[tuple[str, ...], Callable, Any, VerifyConfig]) -> lis
                     counterexample = counterexample or outcome
             results = [CheckResult(names[0], instances, failures, counterexample)]
     except Exception as exc:
-        raise RuntimeError(f"{', '.join(names)} failed on shard {unit!r}: {type(exc).__name__}: {exc}") from exc
+        kind = "ValueError" if isinstance(exc, Refusal) else type(exc).__name__
+        raise RuntimeError(f"{', '.join(names)} failed on shard {unit!r}: {kind}: {exc}") from exc
     elapsed = time.perf_counter() - started
     for result in results:
         result.elapsed_s = elapsed
@@ -645,9 +691,9 @@ class _Check(NamedTuple):
 
 def _scan_weight(config: VerifyConfig) -> int:
     """The 2 bound + 4 oracle calls the minimal-twist scan of a box point
-    may make, bound = n + max(|m_k| + l_k) + 2 <= 4 lmax + max(|lo|, |hi|)
-    + 2 since n <= 3 lmax: 22-26 us at the reference's weight 48."""
-    return 2 * (4 * config.lmax + max(map(abs, config.box)) + 2) + 4
+    may make, with the bound ``_scan_bound``: 15.2 us at the reference's
+    weight 48."""
+    return 2 * _scan_bound(config) + 4
 
 
 # A weight prices one kind of instance of a check, such as the box pairs or
@@ -660,7 +706,9 @@ def _scan_weight(config: VerifyConfig) -> int:
 # stated.  An r=3 sample's come from its shard alone, at lmax = dmax
 # in 1, 3, 8 on the boxes 0..0 and -8..8, and in pairs: the cost of one
 # reference box pair of the same check, or of formula-vs-oracle for
-# tate-endpoints.
+# tate-endpoints.  The costs of cohomology, minimal-twist, subadditivity,
+# tate-endpoints and tate-window are the least of three runs, taken on a
+# day when a reference formula-vs-oracle pair took 0.67 us, not 0.48.
 CHECKS: dict[str, _Check] = {
     # the profile, the Serre dual twist's profile and the Euler characteristic,
     # read off the profile and by the polynomial, each replayed against a full
@@ -670,8 +718,7 @@ CHECKS: dict[str, _Check] = {
         lambda config: [l for r in COHOMOLOGY_R for l in itertools.product(range(1, config.lmax + 1), repeat=r)],
         # its convolution and duality tables run over up to n + 1 <= 3 lmax + 1
         # degrees, and the twists of one head share its convolution and Euler
-        # product: 5.7-6.9 us at lmax 3, 5.7-6.2 at 1 and 6.2-6.5 at 8 on the
-        # box -2..2
+        # product: 5.5 us at lmax 3, 6.6 at 1 and 5.8 at 8 on the box -2..2
         lambda config: [
             (sum((config.lmax * (box.stop - box.start)) ** r for r in COHOMOLOGY_R), 2 * config.lmax + 13)
             for box in [_box_range(config)]
@@ -700,8 +747,8 @@ CHECKS: dict[str, _Check] = {
     "minimal-twist": _Check(
         _minimal_twist,
         _grid,
-        # an r=3 point scans as far, with costlier oracle calls: 23-51, 46-75
-        # and 90-108 us at lmax = dmax = 1, 3 and 8, 0.89-4.9 box instances
+        # an r=3 point scans as far, with costlier oracle calls: 17-44, 38-59
+        # and 88-99 us at lmax = dmax = 1, 3 and 8, 1.1-6.5 box instances
         lambda config: [
             (_box(config, 1), _scan_weight(config)),
             (config.r3_samples, (config.lmax + 7) * _scan_weight(config) // 4),
@@ -724,7 +771,7 @@ CHECKS: dict[str, _Check] = {
     "subadditivity": _Check(
         _subadditivity,
         _embeddings,
-        lambda config: [(_per_embedding(config, 1) * config.subadd_pairs, 7)],  # 3.4-3.6 us
+        lambda config: [(_per_embedding(config, 1) * config.subadd_pairs, 7)],  # 4.3 us
     ),
     # the sum of two seeded pairs built from corner points, so meeting the
     # hypotheses, is regular, and either pair lowered one step below its
@@ -739,16 +786,17 @@ CHECKS: dict[str, _Check] = {
     "tate-endpoints": _Check(
         _tate_endpoints,
         lambda config: [None, *_grid(config)],
-        # 7.9-8.0 us a closed-form or box instance; an r=3 sample 18.1-20.0
-        # us, 34-38 pairs
+        # 9.6 us a closed-form or box instance; an r=3 sample 19.3-23.0 us,
+        # 29-34 pairs
         lambda config: [(_tate_closed_form_count(config) + _box(config, 1), 22), (config.r3_samples, 27)],
     ),
     "tate-window": _Check(
         _window_structure,
         _embeddings,
-        # a window's columns and their Kunneth calls grow with l and d:
-        # 57-60 us at lmax = dmax = 1, 76 at 3, 91 at 4, 56-57 at lmax 1 and
-        # dmax 8, 117-120 at lmax 8 and dmax 1, 158 at lmax 8 and dmax 4
+        # a window's columns and their Kunneth calls, one per twist in the
+        # window and in its replay, grow with l and d: 54 us at lmax = dmax = 1
+        # (the least of 20 passes), 68 at 3, 80 at 4, 70 at lmax 1 and dmax 8,
+        # 81 at lmax 8 and dmax 1, 102 at lmax 8 and dmax 4
         lambda config: [(_per_embedding(config, len(WINDOW_BOX)), 50 + config.lmax * (15 + config.dmax))],
     ),
 }
@@ -769,7 +817,7 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
     processes, one per available CPU and at most one per shard.  The named
     pair checks share one walk.  Before any grid is built, names that are
     not a list or tuple, an empty list of names, an unknown and a repeated
-    name are refused with ValueError, and so is a config that is not a
+    name are refused with Refusal, and so is a config that is not a
     ``VerifyConfig`` (one that is lies in the grid's domain) and a run that
     weighs more than ``MAX_INSTANCES``: the sum of ``instances * weight``
     over the ``cost`` pairs of the checks named."""
@@ -777,25 +825,25 @@ def run_checks(config: VerifyConfig, names: Sequence[str] | None = None) -> list
         selected = list(CHECKS)
     else:
         if not isinstance(names, (list, tuple)):
-            raise ValueError(f"names must be a list or tuple of check names, got {names!r}")
+            raise Refusal(f"names must be a list or tuple of check names, got {names!r}")
         if not names:
-            raise ValueError(f"no checks named; available: {', '.join(CHECKS)}")
+            raise Refusal(f"no checks named; available: {', '.join(CHECKS)}")
         unknown = [n for n in names if not (isinstance(n, str) and n in CHECKS)]
         if unknown:
-            raise ValueError(
+            raise Refusal(
                 f"unknown checks: {', '.join(map(str, unknown))}; available: {', '.join(CHECKS)}"
             )
         repeated = sorted({n for n in names if names.count(n) > 1}, key=names.index)
         if repeated:
-            raise ValueError(f"checks named more than once: {', '.join(repeated)}")
+            raise Refusal(f"checks named more than once: {', '.join(repeated)}")
         selected = list(names)
     if not isinstance(config, VerifyConfig):
-        raise ValueError(f"config must be a VerifyConfig, got {config!r}")
+        raise Refusal(f"config must be a VerifyConfig, got {config!r}")
     costs = [pair for name in selected for pair in CHECKS[name].cost(config)]
     weighted = sum(n * weight for n, weight in costs)
     if weighted > MAX_INSTANCES:
         instances = sum(n for n, _ in costs)
-        raise ValueError(
+        raise Refusal(
             f"the run has {instances} instances, or {weighted} weighted instances, over the limit of {MAX_INSTANCES}"
         )
     walks: dict[Callable, list[str]] = {}  # routine -> the checks that share its walk

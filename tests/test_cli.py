@@ -500,7 +500,7 @@ class TestMain:
     def test_internal_error_exit_three(self, capsys, monkeypatch, name, argv):
         # each subcommand calls its library function through the cli module
         # when it runs, so the function patched there is the one that raises;
-        # any exception but a ValueError is an internal error, named by type
+        # any exception but a Refusal is an internal error, named by type
         for kind in (RuntimeError, IndexError):
 
             def broken(*args):
@@ -510,6 +510,21 @@ class TestMain:
             code, out, err = run_cli(argv, capsys)
             assert (code, out) == (3, "")
             assert err == f"svreg: internal error: {kind.__name__}: routes disagree on two lines\n"
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        LIBRARY_CALLS,
+        ids=[argv[0] if argv[0] in ("member", "segre2") else name for name, argv in LIBRARY_CALLS],
+    )
+    def test_value_error_mid_call_exit_three(self, capsys, monkeypatch, name, argv):
+        # a ValueError that is no Refusal, raised after the call has begun
+        # its work, is a library fault and not a usage error
+        def planted(*args):
+            raise ValueError("planted mid-call")
+
+        monkeypatch.setattr(cli, name, planted)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (3, "", "svreg: internal error: ValueError: planted mid-call\n")
 
     @pytest.mark.parametrize("flags", [[f"--m=0,{2**63 - 1}"], ["--m=0,0", f"--pad={2**63 - 1}"]])
     def test_tate_window_over_limit_exit_one(self, capsys, flags):

@@ -171,6 +171,8 @@ class TestSegreVeronese:
         monkeypatch.setattr(SegreVeronese, "__init__", lambda self, l, d: built.append(real(self, l, d)))
         copy = pickle.loads(pickle.dumps(E))
         assert (copy, hash(copy), len(built)) == (E, hash(E), 1)
+        # the dimension is summed again by the constructor, not carried over
+        assert copy.n == sum(copy.l) == 3
         # slots, no __dict__: the layout whose loads CPython specializes
         assert not hasattr(copy, "__dict__")
 
@@ -181,6 +183,12 @@ class TestSegreVeronese:
         with pytest.raises(AttributeError):
             del E.l
         assert E.l == (1, 2)
+        # the stored dimension is as frozen as the fields it is summed from
+        with pytest.raises(AttributeError):
+            E.n = 4
+        with pytest.raises(AttributeError):
+            del E.n
+        assert E.n == 3
         # compared by value with its own class only: a tuple is not an embedding
         assert (E == (E.l, E.d)) is False
 

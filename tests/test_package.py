@@ -91,7 +91,7 @@ def test_names_nothing_reads_are_gone():
             for name in names:
                 with pytest.raises(AttributeError):
                     getattr(namespace, name)
-    assert len(svreg.__all__) == len(set(svreg.__all__)) == 18
+    assert len(svreg.__all__) == len(set(svreg.__all__)) == 19
     assert svreg.TateWindow._fields == ("p_minus", "p_plus", "terms")
 
 
@@ -269,3 +269,42 @@ def test_every_check_entry_hashes():
     from svreg import verify
 
     assert len({check: name for name, check in verify.CHECKS.items()}) == len(verify.CHECKS)
+
+
+def test_each_refusal_site_raises_refusal_and_each_fault_check_does_not():
+    # cli.main exits 1 on a Refusal and 3 on any other exception, so each
+    # site that refuses an input raises one, and a check that only a
+    # library fault can trip raises a plain ValueError
+    from svreg import cli, tate, verify
+    from svreg.cohomology import _MAX_DIMENSION, CohomologyProfile, SegreVeronese
+
+    def ones(r):
+        return SegreVeronese((1,) * r, (1,) * r), (0,) * r
+
+    refusals = [
+        (lambda: SegreVeronese((1,), (0,)), "embedding degrees must all be >= 1"),
+        (lambda: svreg.cm_regularity(SegreVeronese((1, 1), (1, 1)), (0,)), "m has 1 entries, expected 2"),
+        (lambda: svreg.product_cohomology(*ones(_MAX_DIMENSION + 1)), "the product has dimension"),
+        (lambda: svreg.regularity_corners(*ones(9)), "r=9 has 9! permutations"),
+        (lambda: svreg.cm_regularity_breakdown(*ones(17)), "r=17 has 2^17 - 1 subsets"),
+        (lambda: svreg.tate_window(*ones(2), pad=-1), "pad must be >= 0"),
+        (lambda: svreg.tate_window(*ones(1), pad=tate._MAX_COLUMNS), "the window has"),
+        (lambda: svreg.tate_window(*ones(64), pad=tate._MAX_WORK // 128), "the window takes"),
+        (lambda: svreg.tate_window(SegreVeronese((990,), (2**63 - 1,)), (0,), pad=8), "the window's ranks take"),
+        (lambda: verify.VerifyConfig(lmax=0), "lmax must be between"),
+        (lambda: verify.run_checks(verify.VerifyConfig(), []), "no checks named"),
+        (lambda: cli.parse_args(["frobnicate"]), "unknown subcommand"),
+        (lambda: cli.run(cli.parse_args(["subadd", "--l=1", "--d=1", "--m=0", "--m2=0", "--p=0"])), "--p and --p2"),
+        (lambda: cli.parse_args(["reg", "--l=1"]), "the following arguments are required"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(svreg.Refusal, match=f"^{re.escape(message)}"):
+            call()
+    faults = [
+        (lambda: CohomologyProfile(0, 0), "dimension must be >= 1"),
+        (lambda: CohomologyProfile(2, 1).table(1), "profile degree 2 exceeds table size 1"),
+    ]
+    for call, message in faults:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}") as caught:
+            call()
+        assert not isinstance(caught.value, svreg.Refusal), message

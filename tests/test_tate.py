@@ -8,7 +8,7 @@ from svreg import tate
 from svreg.cohomology import SegreVeronese
 from svreg.regularity import cm_regularity
 from svreg.tate import dual_twist, p_minus, tate_window
-from svreg.verify import _balanced_endpoints, _kunneth_table, _p_minus_ceiling, _tate_term
+from svreg.verify import _balanced_endpoints, _kunneth_table, _p_minus_ceiling, _tate_term, _twist_table
 from conftest import P1P1
 
 
@@ -103,6 +103,21 @@ class TestTateTerm:
                             term = _tate_term(E, m, p)
                             assert term.p == p
                             assert list(term.entries) == reference(E, m, p)
+
+
+    def test_shared_table_builds_the_same_columns(self):
+        # the window replay reads every column of a padded window from one
+        # table of its twists; each column must be the one built on its own
+        for r in (1, 2, 3):
+            twists = range(-2, 3) if r == 3 else range(-3, 4)
+            for l in itertools.product((1, 2), repeat=r):
+                for d in itertools.product((1, 2), repeat=r):
+                    E = SegreVeronese(l, d)
+                    for m in itertools.product(twists, repeat=r):
+                        terms = tate_window(E, m, pad=3).terms
+                        table = _twist_table(E, m, range(terms[0].p - E.n, terms[-1].p + 1))
+                        for t in terms:
+                            assert _tate_term(E, m, t.p, table) == _tate_term(E, m, t.p)
 
 
 class TestTateWindow:

@@ -517,6 +517,29 @@ def test_draws_follow_the_randint_stream(monkeypatch):
     assert drawn == quads
 
 
+def test_draw_is_randrange_on_the_same_stream():
+    # draw and the twist drawer read getrandbits as randrange does, each
+    # rejected value included: widths 1..70 take in every power of two and
+    # its neighbours, where a draw of k bits is rejected most and least
+    # often, and rng.choice calls interleave on the one stream
+    config = verify.VerifyConfig(seed=11)
+    rng, draw, _ = verify._drawer(config, "draws")
+    reference = random.Random(f"{config.seed}|draws")
+    options = list(range(5))
+    for width in range(1, 71):
+        for start in (-width, 0, 3):
+            for _ in range(10):
+                assert draw(start, start + width) == reference.randrange(start, start + width)
+            assert rng.choice(options) == reference.choice(options)
+    for lo, hi in [(0, 0), (-1, 0), (-2, 1), (-3, 1), (-8, 7), (-8, 8), (5, 36)]:
+        config = verify.VerifyConfig(box=(lo, hi), seed=11)
+        rng, _, twist = verify._drawer(config, "twists")
+        reference = random.Random(f"{config.seed}|twists")
+        for r in (1, 3, 2) * 20:
+            assert twist(r) == tuple(reference.randrange(lo, hi + 1) for _ in range(r))
+            assert rng.choice(options) == reference.choice(options)
+
+
 def pairs_of(config, unit):
     return [(E, m, p) for E, m, ps, _ in verify._pair_groups(config, unit) for p in ps]
 
@@ -648,6 +671,21 @@ def test_window_replay_does_not_share_the_windows_route(monkeypatch):
     assert result.counterexample["reason"] == "window column differs from tate_term"
 
 
+def test_window_replay_evaluates_each_twist_once(monkeypatch):
+    # the columns of one window share a table of their twists: columns + n
+    # Kunneth calls, not columns * (n + 1)
+    calls = []
+    real = cohomology._kunneth
+    monkeypatch.setattr(cohomology, "_kunneth", lambda l, a: calls.append(tuple(a)) or real(l, a))
+    for l, d, m in [((1,), (1,), (0,)), ((2, 1), (1, 2), (-3, 4)), ((3, 3), (2, 3), (4, -4))]:
+        E = SegreVeronese(l, d)
+        calls.clear()
+        assert verify._window_failure(E, m) is None
+        columns = len(tate.tate_window(E, m, pad=3).terms)
+        assert len(calls) <= columns + E.n + 1
+        assert len(set(calls)) == len(calls)
+
+
 def test_p_minus_disagreement_is_a_counterexample(monkeypatch):
     real = tate.p_minus
     monkeypatch.setattr(tate, "p_minus", lambda E, m: real(E, m) + 1)
@@ -777,6 +815,22 @@ def test_each_fixed_grid_is_counted_from_the_constant_its_walk_reads(monkeypatch
     assert all(after[name] < before[name] for name in names)
     results = run_on(2, monkeypatch, TINY, names)
     assert {r.name: r.instances for r in results} == {name: after[name] for name in names}
+
+
+def test_minimal_twist_vectors_reach_the_largest_bound(monkeypatch):
+    # the shard builds q*d up front: on the point of the largest bound,
+    # n = 3 lmax with every |m_k| at the box's wider end, a scan that finds
+    # its least regular twist at the bound reads the three above it too
+    config = verify.VerifyConfig(lmax=2, dmax=2, box=(-5, 3), r3_samples=1)
+    E, m = SegreVeronese((2, 2, 2), (2, 1, 2)), (-5, -5, -5)
+    bound = verify._scan_bound(config)
+    assert bound == E.n + max(abs(mk) + lk for mk, lk in zip(m, E.l)) + 2
+    scanned = []
+    monkeypatch.setattr(verify, "_pair_groups", lambda config, unit: iter([(E, m, None, None)]))
+    monkeypatch.setattr(regularity, "cm_regularity", lambda E, m: bound)
+    monkeypatch.setattr(regularity, "is_regular_oracle", lambda E, m, p: scanned.append(p[1]) or p[1] >= bound)
+    assert list(verify._minimal_twist(config, range(1))) == [None]
+    assert scanned == list(range(-bound, bound + 4))
 
 
 def not_monotone(E, m, p, real=regularity.is_regular_oracle, reg=regularity.cm_regularity):
