@@ -577,16 +577,13 @@ def _twist_table(E: SegreVeronese, m: Sequence[int], qs: range) -> dict[int, tup
     return {q: cohomology._kunneth(l, [mk + q * dk for mk, dk in zip(m, d)]) for q in qs}
 
 
-def _tate_term(E: SegreVeronese, m: Sequence[int], p: int, table: dict | None = None) -> tate.TateTerm:
+def _tate_term(E: SegreVeronese, p: int, table: dict) -> tate.TateTerm:
     """Column p of the Tate resolution, column by column and not twist by
     twist as ``tate_window`` files it: dim H^i(O(m + (p-i)d)) for each i
-    in 0..n, read from ``table``, a ``_twist_table`` that holds q = p - n
-    to p, or from one of its own."""
-    n = E.n
-    if table is None:
-        table = _twist_table(E, m, range(p - n, p + 1))
+    in 0..n, read from ``table``, a ``_twist_table`` of m that holds
+    q = p - n to p."""
     entries = []
-    for i in range(n + 1):
+    for i in range(E.n + 1):
         found = table[p - i]
         if found is not None and found[0] == i:
             entries.append((i, found[1]))
@@ -603,7 +600,7 @@ def _window_failure(E: SegreVeronese, m: tuple[int, ...]) -> dict | None:
     ps = [t.p for t in window.terms]
     table = _twist_table(E, m, range(min(ps) - n, max(ps) + 1)) if ps else {}
     for t in window.terms:
-        if t != _tate_term(E, m, t.p, table):
+        if t != _tate_term(E, t.p, table):
             return _instance(E, m=m, p=t.p, reason="window column differs from tate_term")
         if _pure(t, 0) != (t.p >= window.p_plus) or _pure(t, n) != (t.p <= window.p_minus):
             return _instance(E, m=m, p=t.p, reason="purity does not match endpoint")

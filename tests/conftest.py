@@ -3,11 +3,18 @@ import os
 
 import pytest
 
-from svreg import tate
+from svreg import regularity, tate, verify
 from svreg.cohomology import SegreVeronese
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 P1P1 = SegreVeronese((1, 1), (1, 1))
+
+
+def replay_table(E, m):
+    """The ``_twist_table`` the tate-window replay reads for (E, m): the
+    twists from n below the first column of the window padded by 3 to its
+    last column."""
+    return verify._twist_table(E, m, range(tate.p_minus(E, m) - 3 - E.n, regularity.cm_regularity(E, m) + 4))
 
 
 def names_started(tasks):

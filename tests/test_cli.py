@@ -14,6 +14,7 @@ import pytest
 from svreg import cli
 from svreg import cohomology, regularity, tate, verify
 from conftest import SRC, names_started, refuse_to_start
+from test_faults import FAULTS, plant
 
 
 # a library function each subcommand calls, and an invocation that calls it;
@@ -395,53 +396,9 @@ class TestMain:
         assert code == 1
         assert "nope" in err
 
-    def test_verify_counterexample_exit_two(self, capsys, monkeypatch):
-        # sabotage the closed form on one input; verify must catch it,
-        # serialize the smallest counterexample and exit 2
-        real = regularity.is_regular_formula
-        target = ((1,), (1,), (-2,), (-2,))
-
-        def broken(E, m, p):
-            if (E.l, E.d, tuple(m), tuple(p)) == target:
-                return not real(E, m, p)
-            return real(E, m, p)
-
-        monkeypatch.setattr(regularity, "is_regular_formula", broken)
-        code, out, _ = run_cli(
-            [
-                "verify",
-                "--checks=formula-vs-oracle",
-                "--lmax=1",
-                "--dmax=1",
-                "--box=-2,2",
-                "--r3-samples=0",
-                "--format=json",
-            ],
-            capsys,
-        )
-        assert code == 2
-        document = json.loads(out)
-        check = document["result"]["checks"][0]
-        assert check["failures"] == 1
-        assert check["counterexample"] == {
-            "l": [1],
-            "d": [1],
-            "m": [-2],
-            "p": [-2],
-            "formula": True,
-            "oracle": False,
-        }
-
     def test_verify_table_shows_each_counterexample_on_its_row(self, capsys, monkeypatch):
         # both pair checks fail on the same planted pair; each row carries it
-        real = regularity.is_regular_formula
-        target = ((1,), (1,), (-2,), (-2,))
-
-        def broken(E, m, p):
-            value = real(E, m, p)
-            return not value if (E.l, E.d, tuple(m), tuple(p)) == target else value
-
-        monkeypatch.setattr(regularity, "is_regular_formula", broken)
+        plant(monkeypatch, FAULTS["formula-flip-one-pair"])
         argv = ["verify", "--checks=formula-vs-oracle,corner-membership,segre-r2", "--lmax=1", "--dmax=1"]
         code, out, _ = run_cli([*argv, "--box=-2,2", "--r3-samples=0"], capsys)
         assert code == 2

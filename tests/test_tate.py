@@ -8,8 +8,8 @@ from svreg import tate
 from svreg.cohomology import SegreVeronese
 from svreg.regularity import cm_regularity
 from svreg.tate import dual_twist, p_minus, tate_window
-from svreg.verify import _balanced_endpoints, _kunneth_table, _p_minus_ceiling, _tate_term, _twist_table
-from conftest import P1P1
+from svreg.verify import _balanced_endpoints, _kunneth_table, _p_minus_ceiling, _tate_term
+from conftest import P1P1, replay_table
 
 
 class TestDualTwist:
@@ -70,15 +70,15 @@ class TestEndpoints:
 class TestTateTerm:
     # the column-by-column route that verify replays windows against
     def test_middle_column(self):
-        term = _tate_term(P1P1, (0, 0), 0)
+        term = _tate_term(P1P1, 0, replay_table(P1P1, (0, 0)))
         assert term.entries == ((0, 1), (2, 1))
 
     def test_column_above_window(self):
-        term = _tate_term(P1P1, (0, 0), 2)
+        term = _tate_term(P1P1, 2, replay_table(P1P1, (0, 0)))
         assert term.entries == ((0, 9),)
 
     def test_column_below_window(self):
-        term = _tate_term(P1P1, (0, 0), -2)
+        term = _tate_term(P1P1, -2, replay_table(P1P1, (0, 0)))
         assert term.entries == ((2, 9),)
 
     def test_matches_per_twist_route(self):
@@ -92,32 +92,20 @@ class TestTateTerm:
                     entries.append((i, h))
             return entries
 
-        # 68,952 columns: m in -3..3 for r <= 2 and in -2..2 for r = 3
+        # every column of the window padded by 3, each (E, m)'s read from
+        # one table as the replay reads them: m in -3..3 for r <= 2 and in
+        # -2..2 for r = 3
         for r in (1, 2, 3):
             twists = range(-2, 3) if r == 3 else range(-3, 4)
             for l in itertools.product((1, 2), repeat=r):
                 for d in itertools.product((1, 2), repeat=r):
                     E = SegreVeronese(l, d)
                     for m in itertools.product(twists, repeat=r):
-                        for p in range(p_minus(E, m) - 2, cm_regularity(E, m) + 3):
-                            term = _tate_term(E, m, p)
+                        table = replay_table(E, m)
+                        for p in range(p_minus(E, m) - 3, cm_regularity(E, m) + 4):
+                            term = _tate_term(E, p, table)
                             assert term.p == p
                             assert list(term.entries) == reference(E, m, p)
-
-
-    def test_shared_table_builds_the_same_columns(self):
-        # the window replay reads every column of a padded window from one
-        # table of its twists; each column must be the one built on its own
-        for r in (1, 2, 3):
-            twists = range(-2, 3) if r == 3 else range(-3, 4)
-            for l in itertools.product((1, 2), repeat=r):
-                for d in itertools.product((1, 2), repeat=r):
-                    E = SegreVeronese(l, d)
-                    for m in itertools.product(twists, repeat=r):
-                        terms = tate_window(E, m, pad=3).terms
-                        table = _twist_table(E, m, range(terms[0].p - E.n, terms[-1].p + 1))
-                        for t in terms:
-                            assert _tate_term(E, m, t.p, table) == _tate_term(E, m, t.p)
 
 
 class TestTateWindow:

@@ -12,12 +12,10 @@ import types
 
 import pytest
 
-from svreg import cli, cohomology, regularity, tate, verify
+from svreg import cohomology, regularity, tate, verify
 from svreg.cohomology import SegreVeronese
 from conftest import SRC, refuse_to_start
-
-SMALL = verify.VerifyConfig(lmax=2, dmax=2, box=(-3, 3), r3_samples=50)
-PAIR_CHECKS = ["formula-vs-oracle", "corner-membership"]
+from test_faults import FAULTS, PAIR_CHECKS, SMALL, TINY, plant
 
 
 def summary(results):
@@ -110,55 +108,11 @@ def test_one_verify_run_forks_without_the_fork_warning():
     assert json.loads(proc.stdout)["result"]["ok"] is True
 
 
-def flip_oracle(monkeypatch):
-    # on the box [-3, 3], m + p = -2 for m in -3..1: five pairs of l=(2,), d=(1,)
-    real = regularity._oracle_scan
-    monkeypatch.setattr(regularity, "_oracle_scan", lambda l, d, c: real(l, d, c) != ((l, d, c) == ((2,), (1,), (-2,))))
-
-
-def shift_corners(monkeypatch, by=1):
-    real = regularity.regularity_corners
-    monkeypatch.setattr(
-        regularity,
-        "regularity_corners",
-        lambda E, m: [c._replace(corner=tuple(x + by for x in c.corner)) for c in real(E, m)],
-    )
-
-
-def lower_corners(monkeypatch):
-    # each orthant then holds points below the regularity set, some of them
-    # below the box's span
-    shift_corners(monkeypatch, by=-1)
-
-
-def flip_formula(monkeypatch):
-    real = regularity.is_regular_formula
-    monkeypatch.setattr(
-        regularity, "is_regular_formula", lambda E, m, p: real(E, m, p) != (E.l == (1, 2) and tuple(m) == (0, 0))
-    )
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize(
-    "plant, failing",
-    [
-        (flip_oracle, {"formula-vs-oracle": 5}),
-        (shift_corners, {"corner-membership": 3271}),
-        (lower_corners, {"corner-membership": 4785}),
-        (flip_formula, dict.fromkeys(PAIR_CHECKS, 196)),
-    ],
-    ids=["oracle", "corners", "lower-corners", "formula"],
-)
-def test_each_route_is_caught_by_the_check_that_owns_it(monkeypatch, plant, failing, cpus):
-    plant(monkeypatch)
-    both = run_on(cpus, monkeypatch, SMALL, PAIR_CHECKS)
-    assert {r.name: r.failures for r in both if r.failures} == failing
-    counts = verify.instance_counts(SMALL)
-    assert [r.instances for r in both] == [counts[name] for name in PAIR_CHECKS]
-    firsts = {tuple(map(tuple, (ce["l"], ce["d"], ce["m"], ce["p"]))) for ce in (r.counterexample for r in both) if ce}
-    assert len(firsts) == 1  # a formula fault is first found at the same pair by both
-    # the shared walk reports each check as a lone run of it does
-    assert summary(both) == [summary(run_on(cpus, monkeypatch, SMALL, [name]))[0] for name in PAIR_CHECKS]
+@pytest.mark.parametrize("row", ["oracle-flip", "corners-up", "corners-down", "formula-flip"])
+def test_the_shared_walk_reports_each_pair_check_as_a_lone_run(monkeypatch, row):
+    plant(monkeypatch, FAULTS[row])
+    both = run_on(2, monkeypatch, SMALL, PAIR_CHECKS)
+    assert summary(both) == [summary(run_on(2, monkeypatch, SMALL, [name]))[0] for name in PAIR_CHECKS]
 
 
 def test_patched_corners_reach_every_run(monkeypatch):
@@ -167,7 +121,7 @@ def test_patched_corners_reach_every_run(monkeypatch):
     config = verify.VerifyConfig(lmax=1, dmax=1, box=(-2, 2), r3_samples=0)
     monkeypatch.setattr(verify, "_available_cpus", lambda: 1)
     assert verify.run_checks(config, ["corner-membership"])[0].failures == 0
-    shift_corners(monkeypatch)
+    plant(monkeypatch, FAULTS["corners-up"])
     assert verify.run_checks(config, ["corner-membership"])[0].failures == 121
 
 
@@ -357,39 +311,6 @@ def test_first_counterexample_in_iteration_order(monkeypatch):
     assert summary(parallel) == summary(serial)
 
 
-def test_sorted_vs_subsets_catches_planted_faults(monkeypatch):
-    real_reg, real_formula = regularity.cm_regularity, regularity.is_regular_formula
-    monkeypatch.setattr(regularity, "cm_regularity", lambda E, m: real_reg(E, m) + (E.r == 7))
-    (result,) = run_on(2, monkeypatch, SMALL, ["sorted-vs-subsets"])
-    assert result.failures == verify.SUBSET_SAMPLES
-    ce = result.counterexample
-    assert len(ce["l"]) == 7 and ce["cm_regularity"] == ce["subsets_reg"] + 1
-    assert ce["formula"] == ce["subsets"]
-    monkeypatch.setattr(regularity, "cm_regularity", real_reg)
-    monkeypatch.setattr(regularity, "is_regular_formula", lambda E, m, p: not real_formula(E, m, p))
-    (result,) = run_on(1, monkeypatch, SMALL, ["sorted-vs-subsets"])
-    assert result.failures == result.instances == len(verify.SUBSET_R) * verify.SUBSET_SAMPLES
-    assert result.counterexample["formula"] != result.counterexample["subsets"]
-
-
-def test_cohomology_catches_planted_chi_faults(monkeypatch):
-    # chi read off the profile and chi by verify's polynomial are each
-    # replayed against the convolution's alternating sum
-    config = verify.VerifyConfig(lmax=2, dmax=1, box=(-3, 3), r3_samples=0)
-    real_chi = cohomology.CohomologyProfile.euler_characteristic
-    monkeypatch.setattr(cohomology.CohomologyProfile, "euler_characteristic", property(lambda self: -real_chi.fget(self)))
-    (result,) = run_on(2, monkeypatch, config, ["cohomology"])
-    ce = result.counterexample
-    assert result.failures > 0 and ce["chi"] == -ce["alternating"] == -ce["polynomial"]
-    assert ce["reason"] == "Euler characteristic disagrees"
-    monkeypatch.setattr(cohomology.CohomologyProfile, "euler_characteristic", real_chi)
-    # off by one in every factor of every twist, the head's and the last
-    euler_factor_off_by_one(monkeypatch)
-    (result,) = run_on(1, monkeypatch, config, ["cohomology"])
-    ce = result.counterexample
-    assert result.failures > 0 and ce["chi"] == ce["alternating"] != ce["polynomial"]
-
-
 def replay_twist(E, a):
     """The cohomology replay of one twist on its own: its convolution and
     Euler polynomial built from all of its factors."""
@@ -406,28 +327,6 @@ def test_cohomology_instance_makes_two_kunneth_calls(monkeypatch):
     twists = list(itertools.product(range(-5, 3), repeat=2))
     assert [replay_twist(E, a) for a in twists] == [None] * len(twists)
     assert len(calls) == 2 * len(twists)
-
-
-def test_patched_oracle_scan_reaches_forked_workers(monkeypatch):
-    # is_regular_oracle looks _oracle_scan up when it is called, so the
-    # workers run the patched scan, not the memoized one
-    real = regularity._oracle_scan
-    parent = os.getpid()
-    target = ((2,), (1,), (-2,))
-
-    def flipped(l, d, c):
-        if os.getpid() == parent:
-            raise AssertionError("shard ran in-process")
-        value = real(l, d, c)
-        return not value if (l, d, c) == target else value
-
-    monkeypatch.setattr(regularity, "_oracle_scan", flipped)
-    (result,) = run_on(2, monkeypatch, SMALL, ["formula-vs-oracle"])
-    # on the box [-3, 3], m + p = -2 for m in -3..1
-    assert result.failures == 5
-    ce = result.counterexample
-    assert (ce["l"], ce["d"], ce["m"], ce["p"]) == ([2], [1], [-3], [1])
-    assert ce["oracle"] != ce["formula"]
 
 
 def dominating(corners, span):
@@ -655,22 +554,6 @@ def test_dead_worker_is_an_error(monkeypatch, cpus):
         run_on(cpus, monkeypatch, SMALL, ["formula-vs-oracle"])
 
 
-def test_window_replay_does_not_share_the_windows_route(monkeypatch):
-    # the replay builds its columns through cohomology._kunneth, so a rank
-    # fault planted in the _kunneth that tate_window reads fails every window
-    real = tate._kunneth
-
-    def one_more(l, a):
-        found = real(l, a)
-        return found and (found[0], found[1] + 1)
-
-    monkeypatch.setattr(tate, "_kunneth", one_more)
-    config = verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=0)
-    (result,) = run_on(1, monkeypatch, config, ["tate-window"])
-    assert result.failures == result.instances == 90
-    assert result.counterexample["reason"] == "window column differs from tate_term"
-
-
 def test_window_replay_evaluates_each_twist_once(monkeypatch):
     # the columns of one window share a table of their twists: columns + n
     # Kunneth calls, not columns * (n + 1)
@@ -694,100 +577,31 @@ def test_p_minus_disagreement_is_a_counterexample(monkeypatch):
     assert (failure["p_minus"], failure["ceiling"]) == (-1, -2)
 
 
-def kunneth_dimension(monkeypatch):
-    real = cohomology._kunneth
-    monkeypatch.setattr(cohomology, "_kunneth", lambda l, a: (found := real(l, a)) and (found[0], found[1] + 1))
-
-
-def kunneth_degree(monkeypatch):
-    # H^1 of O(-3) on P^1 lands in degree 2, past the table of n = 1
-    real = cohomology._kunneth
-    monkeypatch.setattr(cohomology, "_kunneth", lambda l, a: (found := real(l, a)) and (found[0] + 1, found[1]))
-
-
-def chi_sign(monkeypatch):
-    real = cohomology.CohomologyProfile.euler_characteristic
-    monkeypatch.setattr(cohomology.CohomologyProfile, "euler_characteristic", property(lambda self: -real.fget(self)))
-
-
-def dual_twists_only(monkeypatch):
-    # wrong only outside the box -3..3, where no profile but a dual one is read
-    real = cohomology.product_cohomology
-
-    def wrong_outside(E, a):
-        profile = real(E, a)
-        if profile.degree is None or all(-3 <= ak <= 3 for ak in a):
-            return profile
-        return cohomology.CohomologyProfile(profile.degree, profile.dimension + 1)
-
-    monkeypatch.setattr(cohomology, "product_cohomology", wrong_outside)
-
-
-def euler_factor_off_by_one(monkeypatch):
-    # the product runs (a+2)...(a+l+1)
-    real = verify._euler_factor
-    monkeypatch.setattr(verify, "_euler_factor", lambda l, a: real(l, a + 1))
-
-
-def dual_degree_over_n(monkeypatch):
-    # a degree that table(n) would refuse, outside the box -3..3 as above
-    real = cohomology.product_cohomology
-    monkeypatch.setattr(
-        cohomology,
-        "product_cohomology",
-        lambda E, a: real(E, a) if all(-3 <= ak <= 3 for ak in a) else cohomology.CohomologyProfile(E.n + 1, 1),
-    )
-
-
 def test_a_dual_degree_over_n_is_a_counterexample(monkeypatch):
     # also on a twist with no cohomology, whose table is all zeros
-    dual_degree_over_n(monkeypatch)
+    plant(monkeypatch, FAULTS["dual-degree-over-n"])
     failure = replay_twist(SegreVeronese((1, 1), (1, 1)), (-1, 3))
     assert (failure["reason"], failure["dual"], failure["dual_profile"]) == ("Serre duality violated", [-1, -5], [3, 1])
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
-    "plant, first",
-    [
-        (kunneth_dimension, {"a": [-3], "reason": "profile disagrees with Kunneth convolution", "profile": [1, 3]}),
-        (kunneth_degree, {"a": [-3], "reason": "profile disagrees with Kunneth convolution", "profile": [2, 2]}),
-        (chi_sign, {"a": [-3], "reason": "Euler characteristic disagrees", "chi": 2}),
-        (dual_twists_only, {"a": [2], "reason": "Serre duality violated", "dual": [-4], "dual_profile": [1, 4]}),
-        (dual_degree_over_n, {"a": [2], "reason": "Serre duality violated", "dual": [-4], "dual_profile": [2, 1]}),
-    ],
-    ids=["dimension", "degree", "chi", "dual", "dual-degree"],
-)
-def test_cohomology_faults_are_counterexamples(capsys, monkeypatch, plant, first, cpus):
-    # a library fault is a counterexample, exit 2, never a usage error
-    plant(monkeypatch)
-    monkeypatch.setattr(verify, "_available_cpus", lambda: cpus)
-    argv = ["verify", "--lmax=2", "--dmax=1", "--box=-3,3", "--r3-samples=0", "--checks=cohomology", "--format=json"]
-    assert cli.main(argv) == 2
-    (check,) = json.loads(capsys.readouterr().out)["result"]["checks"]
-    assert check["failures"] > 0 and check["counterexample"]["l"] == [1]
-    assert {key: check["counterexample"][key] for key in first} == first
-
-
-@pytest.mark.parametrize(
-    "plant",
-    [None, kunneth_dimension, kunneth_degree, chi_sign, dual_twists_only, euler_factor_off_by_one],
+    "row",
+    [None, "kunneth-dimension", "kunneth-degree", "chi-sign", "dual-only", "euler-factor"],
     ids=["clean", "dimension", "degree", "chi", "dual", "euler-factor"],
 )
-def test_the_walk_shares_heads_without_changing_outcomes(monkeypatch, plant):
+def test_the_walk_shares_heads_without_changing_outcomes(monkeypatch, row):
     # one r=3 unit yields, in itertools.product order, what replaying each
     # twist on its own yields: the heads' convolutions and Euler products
     # are shared by the twists that extend them, never changed
-    if plant:
-        plant(monkeypatch)
+    if row:
+        plant(monkeypatch, FAULTS[row])
     config = verify.VerifyConfig(lmax=2, dmax=1, box=(-3, 3), r3_samples=0)
     E = SegreVeronese((1, 2, 1), (1, 1, 1))
     expected = [replay_twist(E, a) for a in itertools.product(range(-3, 4), repeat=3)]
     assert list(verify._cohomology(config, E.l)) == expected
-    assert (expected == [None] * 7**3) == (plant is None)
+    assert (expected == [None] * 7**3) == (row is None)
 
 
-TINY = verify.VerifyConfig(lmax=1, dmax=1, box=(0, 0), r3_samples=0)
 EMBEDDING_CHECKS = [
     "formula-vs-oracle", "corner-membership", "minimal-twist", "ideal-bound",
     "subadditivity", "pair-subadditivity", "tate-endpoints", "tate-window",
@@ -833,142 +647,9 @@ def test_minimal_twist_vectors_reach_the_largest_bound(monkeypatch):
     assert scanned == list(range(-bound, bound + 4))
 
 
-def not_monotone(E, m, p, real=regularity.is_regular_oracle, reg=regularity.cm_regularity):
-    # regular at the least regular twist, not at the one above it
-    return real(E, m, p) and tuple(p) != tuple((reg(E, m) + 1) * dk for dk in E.d)
-
-
-@pytest.mark.parametrize(
-    "oracle, reason",
-    [
-        (lambda E, m, p: True, "scan lower bound -4 is already regular"),
-        (lambda E, m, p: False, "no regular twist in [-4, 4]"),
-        (not_monotone, "twist 1 above the minimum 0 is not regular"),
-    ],
-    ids=["always", "never", "not-monotone"],
-)
-def test_minimal_twist_catches_planted_oracles(monkeypatch, oracle, reason):
-    monkeypatch.setattr(regularity, "is_regular_oracle", oracle)
-    (result,) = run_on(1, monkeypatch, TINY, ["minimal-twist"])
-    assert result.failures == result.instances == 2
-    assert (result.counterexample["l"], result.counterexample["reason"]) == ([1], reason)
-
-
-def test_ideal_bound_catches_a_lost_strictness_witness(monkeypatch):
-    # one more everywhere, by both routes, still bounds reg, but no longer
-    # strictly by one
-    real, split = regularity.ideal_sheaf_bound, verify._case_split_lambda
-    monkeypatch.setattr(regularity, "ideal_sheaf_bound", lambda E: real(E) + 1)
-    monkeypatch.setattr(verify, "_case_split_lambda", lambda E: split(E) + 1)
-    (result,) = run_on(1, monkeypatch, TINY, ["ideal-bound"])
-    assert result.failures == 1
-    assert result.counterexample == {"l": [1, 2], "d": [1, 1], "bound": 4, "reg_zero": 1, "reason": "strictness witness failed"}
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_ideal_bound_catches_a_planted_case_split_fault(capsys, monkeypatch, cpus):
-    # the case split lives in verify; its disagreement with the library's
-    # lambda fails every embedding, not the witness, which reads lambda alone,
-    # and is a counterexample (exit 2), not an internal error.  A second
-    # check's shard makes two workers
-    real = verify._case_split_lambda
-    monkeypatch.setattr(verify, "_case_split_lambda", lambda E: real(E) + 1)
-    result, other = run_on(cpus, monkeypatch, verify.VerifyConfig(), ["ideal-bound", "segre-r2"])
-    assert (result.failures, result.instances) == (90, 91) and other.ok
-    assert result.counterexample == {"l": [1], "d": [1], "bound": 1, "case_split": 2, "reg_zero": 0}
-    assert cli.main(["verify", "--checks=ideal-bound", "--format=json"]) == 2
-    (check,) = json.loads(capsys.readouterr().out)["result"]["checks"]
-    assert check["counterexample"] == result.counterexample
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_tate_endpoints_catches_a_planted_balanced_fault(monkeypatch, cpus):
-    # the balanced closed form lives in verify, and only its block of the
-    # closed-form shard fails: at lmax 1, the 13 + 91 + 455 multisets of
-    # r = 1, 2, 3 entries in -6..6
-    real = verify._balanced_endpoints
-    monkeypatch.setattr(verify, "_balanced_endpoints", lambda E, m: (real(E, m)[0], real(E, m)[1] + 1))
-    (result,) = run_on(cpus, monkeypatch, TINY, ["tate-endpoints"])
-    assert (result.failures, result.instances) == (559, 618)
-    assert result.counterexample == {"l": [1], "d": [1], "m": [-6], "balanced": [6, 6], "general": [6, 5]}
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_segre_r2_catches_a_planted_formula_fault(monkeypatch, cpus):
-    # the formula lives in verify, and its fault is a counterexample of the
-    # check that replays it; a second check's shard makes two workers
-    real = verify._segre_regularity
-    monkeypatch.setattr(verify, "_segre_regularity", lambda a, b, k, l: real(a, b, k, l) + 1)
-    result, other = run_on(cpus, monkeypatch, TINY, ["segre-r2", "ideal-bound"])
-    assert result.failures == result.instances == 1089 and other.ok
-    assert result.counterexample == {"l": [1, 1], "d": [1, 1], "m": [-5, -5], "special": 7, "general": 6}
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_each_subadditivity_check_catches_a_fault_in_its_route(monkeypatch, cpus):
-    # a strict inequality fails every sample where reg(m) + reg(m2) =
-    # reg(m + m2), and a sum whose p drops p2 every sample that needs p2;
-    # each check reports the fault in the route it replays
-    real = regularity.check_subadditivity
-
-    def strict(E, m, m2):
-        report = real(E, m, m2)
-        return report._replace(holds=report.reg_m + report.reg_m2 > report.reg_sum)
-
-    def drop_p2(E, m, p, m2, p2):
-        if not (regularity.is_regular_formula(E, m, p) and regularity.is_regular_formula(E, m2, p2)):
-            return "hypothesis-not-met"
-        m_sum = tuple(a + b for a, b in zip(m, m2))
-        return "holds" if regularity.is_regular_formula(E, m_sum, p) else "fails"
-
-    monkeypatch.setattr(regularity, "check_subadditivity", strict)
-    monkeypatch.setattr(regularity, "check_pair_subadditivity", drop_p2)
-    subadd, pairs = run_on(cpus, monkeypatch, SMALL, ["subadditivity", "pair-subadditivity"])
-    assert (subadd.failures, subadd.instances) == (4503, 20000)
-    ce = subadd.counterexample
-    assert (ce["l"], ce["d"], ce["m"], ce["m2"], ce["report"]["holds"]) == ([1], [1], [2], [1], False)
-    assert (pairs.failures, pairs.instances) == (1487, 4000)
-    ce = pairs.counterexample
-    assert (ce["m"], ce["p"], ce["m2"], ce["p2"], ce["status"]) == ([2], [-1], [-3], [5], "fails")
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_pair_subadditivity_catches_a_hypothesis_that_is_too_weak(monkeypatch, cpus):
-    # every sample lowers each of its pairs to one step below its corner, so
-    # a hypothesis met by either pair, or read off the first pair alone,
-    # passes a lowered pair on and fails every sample
-    real = regularity.is_regular_formula
-
-    def weakened(met):
-        def check(E, m, p, m2, p2):
-            if not met(real(E, m, p), real(E, m2, p2)):
-                return "hypothesis-not-met"
-            return "holds" if real(E, tuple(map(sum, zip(m, m2))), tuple(map(sum, zip(p, p2)))) else "fails"
-        return check
-
-    # on l = d = (1,), m = -1 and m2 = -2 have the corners 1 and 2
-    reason = "a pair below a corner met the hypothesis"
-    for met, p, p2, status in ((lambda a, b: a or b, [0], [2], "fails"), (lambda a, b: a, [3], [1], "holds")):
-        monkeypatch.setattr(regularity, "check_pair_subadditivity", weakened(met))
-        (result,) = run_on(cpus, monkeypatch, SMALL, ["pair-subadditivity"])
-        assert (result.failures, result.instances) == (4000, 4000)
-        assert result.counterexample == {
-            "l": [1], "d": [1], "m": [-1], "p": p, "m2": [-2], "p2": p2, "status": status, "reason": reason
-        }
-
-
 def test_dual_twist_that_is_not_an_involution_is_a_counterexample(monkeypatch):
     # a sign flip maps m to m - c, c = n d - l - 1 = (1, 0) here
     real = tate.dual_twist
     monkeypatch.setattr(tate, "dual_twist", lambda E, m: tuple(-x for x in real(E, m)))
     failure = verify._duality_failure(SegreVeronese((1, 2), (1, 1)), (0, 0))
     assert failure == {"l": [1, 2], "d": [1, 1], "m": [0, 0], "reason": "dual twist is not an involution"}
-
-
-def test_window_endpoint_off_by_one_fails_purity(monkeypatch):
-    # the columns stay right, so only the purity replay sees the endpoint
-    real = tate.tate_window
-    monkeypatch.setattr(tate, "tate_window", lambda E, m, pad=2: (w := real(E, m, pad))._replace(p_plus=w.p_plus + 1))
-    (result,) = run_on(1, monkeypatch, TINY, ["tate-window"])
-    assert result.failures == result.instances == 90
-    assert result.counterexample["reason"] == "purity does not match endpoint"
